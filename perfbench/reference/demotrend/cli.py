@@ -1,0 +1,390 @@
+"""Command-line runner: ingest, fit, project, aggregate, emit.
+
+Exit codes: 0 success, 1 data error, 2 usage error, 3 internal error.
+Outputs are deterministic: identical inputs and configuration produce
+byte-identical files regardless of the worker count.
+"""
+from __future__ import annotations
+
+import argparse
+import concurrent.futures
+import hashlib
+import json
+import os
+import sys
+import traceback
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+from .augmentation import DonorRule, select_donors
+from .core import AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, Sex, Variable
+from .data_ingest import HEADERS, Dataset, load_dataset
+from .demography import PopulationState, project_country, total_population
+from .errors import DemotrendError, SchemaViolation
+from .rate_forecast import CapPolicy, build_country_ensembles
+from .report import RunResult, aggregate, emit_outputs, scopes_for, sensitivity_ratio
+from .scenarios import (
+    build_baselines,
+    convergence_pathway,
+    multiplier_pathway,
+    scenario_label,
+    sweep,
+)
+
+AGGREGATE_KINDS = ("world", "income", "region", "country")
+SENSITIVITY_YEAR = 2050
+
+
+class UsageError(Exception):
+    """Bad invocation: flags or scenario token, not data."""
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    data_dir: str
+    out_dir: str
+    scenario: str = "baseline"
+    fertility_cap: float = 30000.0
+    srb: float = 1.05
+    horizon: int = END_YEAR
+    aggregate: tuple[str, ...] = ("world", "income", "region")
+    dump_donors: bool = False
+    dump_ensembles: bool = False
+    jobs: int = 1
+    out_format: str = "csv+svg"
+
+
+@dataclass(eq=False)
+class _WorkerPayload:
+    dataset: Dataset
+    scenarios: list
+    country_order: list[str]
+    cap: CapPolicy
+    srb: float
+    horizon: int
+    dump_donors: bool
+    dump_ensembles: bool
+
+
+_WORKER: dict = {}
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = _config_from_args(args)
+        _validate_scenario_token(config.scenario)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        run(config)
+        return 0
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except DemotrendError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception:
+        traceback.print_exc()
+        return 3
+
+
+def run(config: RunConfig) -> list[Path]:
+    """Execute one full projection run; returns the written paths."""
+    dataset = load_dataset(config.data_dir)
+    for rejection in dataset.rejections:
+        print(f"warning: {rejection}", file=sys.stderr)
+    scenario_list = _build_scenarios(dataset, config)
+    if not scenario_list:
+        raise UsageError(f"scenario {config.scenario!r} produced no scenarios")
+    countries = sorted(c.iso3 for c in dataset.countries)
+    missing = [iso3 for iso3 in countries if dataset.base_population(iso3) is None]
+    if missing:
+        raise SchemaViolation("base_pop.csv", 0,
+                              f"no base population for {', '.join(missing)}")
+
+    payload = _WorkerPayload(dataset=dataset, scenarios=scenario_list,
+                             country_order=countries, cap=CapPolicy(config.fertility_cap),
+                             srb=config.srb, horizon=config.horizon,
+                             dump_donors=config.dump_donors,
+                             dump_ensembles=config.dump_ensembles)
+    if config.jobs > 1 and len(countries) > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(config.jobs, len(countries)),
+                initializer=_init_worker, initargs=(payload,)) as pool:
+            per_country = list(pool.map(_project_one, countries))
+    else:
+        _init_worker(payload)
+        per_country = [_project_one(iso3) for iso3 in countries]
+
+    scenario_ids = [sid for sid, _ in scenario_list]
+    country_totals: dict[str, dict[str, np.ndarray]] = {sid: {} for sid in scenario_ids}
+    donor_rows: list[tuple] = []
+    ensemble_rows: list[tuple] = []
+    for iso3, totals, donors, ensembles in per_country:
+        for sid, series in totals.items():
+            country_totals[sid][iso3] = series
+        donor_rows.extend(donors)
+        ensemble_rows.extend(ensembles)
+
+    record_map = {c.iso3: c for c in dataset.countries}
+    scopes = scopes_for(config.aggregate, dataset)
+    aggregates = {
+        sid: [aggregate(country_totals[sid], scope, record_map, sid, BASE_YEAR)
+              for scope in scopes]
+        for sid in scenario_ids
+    }
+    sensitivity = _sensitivity_rows(scenario_ids, country_totals, config.horizon)
+    result = RunResult(start_year=BASE_YEAR, scenario_ids=scenario_ids,
+                       aggregates=aggregates, sensitivity=sensitivity)
+
+    out = Path(config.out_dir)
+    written = emit_outputs(result, out, config.out_format)
+    try:
+        if config.dump_donors:
+            written.append(_write_rows(out / "donors.csv",
+                                       "scenario_id,target_iso3,donor_iso3",
+                                       donor_rows))
+        if config.dump_ensembles:
+            header = ("scenario_id,iso3,variable,age_group,sex,form,weight,"
+                      "beta1,beta2,beta3,x1,sigma,aicc")
+            written.append(_write_rows(out / "ensembles.csv", header, ensemble_rows))
+        written.append(_write_manifest(config, out))
+    except Exception:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return written
+
+
+def _init_worker(payload: _WorkerPayload) -> None:
+    _WORKER["payload"] = payload
+
+
+def _project_one(iso3: str):
+    """All scenarios for one country: totals plus optional dump rows."""
+    p: _WorkerPayload = _WORKER["payload"]
+    dataset = p.dataset
+    base = dataset.base_population(iso3)
+    base_state = PopulationState(iso3=iso3, year=base.year, counts=base.counts.copy())
+    candidates = {}
+    for other in p.country_order:
+        if other == iso3:
+            continue
+        series = dataset.gdp_hist_series(other)
+        if series[0].size:
+            candidates[other] = series
+    cache: dict = {}
+    totals: dict[str, np.ndarray] = {}
+    donor_rows: list[tuple] = []
+    ensemble_rows: list[tuple] = []
+    for sid, pathways in p.scenarios:
+        pathway = pathways[iso3]
+        rule = DonorRule(target_gdp_2015=pathway.gdp(BASE_YEAR),
+                         target_pathway_max=pathway.max_gdp())
+        donors = select_donors(rule, candidates)
+        ensembles = build_country_ensembles(dataset, iso3, donors, cache)
+        trajectory = project_country(base_state, ensembles, pathway, p.cap,
+                                     horizon=p.horizon, srb=p.srb)
+        totals[sid] = np.array([total_population(state) for _, state in trajectory])
+        if p.dump_donors:
+            donor_rows.extend((sid, iso3, donor) for donor in donors)
+        if p.dump_ensembles:
+            ensemble_rows.extend(_ensemble_dump_rows(sid, iso3, ensembles))
+    return iso3, totals, donor_rows, ensemble_rows
+
+
+def _ensemble_dump_rows(sid: str, iso3: str, ensembles):
+    rows = []
+
+    def emit(variable, band, sex_label, ensemble):
+        for member, weight in zip(ensemble.members, ensemble.weights):
+            rows.append((sid, iso3, variable, band, sex_label, member.form.value,
+                         _num(weight), _num(member.beta1), _num(member.beta2),
+                         _num(member.beta3), _num(member.breakpoint_x1),
+                         _num(member.sigma), _num(member.aicc)))
+
+    for band in FERTILE_BANDS:
+        emit(Variable.FERTILITY.value, band, Sex.FEMALE.value, ensembles.fertility[band])
+    for band in AGE_BANDS:
+        for sex in (Sex.FEMALE, Sex.MALE):
+            emit(Variable.MORTALITY.value, band, sex.value,
+                 ensembles.mortality[(band, sex)])
+    return rows
+
+
+def _num(value) -> str:
+    return "" if value is None else f"{value:.9g}"
+
+
+def _sensitivity_rows(scenario_ids, country_totals, horizon):
+    if horizon < SENSITIVITY_YEAR:
+        return None
+    if "m0.0" not in scenario_ids or "m2.0" not in scenario_ids:
+        return None
+    reference = "baseline" if "baseline" in scenario_ids else "m1.0"
+    if reference not in scenario_ids:
+        return None
+    idx = SENSITIVITY_YEAR - BASE_YEAR
+    rows = []
+    for iso3 in sorted(country_totals[reference]):
+        rows.append((iso3, sensitivity_ratio(country_totals["m0.0"][iso3][idx],
+                                             country_totals["m2.0"][iso3][idx],
+                                             country_totals[reference][iso3][idx])))
+    return rows
+
+
+def _write_rows(path: Path, header: str, rows) -> Path:
+    lines = [header]
+    lines.extend(",".join(str(cell) for cell in row) for row in rows)
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def _write_manifest(config: RunConfig, out: Path) -> Path:
+    digests = {}
+    for name in sorted(HEADERS):
+        digest = hashlib.sha256()
+        digest.update((Path(config.data_dir) / name).read_bytes())
+        digests[name] = digest.hexdigest()
+    # jobs and out_dir are omitted: they cannot change the results.
+    manifest = {
+        "config": {
+            "aggregate": list(config.aggregate),
+            "data_dir": config.data_dir,
+            "dump_donors": config.dump_donors,
+            "dump_ensembles": config.dump_ensembles,
+            "fertility_cap": config.fertility_cap,
+            "format": config.out_format,
+            "horizon": config.horizon,
+            "scenario": config.scenario,
+            "srb": config.srb,
+        },
+        "inputs": digests,
+        "version": __version__,
+    }
+    path = out / "run_manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def _validate_scenario_token(token: str) -> None:
+    if token in ("baseline", "convergence", "sweep"):
+        return
+    if token.startswith("m:"):
+        value = _parse_float_token(token[2:], "multiplier")
+        if value < 0.0:
+            raise UsageError(f"multiplier must be non-negative, got {value}")
+        return
+    if token.startswith("sweep:"):
+        parts = token.split(":")
+        if len(parts) != 4:
+            raise UsageError("sweep takes exactly sweep:<from>:<to>:<step>")
+        m_from = _parse_float_token(parts[1], "sweep start")
+        _parse_float_token(parts[2], "sweep end")
+        step = _parse_float_token(parts[3], "sweep step")
+        if m_from < 0.0:
+            raise UsageError("sweep start must be non-negative")
+        if step <= 0.0:
+            raise UsageError("sweep step must be positive")
+        return
+    raise UsageError(f"unrecognized scenario {token!r}; expected baseline, "
+                     f"m:<value>, convergence, or sweep[:<from>:<to>:<step>]")
+
+
+def _parse_float_token(text: str, label: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{label} must be numeric, got {text!r}") from None
+
+
+def _build_scenarios(dataset: Dataset, config: RunConfig):
+    token = config.scenario
+    start, end = BASE_YEAR, config.horizon
+    if token == "baseline":
+        return [("baseline", build_baselines(dataset, start, end))]
+    if token == "convergence":
+        baselines = build_baselines(dataset, start, end)
+        pathways = {iso3: convergence_pathway(iso3, base.gdp(start), start=start, end=end)
+                    for iso3, base in baselines.items()}
+        return [("convergence", pathways)]
+    if token.startswith("m:"):
+        m = float(token[2:])
+        baselines = build_baselines(dataset, start, end)
+        pathways = {iso3: multiplier_pathway(base, m) for iso3, base in baselines.items()}
+        return [(scenario_label(m), pathways)]
+    parts = token.split(":")
+    if parts[0] == "sweep":
+        m_from, m_to, step = (0.0, 2.0, 0.1) if len(parts) == 1 else (
+            float(parts[1]), float(parts[2]), float(parts[3]))
+        return sweep(dataset, m_from, m_to, step, start=start, end=end)
+    raise UsageError(f"unrecognized scenario {token!r}")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="demotrend",
+        description="Project national populations to 2100 under GDP growth "
+                    "scenarios, using GDP-coupled fertility and mortality "
+                    "ensembles and annual cohort-component accounting.")
+    parser.add_argument("--data-dir", default=os.environ.get("DEMOTREND_DATA_DIR"),
+                        help="directory with the five input CSVs "
+                             "(default: $DEMOTREND_DATA_DIR)")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--scenario", default="baseline",
+                        help="baseline | m:<value> | convergence | "
+                             "sweep[:<from>:<to>:<step>] (default: baseline)")
+    parser.add_argument("--fertility-cap", type=float, default=30000.0,
+                        help="GDP per capita cap for fertility inputs "
+                             "(default: 30000)")
+    parser.add_argument("--srb", type=float, default=1.05,
+                        help="sex ratio at birth, males per female (default: 1.05)")
+    parser.add_argument("--horizon", type=int, default=END_YEAR,
+                        help=f"final projected year (default: {END_YEAR})")
+    parser.add_argument("--aggregate", default="world,income,region",
+                        help="comma-separated scopes: world,income,region,country")
+    parser.add_argument("--dump-donors", action="store_true",
+                        help="also write donors.csv")
+    parser.add_argument("--dump-ensembles", action="store_true",
+                        help="also write ensembles.csv")
+    parser.add_argument("--jobs", default="1",
+                        help="worker processes, or 'auto' (default: 1)")
+    parser.add_argument("--format", dest="out_format",
+                        choices=["csv", "csv+svg"], default="csv+svg")
+    return parser
+
+
+def _config_from_args(args) -> RunConfig:
+    if not args.data_dir:
+        raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
+    if args.jobs == "auto":
+        jobs = os.cpu_count() or 1
+    else:
+        try:
+            jobs = int(args.jobs)
+        except ValueError:
+            raise UsageError(f"--jobs must be an integer or 'auto', got {args.jobs!r}") from None
+        if jobs < 1:
+            raise UsageError("--jobs must be at least 1")
+    if not BASE_YEAR < args.horizon <= END_YEAR:
+        raise UsageError(f"--horizon must lie in {BASE_YEAR + 1}-{END_YEAR}")
+    if args.fertility_cap <= 0.0:
+        raise UsageError("--fertility-cap must be positive")
+    if args.srb <= 0.0:
+        raise UsageError("--srb must be positive")
+    kinds = tuple(k for k in args.aggregate.split(",") if k)
+    if not kinds or any(k not in AGGREGATE_KINDS for k in kinds):
+        raise UsageError(f"--aggregate accepts {', '.join(AGGREGATE_KINDS)}")
+    return RunConfig(data_dir=args.data_dir, out_dir=args.out, scenario=args.scenario,
+                     fertility_cap=args.fertility_cap, srb=args.srb,
+                     horizon=args.horizon, aggregate=kinds,
+                     dump_donors=args.dump_donors, dump_ensembles=args.dump_ensembles,
+                     jobs=jobs, out_format=args.out_format)

@@ -1,0 +1,294 @@
+"""Candidate GDP-to-rate regression forms and information-theoretic scoring.
+
+Eight nested-to-flexible curve shapes relate a demographic rate to GDP per
+capita. Each is estimated by least squares (equivalently Gaussian maximum
+likelihood), scored with the small-sample corrected information criterion,
+and combined through normalized evidence weights. Breakpoint and exponent
+searches are grid-based and fully deterministic.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+import numpy as np
+
+from .errors import (
+    DegenerateX,
+    DenominatorZero,
+    EmptyInput,
+    InsufficientData,
+    NonFiniteInput,
+    NonPositiveX,
+)
+
+
+class ModelForm(Enum):
+    NULL = "Null"
+    LINEAR = "Linear"
+    DIVISION = "Division"
+    NEG_LOG = "NegLog"
+    NEG_POWER = "NegPower"
+    LINEAR_SPLINE = "LinearSpline"
+    RIGHT_HINGE = "RightHinge"
+    LEFT_HINGE = "LeftHinge"
+
+
+FORM_ORDER: tuple[ModelForm, ...] = tuple(ModelForm)
+
+# Estimated quantities per form, residual sigma included.
+PARAM_COUNT: dict[ModelForm, int] = {
+    ModelForm.NULL: 2,
+    ModelForm.LINEAR: 3,
+    ModelForm.DIVISION: 3,
+    ModelForm.NEG_LOG: 3,
+    ModelForm.NEG_POWER: 4,
+    ModelForm.LINEAR_SPLINE: 5,
+    ModelForm.RIGHT_HINGE: 4,
+    ModelForm.LEFT_HINGE: 4,
+}
+
+# Perfect fits are floored here so log-likelihood terms stay finite.
+RSS_FLOOR = 1e-12
+
+# Exponent search space for the negative-power form.
+POWER_GRID_LO = 0.05
+POWER_GRID_HI = 5.0
+POWER_GRID_STEP = 0.05
+POWER_REFINE_RTOL = 1e-6
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """One estimated curve plus its score.
+
+    ``beta1``/``beta2`` are intercept and slope-or-scale, ``beta3`` is the
+    positive exponent (negative-power form only), ``slope_right`` is the
+    second-segment slope (two-slope spline only), ``breakpoint_x1`` is the
+    estimated knot, and ``ybar`` holds the flat level (sample mean for the
+    null form, plateau value for hinge forms).
+    """
+
+    form: ModelForm
+    sigma: float
+    n_fit: int
+    k_params: int
+    aicc: float
+    beta1: float | None = None
+    beta2: float | None = None
+    beta3: float | None = None
+    slope_right: float | None = None
+    breakpoint_x1: float | None = None
+    ybar: float | None = None
+
+
+@dataclass(frozen=True)
+class RateEnsemble:
+    """Weighted collection of fitted forms for one rate series."""
+
+    members: tuple[FitResult, ...]
+    weights: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.members) != len(self.weights) or not self.members:
+            raise ValueError("ensemble needs matching, non-empty members and weights")
+        forms = [m.form for m in self.members]
+        if len(set(forms)) != len(forms):
+            raise ValueError("ensemble members must be distinct forms")
+        total = math.fsum(self.weights)
+        if any(w < 0.0 or w > 1.0 for w in self.weights) or abs(total - 1.0) > 1e-9:
+            raise ValueError(f"weights must lie in [0, 1] and sum to 1, got sum {total}")
+
+
+def aicc(rss: float, n: int, k: int) -> float:
+    """Small-sample corrected information criterion for a Gaussian fit.
+
+    Parameters
+    ----------
+    rss : residual sum of squares (floored at ``RSS_FLOOR``).
+    n : number of observations.
+    k : number of estimated parameters, residual sigma included.
+    """
+    if n <= k + 1:
+        raise DenominatorZero(n, k)
+    rss = max(float(rss), RSS_FLOOR)
+    return n * math.log(rss / n) + 2.0 * k + 2.0 * k * (k + 1.0) / (n - k - 1.0)
+
+
+def akaike_weights(aiccs) -> list[float]:
+    """Normalize criterion values into evidence weights.
+
+    The minimum is subtracted before exponentiation, so the result is
+    invariant to a common additive shift and safe from overflow.
+    """
+    a = np.asarray(list(aiccs), dtype=float)
+    if a.size == 0:
+        raise EmptyInput("akaike_weights requires at least one criterion value")
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("criterion values must be finite")
+    rel = np.exp(-(a - a.min()) / 2.0)
+    w = rel / rel.sum()
+    return [float(v) for v in w]
+
+
+def fit(form: ModelForm, xs, ys) -> FitResult:
+    """Least-squares fit of one form to positive-x data.
+
+    Requires ``len(xs) >= k + 2`` so the corrected criterion is defined.
+    Breakpoints are searched over interior observed x values (the two
+    extremes at each end are excluded) with ties broken toward the smaller
+    candidate; the negative-power exponent is found on a coarse grid and
+    refined by golden-section search.
+    """
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("xs and ys must be 1-d sequences of equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteInput("fit inputs must be finite")
+    if (x <= 0.0).any():
+        raise NonPositiveX("all predictor values must be strictly positive")
+    n = x.size
+    k = PARAM_COUNT[form]
+    if n < k + 2:
+        raise InsufficientData(n, k)
+    if form is not ModelForm.NULL and bool(np.all(x == x[0])):
+        raise DegenerateX("constant predictor admits only the null form")
+
+    if form is ModelForm.NULL:
+        ybar = float(y.mean())
+        rss = float(np.square(y - ybar).sum())
+        return _finish(form, n, k, rss, ybar=ybar)
+    if form is ModelForm.LINEAR:
+        return _fit_transformed(form, x, y, x, n, k)
+    if form is ModelForm.DIVISION:
+        return _fit_transformed(form, x, y, 1.0 / x, n, k)
+    if form is ModelForm.NEG_LOG:
+        return _fit_transformed(form, x, y, np.log(x), n, k)
+    if form is ModelForm.NEG_POWER:
+        return _fit_neg_power(x, y, n, k)
+    return _fit_breakpoint(form, x, y, n, k)
+
+
+def predict(fit_result: FitResult, x: float) -> float:
+    """Evaluate a fitted curve at one GDP value, clamped below at zero."""
+    if not math.isfinite(x) or x <= 0.0:
+        raise NonPositiveX(f"prediction requires positive finite GDP, got {x}")
+    value = float(raw_prediction(fit_result, np.array([x]))[0])
+    return value if value > 0.0 else 0.0
+
+
+def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:
+    """Unclamped model values; used for residuals during fitting and scoring."""
+    x = np.asarray(xs, dtype=float)
+    f = fit_result
+    if f.form is ModelForm.NULL:
+        return np.full_like(x, f.ybar)
+    if f.form is ModelForm.LINEAR:
+        return f.beta1 + f.beta2 * x
+    if f.form is ModelForm.DIVISION:
+        return f.beta1 + f.beta2 / x
+    if f.form is ModelForm.NEG_LOG:
+        return f.beta1 + f.beta2 * np.log(x)
+    if f.form is ModelForm.NEG_POWER:
+        return f.beta1 + f.beta2 * x ** (-f.beta3)
+    c = f.breakpoint_x1
+    if f.form is ModelForm.LINEAR_SPLINE:
+        return (f.beta1 + f.beta2 * np.minimum(x, c)
+                + f.slope_right * np.maximum(x - c, 0.0))
+    if f.form is ModelForm.RIGHT_HINGE:
+        return f.beta1 + f.beta2 * np.minimum(x, c)
+    if f.form is ModelForm.LEFT_HINGE:
+        return f.beta1 + f.beta2 * np.maximum(x, c)
+    raise ValueError(f"unknown form {f.form}")
+
+
+def _solve(columns: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarray, float]:
+    a = np.column_stack(columns)
+    coef, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
+    resid = y - a @ coef
+    return coef, float(resid @ resid)
+
+
+def _finish(form: ModelForm, n: int, k: int, rss: float, **coefs) -> FitResult:
+    sigma = math.sqrt(max(rss, RSS_FLOOR) / n)
+    return FitResult(form=form, sigma=sigma, n_fit=n, k_params=k,
+                     aicc=aicc(rss, n, k), **coefs)
+
+
+def _fit_transformed(form, x, y, t, n, k) -> FitResult:
+    coef, rss = _solve([np.ones(n), t], y)
+    return _finish(form, n, k, rss, beta1=float(coef[0]), beta2=float(coef[1]))
+
+
+def _fit_neg_power(x, y, n, k) -> FitResult:
+    ones = np.ones(n)
+
+    def rss_at(b3: float) -> tuple[np.ndarray, float]:
+        return _solve([ones, x ** (-b3)], y)
+
+    best_b3 = POWER_GRID_LO
+    best_rss = math.inf
+    steps = int(round((POWER_GRID_HI - POWER_GRID_LO) / POWER_GRID_STEP))
+    for i in range(steps + 1):
+        b3 = POWER_GRID_LO + i * POWER_GRID_STEP
+        _, rss = rss_at(b3)
+        if rss < best_rss:
+            best_rss, best_b3 = rss, b3
+
+    lo = max(POWER_GRID_LO, best_b3 - POWER_GRID_STEP)
+    hi = min(POWER_GRID_HI, best_b3 + POWER_GRID_STEP)
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    _, fc = rss_at(c)
+    _, fd = rss_at(d)
+    while (hi - lo) > POWER_REFINE_RTOL * 0.5 * (lo + hi):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            _, fc = rss_at(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            _, fd = rss_at(d)
+    refined = 0.5 * (lo + hi)
+    coef, rss = rss_at(refined)
+    if best_rss < rss:  # refinement can only help inside the bracket; be safe
+        refined = best_b3
+        coef, rss = rss_at(refined)
+    return _finish(ModelForm.NEG_POWER, n, k, rss,
+                   beta1=float(coef[0]), beta2=float(coef[1]), beta3=float(refined))
+
+
+def _breakpoint_candidates(x: np.ndarray) -> np.ndarray:
+    xs_sorted = np.sort(x)
+    interior = np.unique(xs_sorted[2:-2])
+    return interior[(interior > xs_sorted[0]) & (interior < xs_sorted[-1])]
+
+
+def _fit_breakpoint(form, x, y, n, k) -> FitResult:
+    candidates = _breakpoint_candidates(x)
+    if candidates.size == 0:
+        raise DegenerateX("no interior breakpoint candidates")
+    ones = np.ones(n)
+    best = None
+    for c in candidates:  # ascending, so strict improvement keeps smallest tie
+        if form is ModelForm.LINEAR_SPLINE:
+            cols = [ones, x, np.maximum(x - c, 0.0)]
+        elif form is ModelForm.RIGHT_HINGE:
+            cols = [ones, np.minimum(x, c)]
+        else:
+            cols = [ones, np.maximum(x, c)]
+        coef, rss = _solve(cols, y)
+        if best is None or rss < best[0]:
+            best = (rss, float(c), coef)
+    rss, x1, coef = best
+    b1, b2 = float(coef[0]), float(coef[1])
+    if form is ModelForm.LINEAR_SPLINE:
+        return _finish(form, n, k, rss, beta1=b1, beta2=b2,
+                       slope_right=b2 + float(coef[2]), breakpoint_x1=x1)
+    return _finish(form, n, k, rss, beta1=b1, beta2=b2,
+                   breakpoint_x1=x1, ybar=b1 + b2 * x1)

@@ -1,0 +1,154 @@
+"""Ensemble construction and rate forecasting.
+
+Every candidate form that can be fitted on the (possibly donor-augmented)
+sample joins the ensemble; each member keeps its fitted coefficients but is
+re-scored on the target's own observations, so evidence weights reflect how
+well the borrowed shape explains the target. Forecasts are the weight-
+averaged predictions, with fertility inputs capped at a configurable GDP
+level beyond which fertility is treated as decoupled from further growth.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .augmentation import build_augmented_series
+from .core import AGE_BANDS, FERTILE_BANDS, Sex, Variable
+from .data_ingest import Dataset
+from .errors import DegenerateX, InsufficientData, NonPositiveGdp, NoWeightData
+from .models import (
+    FORM_ORDER,
+    FitResult,
+    ModelForm,
+    PARAM_COUNT,
+    RSS_FLOOR,
+    RateEnsemble,
+    aicc,
+    akaike_weights,
+    fit,
+    predict,
+    raw_prediction,
+)
+
+
+@dataclass(frozen=True)
+class CapPolicy:
+    """GDP ceiling applied to fertility model inputs; mortality is uncapped."""
+
+    fertility_cap_gdp: float = 30000.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.fertility_cap_gdp) or self.fertility_cap_gdp <= 0.0:
+            raise ValueError("fertility cap must be positive and finite")
+
+
+@dataclass(frozen=True)
+class CountryEnsembles:
+    """Fitted ensembles for one country: 6 fertility bands, 21x2 mortality."""
+
+    fertility: dict[str, RateEnsemble]
+    mortality: dict[tuple[str, Sex], RateEnsemble]
+
+
+def build_ensemble(fit_points, weight_points) -> RateEnsemble:
+    """Fit all admissible forms and weight them by corrected-criterion evidence.
+
+    ``fit_points`` and ``weight_points`` are sequences of (gdp, rate) pairs.
+    Coefficients come from ``fit_points``; residuals, sigma, and the
+    criterion are then recomputed on ``weight_points`` with n equal to the
+    scoring sample size and k unchanged. Forms whose preconditions fail are
+    skipped. At least the flat null form always survives; when it is the
+    only survivor on a sample too small to score, it carries weight 1 and
+    an infinite criterion value.
+    """
+    fp = np.asarray(fit_points, dtype=float).reshape(-1, 2)
+    wp = np.asarray(weight_points, dtype=float).reshape(-1, 2)
+    if wp.shape[0] == 0:
+        raise NoWeightData("ensemble weighting requires target observations")
+    fx, fy = fp[:, 0], fp[:, 1]
+    wx, wy = wp[:, 0], wp[:, 1]
+    n_w = wp.shape[0]
+
+    members: list[FitResult] = []
+    for form in FORM_ORDER:
+        k = PARAM_COUNT[form]
+        if n_w <= k + 1:
+            continue  # criterion undefined on the scoring sample
+        try:
+            fitted = fit(form, fx, fy)
+        except (InsufficientData, DegenerateX):
+            continue
+        resid = wy - raw_prediction(fitted, wx)
+        rss_w = float(resid @ resid)
+        members.append(replace(fitted,
+                               sigma=math.sqrt(max(rss_w, RSS_FLOOR) / n_w),
+                               n_fit=n_w,
+                               aicc=aicc(rss_w, n_w, k)))
+    if not members:
+        ybar = float(fy.mean())
+        rss_w = float(np.square(wy - ybar).sum())
+        fallback = FitResult(form=ModelForm.NULL, ybar=ybar,
+                             sigma=math.sqrt(max(rss_w, RSS_FLOOR) / n_w),
+                             n_fit=n_w, k_params=PARAM_COUNT[ModelForm.NULL],
+                             aicc=math.inf)
+        return RateEnsemble(members=(fallback,), weights=(1.0,))
+    if len(members) == 1:
+        weights: tuple[float, ...] = (1.0,)
+    else:
+        weights = tuple(akaike_weights([m.aicc for m in members]))
+    return RateEnsemble(members=tuple(members), weights=weights)
+
+
+def forecast_rate(ensemble: RateEnsemble, gdp: float, variable: Variable,
+                  cap: CapPolicy) -> float:
+    """Weighted ensemble forecast at one GDP level.
+
+    Fertility is evaluated at ``min(gdp, cap)`` so any GDP at or above the
+    cap produces the identical forecast; mortality uses GDP as given.
+    """
+    if not math.isfinite(gdp) or gdp <= 0.0:
+        raise NonPositiveGdp(f"forecast requires positive finite GDP, got {gdp}")
+    x = min(gdp, cap.fertility_cap_gdp) if variable is Variable.FERTILITY else gdp
+    return float(sum(w * predict(m, x)
+                     for m, w in zip(ensemble.members, ensemble.weights)))
+
+
+def build_country_ensembles(dataset: Dataset, iso3: str, donors,
+                            cache: dict | None = None) -> CountryEnsembles:
+    """Build (or fetch from ``cache``) every rate ensemble for one country.
+
+    The cache key is (iso3, donor tuple, variable, age band, sex token),
+    so identical donor sets across scenarios reuse fitted ensembles.
+    """
+    donors = tuple(donors)
+    fertility = {
+        band: _cached_ensemble(dataset, iso3, donors, Variable.FERTILITY, band, None, cache)
+        for band in FERTILE_BANDS
+    }
+    mortality: dict[tuple[str, Sex], RateEnsemble] = {}
+    if dataset.has_sexed_mortality:
+        for band in AGE_BANDS:
+            for sex in (Sex.FEMALE, Sex.MALE):
+                mortality[(band, sex)] = _cached_ensemble(
+                    dataset, iso3, donors, Variable.MORTALITY, band, sex, cache)
+    else:
+        for band in AGE_BANDS:
+            shared = _cached_ensemble(dataset, iso3, donors, Variable.MORTALITY,
+                                      band, Sex.BOTH, cache)
+            mortality[(band, Sex.FEMALE)] = shared
+            mortality[(band, Sex.MALE)] = shared
+    return CountryEnsembles(fertility=fertility, mortality=mortality)
+
+
+def _cached_ensemble(dataset, iso3, donors, variable, band, sex, cache):
+    key = (iso3, donors, variable.value, band, sex.value if sex else None)
+    if cache is not None and key in cache:
+        return cache[key]
+    series = build_augmented_series(iso3, donors, variable, band, dataset, sex=sex)
+    ensemble = build_ensemble(np.column_stack([series.fit_gdp, series.fit_rate]),
+                              np.column_stack([series.weight_gdp, series.weight_rate]))
+    if cache is not None:
+        cache[key] = ensemble
+    return ensemble
