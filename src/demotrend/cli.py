@@ -10,6 +10,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
 import traceback
@@ -27,11 +28,13 @@ from .errors import DemotrendError, SchemaViolation
 from .rate_forecast import CapPolicy, build_country_ensembles
 from .report import RunResult, aggregate, emit_outputs, scopes_for, sensitivity_ratio
 from .scenarios import (
+    MAX_SWEEP_SCENARIOS,
     build_baselines,
     convergence_pathway,
     multiplier_pathway,
     scenario_label,
     sweep,
+    sweep_count,
 )
 
 AGGREGATE_KINDS = ("world", "income", "region", "country")
@@ -224,20 +227,13 @@ def _num(value) -> str:
 
 
 def _sensitivity_rows(scenario_ids, country_totals, horizon):
-    if horizon < SENSITIVITY_YEAR:
-        return None
-    if "m0.0" not in scenario_ids or "m2.0" not in scenario_ids:
-        return None
-    reference = "baseline" if "baseline" in scenario_ids else "m1.0"
-    if reference not in scenario_ids:
+    """Per-country sensitivity at 2050, with m1.0 as the reference."""
+    if horizon < SENSITIVITY_YEAR or not {"m0.0", "m1.0", "m2.0"} <= set(scenario_ids):
         return None
     idx = SENSITIVITY_YEAR - BASE_YEAR
-    rows = []
-    for iso3 in sorted(country_totals[reference]):
-        rows.append((iso3, sensitivity_ratio(country_totals["m0.0"][iso3][idx],
-                                             country_totals["m2.0"][iso3][idx],
-                                             country_totals[reference][iso3][idx])))
-    return rows
+    low, reference, high = (country_totals[sid] for sid in ("m0.0", "m1.0", "m2.0"))
+    return [(iso3, sensitivity_ratio(low[iso3][idx], high[iso3][idx], reference[iso3][idx]))
+            for iso3 in sorted(reference)]
 
 
 def _write_rows(path: Path, header: str, rows) -> Path:
@@ -288,12 +284,14 @@ def _validate_scenario_token(token: str) -> None:
         if len(parts) != 4:
             raise UsageError("sweep takes exactly sweep:<from>:<to>:<step>")
         m_from = _parse_float_token(parts[1], "sweep start")
-        _parse_float_token(parts[2], "sweep end")
+        m_to = _parse_float_token(parts[2], "sweep end")
         step = _parse_float_token(parts[3], "sweep step")
         if m_from < 0.0:
             raise UsageError("sweep start must be non-negative")
         if step <= 0.0:
             raise UsageError("sweep step must be positive")
+        if sweep_count(m_from, m_to, step) > MAX_SWEEP_SCENARIOS:
+            raise UsageError(f"sweep would run more than {MAX_SWEEP_SCENARIOS} scenarios")
         return
     raise UsageError(f"unrecognized scenario {token!r}; expected baseline, "
                      f"m:<value>, convergence, or sweep[:<from>:<to>:<step>]")
@@ -301,9 +299,20 @@ def _validate_scenario_token(token: str) -> None:
 
 def _parse_float_token(text: str, label: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise UsageError(f"{label} must be numeric, got {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{label} must be finite, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for the numeric flags."""
+    try:
+        return _parse_float_token(text, "value")
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_scenarios(dataset: Dataset, config: RunConfig):
@@ -342,10 +351,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", default="baseline",
                         help="baseline | m:<value> | convergence | "
                              "sweep[:<from>:<to>:<step>] (default: baseline)")
-    parser.add_argument("--fertility-cap", type=float, default=30000.0,
+    parser.add_argument("--fertility-cap", type=_finite_float, default=30000.0,
                         help="GDP per capita cap for fertility inputs "
                              "(default: 30000)")
-    parser.add_argument("--srb", type=float, default=1.05,
+    parser.add_argument("--srb", type=_finite_float, default=1.05,
                         help="sex ratio at birth, males per female (default: 1.05)")
     parser.add_argument("--horizon", type=int, default=END_YEAR,
                         help=f"final projected year (default: {END_YEAR})")

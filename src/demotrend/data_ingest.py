@@ -300,6 +300,9 @@ def _load_rates(root: Path, known: set[str],
         rate = _parse_float(name, line, rate_s, "rate")
         if rate < 0.0:
             raise SchemaViolation(name, line, f"rate must be non-negative, got {rate}")
+        if variable is Variable.MORTALITY and rate > 1.0:
+            raise SchemaViolation(name, line,
+                                  f"mortality rate is a probability in [0, 1], got {rate}")
         if variable is Variable.FERTILITY:
             if age_group not in FERTILE_BANDS:
                 raise SchemaViolation(name, line,

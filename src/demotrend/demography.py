@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AGE_BANDS, FEMALE_COL, FERTILE_SLICE, MALE_COL, Sex, Variable
+from .core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL, Sex, Variable
 from .errors import InvalidRate, NegativeState
-from .rate_forecast import CapPolicy, CountryEnsembles, forecast_rate
+from .rate_forecast import CapPolicy, CountryEnsembles, forecast_pathway
 
 N_BANDS = len(AGE_BANDS)
 
@@ -78,21 +78,31 @@ def total_population(state: PopulationState) -> float:
 
 
 def vital_rates_at(ensembles: CountryEnsembles, gdp: float, cap: CapPolicy) -> VitalRates:
-    """Evaluate every rate ensemble at one GDP level.
+    """Evaluate every rate ensemble at one GDP level (see ``forecast_rates``)."""
+    asfr, mortality = forecast_rates(ensembles, np.array([gdp], dtype=float), cap)
+    return VitalRates(asfr=asfr[0], mortality=mortality[0])
 
-    Forecast mortality is truncated at 1.0: the ensembles are fitted to
-    probabilities, but an extrapolated curve must not leave [0, 1].
+
+def forecast_rates(ensembles: CountryEnsembles, gdp: np.ndarray,
+                   cap: CapPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate every rate ensemble over T GDP values: asfr (T, 6), q (T, 21, 2).
+
+    An ensemble shared by both sexes is evaluated once. Forecast mortality
+    is truncated at 1.0: the ensembles are fitted to probabilities, but an
+    extrapolated curve must not leave [0, 1].
     """
-    asfr = np.array([forecast_rate(ensembles.fertility[band], gdp, Variable.FERTILITY, cap)
-                     for band in AGE_BANDS[FERTILE_SLICE]])
-    mortality = np.empty((N_BANDS, 2))
+    asfr = np.column_stack([forecast_pathway(ensembles.fertility[band], gdp,
+                                             Variable.FERTILITY, cap)
+                            for band in FERTILE_BANDS])
+    mortality = np.empty((gdp.size, N_BANDS, 2))
     for i, band in enumerate(AGE_BANDS):
-        mortality[i, FEMALE_COL] = forecast_rate(
-            ensembles.mortality[(band, Sex.FEMALE)], gdp, Variable.MORTALITY, cap)
-        mortality[i, MALE_COL] = forecast_rate(
-            ensembles.mortality[(band, Sex.MALE)], gdp, Variable.MORTALITY, cap)
+        female = ensembles.mortality[(band, Sex.FEMALE)]
+        male = ensembles.mortality[(band, Sex.MALE)]
+        mortality[:, i, FEMALE_COL] = forecast_pathway(female, gdp, Variable.MORTALITY, cap)
+        mortality[:, i, MALE_COL] = (mortality[:, i, FEMALE_COL] if male is female else
+                                     forecast_pathway(male, gdp, Variable.MORTALITY, cap))
     np.minimum(mortality, 1.0, out=mortality)
-    return VitalRates(asfr=asfr, mortality=mortality)
+    return asfr, mortality
 
 
 def project_country(base: PopulationState, ensembles: CountryEnsembles, pathway,
@@ -108,10 +118,13 @@ def project_country(base: PopulationState, ensembles: CountryEnsembles, pathway,
                          f"{pathway.start_year}")
     if horizon < base.year:
         raise ValueError("horizon precedes the base year")
+    steps = horizon - base.year
+    if steps:
+        pathway.gdp(horizon - 1)  # PathwayGap when the pathway ends too early
+    asfr, mortality = forecast_rates(ensembles, pathway.values[:steps], cap)
     trajectory = [(base.year, base)]
     state = base
-    for year in range(base.year, horizon):
-        rates = vital_rates_at(ensembles, pathway.gdp(year), cap)
-        state = step_year(state, rates, srb=srb)
+    for t in range(steps):
+        state = step_year(state, VitalRates(asfr=asfr[t], mortality=mortality[t]), srb=srb)
         trajectory.append((state.year, state))
     return trajectory

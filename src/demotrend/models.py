@@ -177,8 +177,17 @@ def predict(fit_result: FitResult, x: float) -> float:
     """Evaluate a fitted curve at one GDP value, clamped below at zero."""
     if not math.isfinite(x) or x <= 0.0:
         raise NonPositiveX(f"prediction requires positive finite GDP, got {x}")
-    value = float(raw_prediction(fit_result, np.array([x]))[0])
-    return value if value > 0.0 else 0.0
+    return float(predict_clamped(fit_result, np.array([x]))[0])
+
+
+def predict_clamped(fit_result: FitResult, xs) -> np.ndarray:
+    """Model values at positive finite GDP values, clamped below at zero.
+
+    A value that is not positive, NaN included, becomes 0. The caller
+    validates ``xs``.
+    """
+    value = raw_prediction(fit_result, xs)
+    return np.where(value > 0.0, value, 0.0)
 
 
 def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:

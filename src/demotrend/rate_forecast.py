@@ -28,7 +28,7 @@ from .models import (
     aicc,
     akaike_weights,
     fit,
-    predict,
+    predict_clamped,
     raw_prediction,
 )
 
@@ -103,16 +103,27 @@ def build_ensemble(fit_points, weight_points) -> RateEnsemble:
 
 def forecast_rate(ensemble: RateEnsemble, gdp: float, variable: Variable,
                   cap: CapPolicy) -> float:
-    """Weighted ensemble forecast at one GDP level.
+    """Weighted ensemble forecast at one GDP level (see ``forecast_pathway``)."""
+    return float(forecast_pathway(ensemble, [gdp], variable, cap)[0])
+
+
+def forecast_pathway(ensemble: RateEnsemble, gdp, variable: Variable,
+                     cap: CapPolicy) -> np.ndarray:
+    """Weighted ensemble forecast at each value of a 1-d GDP sequence.
 
     Fertility is evaluated at ``min(gdp, cap)`` so any GDP at or above the
-    cap produces the identical forecast; mortality uses GDP as given.
+    cap produces the identical forecast; mortality uses GDP as given. The
+    zero-clamped member predictions are summed in member order.
     """
-    if not math.isfinite(gdp) or gdp <= 0.0:
-        raise NonPositiveGdp(f"forecast requires positive finite GDP, got {gdp}")
-    x = min(gdp, cap.fertility_cap_gdp) if variable is Variable.FERTILITY else gdp
-    return float(sum(w * predict(m, x)
-                     for m, w in zip(ensemble.members, ensemble.weights)))
+    gdp = np.asarray(gdp, dtype=float)
+    bad = gdp[~(np.isfinite(gdp) & (gdp > 0.0))]
+    if bad.size:
+        raise NonPositiveGdp(f"forecast requires positive finite GDP, got {bad[0]}")
+    x = np.minimum(gdp, cap.fertility_cap_gdp) if variable is Variable.FERTILITY else gdp
+    total = np.zeros(gdp.shape)
+    for m, w in zip(ensemble.members, ensemble.weights):
+        total += w * predict_clamped(m, x)
+    return total
 
 
 def build_country_ensembles(dataset: Dataset, iso3: str, donors,

@@ -18,6 +18,7 @@ from .errors import NonPositiveGdp, NonPositiveResult, PathwayGap
 
 CONVERGENCE_TARGET = 30000.0
 MAX_ANCHOR_GAP = 10  # years; anchors must be at least decadal
+MAX_SWEEP_SCENARIOS = 1000  # bounds the memory and run time of one sweep
 
 
 @dataclass(eq=False)
@@ -150,16 +151,32 @@ def build_baselines(dataset: Dataset, start: int = BASE_YEAR,
 
 def sweep(dataset: Dataset, m_from: float = 0.0, m_to: float = 2.0, step: float = 0.1,
           start: int = BASE_YEAR, end: int = END_YEAR) -> list[tuple[str, dict[str, GdpPathway]]]:
-    """Multiplier scenarios from ``m_from`` to ``m_to`` inclusive."""
+    """Multiplier scenarios from ``m_from`` to ``m_to`` inclusive.
+
+    More than ``MAX_SWEEP_SCENARIOS`` scenarios is a ``ValueError``.
+    """
     if step <= 0.0:
         raise ValueError("sweep step must be positive")
-    if m_to < m_from:
+    count = sweep_count(m_from, m_to, step)
+    if count > MAX_SWEEP_SCENARIOS:
+        raise ValueError(f"sweep would run more than {MAX_SWEEP_SCENARIOS} scenarios")
+    if count == 0:
         return []
     baselines = build_baselines(dataset, start=start, end=end)
-    count = int(round((m_to - m_from) / step)) + 1
     out = []
     for i in range(count):
         m = round(m_from + i * step, 10)
         pathways = {iso3: multiplier_pathway(base, m) for iso3, base in baselines.items()}
         out.append((scenario_label(m), pathways))
     return out
+
+
+def sweep_count(m_from: float, m_to: float, step: float) -> int:
+    """Multipliers from ``m_from`` to ``m_to`` inclusive in steps of ``step > 0``.
+
+    Any count above ``MAX_SWEEP_SCENARIOS`` reads as one more than the cap,
+    so a huge or infinite span is compared without building anything.
+    """
+    if m_to < m_from:
+        return 0
+    return int(round(min((m_to - m_from) / step, MAX_SWEEP_SCENARIOS))) + 1

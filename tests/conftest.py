@@ -83,6 +83,25 @@ def write_rows(tmp_path: Path, rows: dict[str, list[str]]) -> Path:
     return data_dir
 
 
+def scalar_forecast(ensemble, gdp, fertility, cap_gdp):
+    """Oracle for the pathway forecast: one GDP value at a time, in Python floats.
+
+    Each member's raw prediction at the (capped, for fertility) GDP value is
+    clamped at zero and the weighted values are summed in member order.
+    """
+    from demotrend.models import raw_prediction
+
+    out = []
+    for g in gdp:
+        x = min(float(g), cap_gdp) if fertility else float(g)
+        total = 0.0
+        for member, weight in zip(ensemble.members, ensemble.weights):
+            value = float(raw_prediction(member, [x])[0])
+            total += weight * (value if value > 0.0 else 0.0)
+        out.append(total)
+    return out
+
+
 def run_cli(args, env_extra=None, cwd=None):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
     import os

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import shutil
 
 import pytest
+
+from demotrend.cli import UsageError, _validate_scenario_token
 
 from conftest import TINY, minimal_rows, run_cli, write_rows
 
@@ -269,12 +272,28 @@ class TestUsageErrors:
         ["--jobs", "many"],
         ["--aggregate", "world,planet"],
         ["--aggregate", ""],
+        ["--srb", "nan"],
+        ["--srb", "inf"],
+        ["--fertility-cap", "nan"],
+        ["--scenario", "m:nan"],
+        ["--scenario", "sweep:0:nan:0.5"],
+        ["--scenario", "sweep:0:2:nan"],
     ])
     def test_exit_code_2(self, tmp_path, args):
         code, _, stderr = run_cli(["--data-dir", str(TINY),
                                    "--out", str(tmp_path / "x"), *args])
         assert code == 2
         assert "error:" in stderr
+
+    @pytest.mark.parametrize("token", ["sweep:0:1e6:1e-9", "sweep:0:1e308:1e-300",
+                                       "sweep:0:1000:1"])
+    def test_oversized_sweep_rejected_at_parse(self, token):
+        """Only the token is parsed: no scenario is built."""
+        with pytest.raises(UsageError, match="1000 scenarios"):
+            _validate_scenario_token(token)
+
+    def test_largest_sweep_accepted_at_parse(self):
+        _validate_scenario_token("sweep:0:999:1")
 
     def test_missing_data_dir_flag(self, tmp_path):
         code, _, stderr = run_cli(["--out", str(tmp_path / "x")],
@@ -284,6 +303,19 @@ class TestUsageErrors:
 
 
 class TestDataErrors:
+    def test_mortality_rate_above_one(self, tmp_path):
+        data_dir = tmp_path / "tiny"
+        shutil.copytree(TINY, data_dir)
+        rates = data_dir / "rates.csv"
+        lines = rates.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if ",Mortality," in line)
+        lines[row] = lines[row].rsplit(",", 1)[0] + ",1.7"
+        rates.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run_cli(["--data-dir", str(data_dir),
+                                   "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"rates.csv:{row + 1}:" in stderr and "1.7" in stderr
+
     def test_missing_input_file(self, tmp_path):
         rows = minimal_rows()
         del rows["rates.csv"]

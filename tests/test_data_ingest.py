@@ -176,6 +176,7 @@ class TestValueValidation:
         ("AAA,1990,Births,20-24,Female,0.2", "rates.csv"),
         ("AAA,1990,Mortality,0-3,Both,0.05", "rates.csv"),
         ("AAA,1990.5,Mortality,0-4,Both,0.05", "rates.csv"),
+        ("AAA,1995,Mortality,0-4,Both,1.7", "rates.csv"),
         ("AAA,2015,0-4,Neither,10", "base_pop.csv"),
         ("AAA,2014,0-4,Female,10", "base_pop.csv"),
         ("AAA,2015,0-4,Both,10", "base_pop.csv"),
@@ -195,6 +196,12 @@ class TestValueValidation:
 
         with pytest.raises((NonPositiveGdp, SchemaViolation)):
             load_mutated(tmp_path, mutate)
+
+    def test_mortality_rate_of_one_accepted(self, tmp_path):
+        def mutate(rows):
+            rows["rates.csv"].append("AAA,1995,Mortality,0-4,Both,1.0")
+        ds = load_mutated(tmp_path, mutate)
+        assert ds.rate_series("AAA", Variable.MORTALITY, "0-4")[1].tolist() == [0.01, 1.0]
 
     def test_nonpositive_gdp_reports_location(self, tmp_path):
         def mutate(rows):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demotrend.core import AGE_BANDS, FEMALE_COL, FERTILE_SLICE, MALE_COL
+from demotrend.core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL, Sex
 from demotrend.demography import (
     PopulationState,
     VitalRates,
@@ -10,9 +10,11 @@ from demotrend.demography import (
     total_population,
     vital_rates_at,
 )
-from demotrend.errors import InvalidRate, NegativeState
-from demotrend.rate_forecast import CapPolicy, build_country_ensembles
-from demotrend.scenarios import baseline_pathway
+from demotrend.errors import InvalidRate, NegativeState, PathwayGap
+from demotrend.rate_forecast import CapPolicy, CountryEnsembles, build_country_ensembles
+from demotrend.scenarios import GdpPathway, baseline_pathway
+
+from conftest import scalar_forecast
 
 N = len(AGE_BANDS)
 
@@ -307,3 +309,40 @@ class TestProjectCountry:
         rates = vital_rates_at(built, pathway.gdp(2015), CapPolicy())
         manual = step_year(base, rates, srb=1.05)
         assert np.array_equal(trajectory[1][1].counts, manual.counts)
+
+    def test_pathway_shorter_than_horizon_rejected(self, projection_setup):
+        built, _, base = projection_setup
+        short = GdpPathway(iso3="AAA", scenario_id="short", start_year=2015,
+                           values=np.full(10, 1000.0))
+        assert len(project_country(base, built, short, CapPolicy(), horizon=2025)) == 11
+        with pytest.raises(PathwayGap):
+            project_country(base, built, short, CapPolicy(), horizon=2026)
+
+    @pytest.mark.parametrize("sexes", ["shared", "distinct"])
+    def test_full_horizon_matches_scalar_composition(self, projection_setup,
+                                                     tiny_dataset, sexes):
+        """Every state equals step_year composed with rates forecast one year at a time."""
+        built, _, base = projection_setup
+        if sexes == "distinct":
+            other = build_country_ensembles(tiny_dataset, "BBB", [])
+            built = CountryEnsembles(fertility=built.fertility, mortality={
+                (band, sex): (other if sex is Sex.MALE else built).mortality[(band, sex)]
+                for band, sex in built.mortality})
+        # 300 to 60,000: crosses the 30,000 fertility cap
+        pathway = GdpPathway(iso3="AAA", scenario_id="test", start_year=2015,
+                             values=np.geomspace(300.0, 60000.0, 86))
+        cap = CapPolicy()
+        trajectory = project_country(base, built, pathway, cap)
+        assert [y for y, _ in trajectory] == list(range(2015, 2101))
+        state = base
+        for gdp, (year, got) in zip(pathway.values, trajectory[1:]):
+            asfr = [scalar_forecast(built.fertility[band], [gdp], True,
+                                    cap.fertility_cap_gdp)[0]
+                    for band in FERTILE_BANDS]
+            q = [[min(scalar_forecast(built.mortality[(band, sex)], [gdp], False,
+                                      cap.fertility_cap_gdp)[0], 1.0)
+                  for sex in (Sex.FEMALE, Sex.MALE)]
+                 for band in AGE_BANDS]
+            state = step_year(state, VitalRates(asfr=np.array(asfr), mortality=np.array(q)))
+            assert year == state.year
+            assert np.array_equal(got.counts, state.counts), year

@@ -11,8 +11,11 @@ from demotrend.rate_forecast import (
     CountryEnsembles,
     build_country_ensembles,
     build_ensemble,
+    forecast_pathway,
     forecast_rate,
 )
+
+from conftest import scalar_forecast
 
 # Long wiggly sample: every candidate form is admissible (n = 14 > 5 + 1).
 GDP = np.array([400.0, 550.0, 700.0, 900.0, 1150.0, 1400.0, 1700.0, 2100.0,
@@ -130,6 +133,50 @@ class TestForecastRate:
     def test_invalid_gdp_rejected(self, bad):
         with pytest.raises(NonPositiveGdp):
             forecast_rate(self.ensemble, bad, Variable.FERTILITY, self.cap)
+
+
+class TestForecastPathway:
+    """The array forecast against a scalar loop over the same pathway."""
+
+    # 200 to 200,000 over 86 years: crosses the 30,000 fertility cap and
+    # drives many members' raw values below zero.
+    GDP = np.geomspace(200.0, 200000.0, 86)
+
+    @pytest.fixture(scope="class")
+    def ensembles(self, tiny_dataset):
+        seen = {}
+        for iso3, donors in (("AAA", ["BBB"]), ("BBB", []), ("CCC", [])):
+            built = build_country_ensembles(tiny_dataset, iso3, donors)
+            for ensemble in [*built.fertility.values(), *built.mortality.values()]:
+                seen[id(ensemble)] = ensemble
+        return list(seen.values())
+
+    @pytest.mark.parametrize("variable", list(Variable))
+    def test_equals_scalar_loop(self, ensembles, variable):
+        cap = CapPolicy()
+        fertility = variable is Variable.FERTILITY
+        for ensemble in ensembles:
+            got = forecast_pathway(ensemble, self.GDP, variable, cap)
+            expected = scalar_forecast(ensemble, self.GDP, fertility,
+                                       cap.fertility_cap_gdp)
+            assert np.array_equal(got, expected)
+
+    def test_pathway_covers_cap_and_negative_members(self, ensembles):
+        cap = CapPolicy().fertility_cap_gdp
+        assert self.GDP.min() < cap < self.GDP.max()
+        assert any((raw_prediction(m, self.GDP) < 0.0).any()
+                   for ensemble in ensembles for m in ensemble.members)
+
+    def test_empty_pathway(self, ensembles):
+        got = forecast_pathway(ensembles[0], np.empty(0), Variable.MORTALITY, CapPolicy())
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -100.0, math.nan, math.inf])
+    def test_any_invalid_gdp_rejected(self, ensembles, bad):
+        gdp = self.GDP.copy()
+        gdp[40] = bad
+        with pytest.raises(NonPositiveGdp):
+            forecast_pathway(ensembles[0], gdp, Variable.MORTALITY, CapPolicy())
 
 
 class TestCountryEnsembles:

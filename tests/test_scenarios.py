@@ -6,6 +6,7 @@ import pytest
 from demotrend.errors import NonPositiveGdp, NonPositiveResult, PathwayGap
 from demotrend.scenarios import (
     CONVERGENCE_TARGET,
+    MAX_SWEEP_SCENARIOS,
     GdpPathway,
     baseline_pathway,
     build_baselines,
@@ -13,6 +14,7 @@ from demotrend.scenarios import (
     multiplier_pathway,
     scenario_label,
     sweep,
+    sweep_count,
 )
 
 DECADAL_YEARS = list(range(2015, 2096, 10)) + [2100]
@@ -238,6 +240,14 @@ class TestSweep:
         for iso3, base in baselines.items():
             assert np.allclose(scenarios["m1.0"][iso3].values, base.values,
                                rtol=1e-12, atol=0.0)
+
+    def test_count_capped(self, tiny_dataset):
+        assert sweep_count(0.0, 2.0, 0.1) == 21
+        assert sweep_count(2.0, 1.0, 0.1) == 0
+        assert sweep_count(0.0, 1e308, 1e-300) == MAX_SWEEP_SCENARIOS + 1
+        assert sweep_count(0.0, 999.0, 1.0) == MAX_SWEEP_SCENARIOS
+        with pytest.raises(ValueError):
+            sweep(tiny_dataset, 0.0, 1000.0, 1.0)
 
     def test_empty_and_invalid(self, tiny_dataset):
         assert sweep(tiny_dataset, 2.0, 1.0, 0.1) == []
