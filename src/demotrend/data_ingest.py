@@ -150,6 +150,15 @@ class Dataset:
         return self._rate_index.get((iso3, variable, age_group, Sex.BOTH),
                                     _EMPTY_SERIES)
 
+    def sexes_share_mortality(self, iso3: str, age_group: str) -> bool:
+        """Whether Female and Male mortality for one band resolve to the same rows.
+
+        That holds when the country has no sex-specific rows for the band,
+        so both sexes fall back to its Both rows (or both find none).
+        """
+        return all((iso3, Variable.MORTALITY, age_group, sex) not in self._rate_index
+                   for sex in (Sex.FEMALE, Sex.MALE))
+
     def gdp_hist_series(self, iso3: str) -> tuple[np.ndarray, np.ndarray]:
         return self._gdp_hist_index.get(iso3, _EMPTY_SERIES)
 

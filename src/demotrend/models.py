@@ -4,7 +4,8 @@ Eight nested-to-flexible curve shapes relate a demographic rate to GDP per
 capita. Each is estimated by least squares (equivalently Gaussian maximum
 likelihood), scored with the small-sample corrected information criterion,
 and combined through normalized evidence weights. Breakpoint and exponent
-searches are grid-based and fully deterministic.
+searches are grid-based and fully deterministic: a closed-form screen of
+every candidate, then an exact re-solve of the near-best ones.
 """
 from __future__ import annotations
 
@@ -57,6 +58,9 @@ POWER_GRID_LO = 0.05
 POWER_GRID_HI = 5.0
 POWER_GRID_STEP = 0.05
 POWER_REFINE_RTOL = 1e-6
+
+# Candidates screened within this share of y.y of the best exact RSS are re-solved.
+SCREEN_RTOL = 1e-9
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -239,14 +243,11 @@ def _fit_neg_power(x, y, n, k) -> FitResult:
     def rss_at(b3: float) -> tuple[np.ndarray, float]:
         return _solve([ones, x ** (-b3)], y)
 
-    best_b3 = POWER_GRID_LO
-    best_rss = math.inf
     steps = int(round((POWER_GRID_HI - POWER_GRID_LO) / POWER_GRID_STEP))
-    for i in range(steps + 1):
-        b3 = POWER_GRID_LO + i * POWER_GRID_STEP
-        _, rss = rss_at(b3)
-        if rss < best_rss:
-            best_rss, best_b3 = rss, b3
+    grid = POWER_GRID_LO + np.arange(steps + 1) * POWER_GRID_STEP
+    i, _, best_rss = _exact_minimum(_screen_rss(x ** -grid[:, None], y), y,
+                                    lambda i: rss_at(float(grid[i])))
+    best_b3 = float(grid[i])
 
     lo = max(POWER_GRID_LO, best_b3 - POWER_GRID_STEP)
     hi = min(POWER_GRID_HI, best_b3 + POWER_GRID_STEP)
@@ -283,21 +284,68 @@ def _fit_breakpoint(form, x, y, n, k) -> FitResult:
     if candidates.size == 0:
         raise DegenerateX("no interior breakpoint candidates")
     ones = np.ones(n)
-    best = None
-    for c in candidates:  # ascending, so strict improvement keeps smallest tie
-        if form is ModelForm.LINEAR_SPLINE:
-            cols = [ones, x, np.maximum(x - c, 0.0)]
-        elif form is ModelForm.RIGHT_HINGE:
-            cols = [ones, np.minimum(x, c)]
-        else:
-            cols = [ones, np.maximum(x, c)]
-        coef, rss = _solve(cols, y)
-        if best is None or rss < best[0]:
-            best = (rss, float(c), coef)
-    rss, x1, coef = best
+    c = candidates[:, None]
+    if form is ModelForm.LINEAR_SPLINE:
+        z, basis, partial = np.maximum(x - c, 0.0), [ones, x], x
+    elif form is ModelForm.RIGHT_HINGE:
+        z, basis, partial = np.minimum(x, c), [ones], None
+    else:
+        z, basis, partial = np.maximum(x, c), [ones], None
+    i, coef, rss = _exact_minimum(_screen_rss(z, y, partial), y,
+                                  lambda i: _solve(basis + [z[i]], y))
+    x1 = float(candidates[i])
     b1, b2 = float(coef[0]), float(coef[1])
     if form is ModelForm.LINEAR_SPLINE:
         return _finish(form, n, k, rss, beta1=b1, beta2=b2,
                        slope_right=b2 + float(coef[2]), breakpoint_x1=x1)
     return _finish(form, n, k, rss, beta1=b1, beta2=b2,
                    breakpoint_x1=x1, ybar=b1 + b2 * x1)
+
+
+def _screen_rss(z: np.ndarray, y: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form RSS of regressing ``y`` on [1, z_c], or on [1, x, z_c] given ``x``,
+    for every row z_c of ``z``.
+
+    Centring removes the intercept; ``x`` is partialled out of ``y`` and of
+    every row (Frisch-Waugh-Lovell). A row with no variation left explains
+    nothing, so its RSS is that of the basis alone.
+    """
+    ry = y - y.mean()
+    rz = z - z.mean(axis=1, keepdims=True)
+    if x is not None:
+        dx = x - x.mean()
+        sxx = dx @ dx
+        ry = ry - (ry @ dx / sxx) * dx
+        rz = rz - np.outer(rz @ dx / sxx, dx)
+    szz = np.einsum("ij,ij->i", rz, rz)
+    szy = rz @ ry
+    return ry @ ry - np.divide(szy * szy, szz, out=np.zeros_like(szz), where=szz > 0.0)
+
+
+def _exact_minimum(screened: np.ndarray, y: np.ndarray,
+                   solve) -> tuple[int, np.ndarray, float]:
+    """Index, coefficients and RSS that a ``_solve`` scan of every candidate picks.
+
+    That scan keeps the first candidate, in ascending order, with the least
+    ``_solve`` RSS. A ``_solve`` RSS belongs to actual coefficients, so it
+    never undercuts the exact least squares that the screen computes by more
+    than rounding. Only candidates screened within ``SCREEN_RTOL * y.y`` of
+    the best solved RSS can therefore win, and only they are solved: first
+    those near the screened minimum, then any the solved RSS brings in range
+    (an ill-conditioned candidate's ``_solve`` RSS can exceed its screen).
+    A screen that is not finite never rules a candidate out.
+    """
+    tol = SCREEN_RTOL * float(y @ y)
+    solved = np.zeros(screened.size, dtype=bool)
+    bound = screened.min()
+    best = None
+    while True:
+        todo = np.flatnonzero(~(screened > bound + tol) & ~solved)
+        if todo.size == 0:
+            return best
+        for i in todo:
+            coef, rss = solve(i)
+            if best is None or (rss, i) < (best[2], best[0]):
+                best = (int(i), coef, rss)
+        solved[todo] = True
+        bound = best[2]

@@ -131,7 +131,10 @@ def build_country_ensembles(dataset: Dataset, iso3: str, donors,
     """Build (or fetch from ``cache``) every rate ensemble for one country.
 
     The cache key is (iso3, donor tuple, variable, age band, sex token),
-    so identical donor sets across scenarios reuse fitted ensembles.
+    so identical donor sets across scenarios reuse fitted ensembles. A
+    mortality band whose Female and Male samples are the same, because
+    neither the country nor any donor has sex-specific rows for it, is
+    fitted once on the Both rows and shared by both sexes.
     """
     donors = tuple(donors)
     fertility = {
@@ -139,17 +142,16 @@ def build_country_ensembles(dataset: Dataset, iso3: str, donors,
         for band in FERTILE_BANDS
     }
     mortality: dict[tuple[str, Sex], RateEnsemble] = {}
-    if dataset.has_sexed_mortality:
-        for band in AGE_BANDS:
-            for sex in (Sex.FEMALE, Sex.MALE):
-                mortality[(band, sex)] = _cached_ensemble(
-                    dataset, iso3, donors, Variable.MORTALITY, band, sex, cache)
-    else:
-        for band in AGE_BANDS:
+    for band in AGE_BANDS:
+        if all(dataset.sexes_share_mortality(c, band) for c in (iso3, *donors)):
             shared = _cached_ensemble(dataset, iso3, donors, Variable.MORTALITY,
                                       band, Sex.BOTH, cache)
             mortality[(band, Sex.FEMALE)] = shared
             mortality[(band, Sex.MALE)] = shared
+        else:
+            for sex in (Sex.FEMALE, Sex.MALE):
+                mortality[(band, sex)] = _cached_ensemble(
+                    dataset, iso3, donors, Variable.MORTALITY, band, sex, cache)
     return CountryEnsembles(fertility=fertility, mortality=mortality)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demotrend.errors import (
     DegenerateX,
@@ -16,6 +18,7 @@ from demotrend.models import (
     FitResult,
     ModelForm,
     PARAM_COUNT,
+    RSS_FLOOR,
     RateEnsemble,
     aicc,
     akaike_weights,
@@ -180,6 +183,147 @@ def oracle_breakpoint(form, x, y):
         rss = float(np.square(y - cols @ coef).sum())
         best = min(best, rss)
     return best
+
+
+SEARCHED_FORMS = [ModelForm.NEG_POWER, ModelForm.LINEAR_SPLINE, ModelForm.RIGHT_HINGE,
+                  ModelForm.LEFT_HINGE]
+
+
+def lstsq_rss(columns, y):
+    a = np.column_stack(columns)
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
+    resid = y - a @ coef
+    return coef, float(resid @ resid)
+
+
+def exhaustive_fit(form, xs, ys):
+    """Searched fit with one lstsq solve per candidate, ascending, first strict
+    minimum kept; the exponent is then refined by golden-section search."""
+    x = np.asarray(xs, float)
+    y = np.asarray(ys, float)
+    n, k = x.size, PARAM_COUNT[form]
+    ones = np.ones(n)
+    best = None
+    if form is ModelForm.NEG_POWER:
+        for i in range(100):
+            b3 = 0.05 + i * 0.05
+            coef, rss = lstsq_rss([ones, x ** (-b3)], y)
+            if best is None or rss < best[0]:
+                best = (rss, b3)
+        best_rss, best_b3 = best
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        lo, hi = max(0.05, best_b3 - 0.05), min(5.0, best_b3 + 0.05)
+        c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        fc = lstsq_rss([ones, x ** (-c)], y)[1]
+        fd = lstsq_rss([ones, x ** (-d)], y)[1]
+        while (hi - lo) > 1e-6 * 0.5 * (lo + hi):
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - invphi * (hi - lo)
+                fc = lstsq_rss([ones, x ** (-c)], y)[1]
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + invphi * (hi - lo)
+                fd = lstsq_rss([ones, x ** (-d)], y)[1]
+        b3 = 0.5 * (lo + hi)
+        coef, rss = lstsq_rss([ones, x ** (-b3)], y)
+        if best_rss < rss:
+            b3 = best_b3
+            coef, rss = lstsq_rss([ones, x ** (-b3)], y)
+        fields = dict(beta1=float(coef[0]), beta2=float(coef[1]), beta3=float(b3))
+    else:
+        xs_sorted = np.sort(x)
+        candidates = np.unique(xs_sorted[2:-2])
+        candidates = candidates[(candidates > xs_sorted[0]) & (candidates < xs_sorted[-1])]
+        if candidates.size == 0:
+            return None
+        for c in candidates:
+            if form is ModelForm.LINEAR_SPLINE:
+                cols = [ones, x, np.maximum(x - c, 0.0)]
+            elif form is ModelForm.RIGHT_HINGE:
+                cols = [ones, np.minimum(x, c)]
+            else:
+                cols = [ones, np.maximum(x, c)]
+            coef, rss = lstsq_rss(cols, y)
+            if best is None or rss < best[0]:
+                best = (rss, float(c), coef)
+        rss, x1, coef = best
+        b1, b2 = float(coef[0]), float(coef[1])
+        fields = dict(beta1=b1, beta2=b2, breakpoint_x1=x1)
+        if form is ModelForm.LINEAR_SPLINE:
+            fields["slope_right"] = b2 + float(coef[2])
+        else:
+            fields["ybar"] = b1 + b2 * x1
+    return FitResult(form=form, sigma=math.sqrt(max(rss, RSS_FLOOR) / n), n_fit=n,
+                     k_params=k, aicc=aicc(rss, n, k), **fields)
+
+
+def assert_matches_exhaustive(form, xs, ys):
+    expected = exhaustive_fit(form, xs, ys)
+    if expected is None:
+        with pytest.raises(DegenerateX):
+            fit(form, xs, ys)
+        return None
+    assert fit(form, xs, ys) == expected
+    return expected
+
+
+# Symmetric about x = 6 in both x and y: knots c and 12 - c fit equally well.
+MIRROR_X = np.arange(1.0, 12.0)
+MIRROR_Y = np.array([3.0, 1.0, 2.5, 0.5, 2.0, 1.5, 2.0, 0.5, 2.5, 1.0, 3.0])
+PERFECT_X = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
+PERFECT_Y = {
+    ModelForm.NEG_POWER: 5.0 + 3.0 * PERFECT_X ** -0.5,
+    ModelForm.LINEAR_SPLINE: np.abs(PERFECT_X - 5.0) + 1.0,
+    ModelForm.RIGHT_HINGE: 2.0 + 3.0 * np.minimum(PERFECT_X, 6.0),
+    ModelForm.LEFT_HINGE: 2.0 - 0.5 * np.maximum(PERFECT_X, 4.0),
+}
+
+
+class TestScreenedSearchMatchesExhaustive:
+    """The screened search returns exactly what a solve of every candidate does."""
+
+    @pytest.mark.parametrize("form", SEARCHED_FORMS)
+    def test_fixture_series(self, form):
+        assert_matches_exhaustive(form, WIGGLY_X, WIGGLY_Y)
+
+    @pytest.mark.parametrize("form", SEARCHED_FORMS)
+    def test_mirror_symmetric_ties(self, form):
+        assert_matches_exhaustive(form, MIRROR_X, MIRROR_Y)
+
+    def test_mirror_knots_tie(self):
+        # The two best spline knots differ in RSS by rounding only.
+        ones = np.ones(MIRROR_X.size)
+        rss = {c: lstsq_rss([ones, MIRROR_X, np.maximum(MIRROR_X - c, 0.0)], MIRROR_Y)[1]
+               for c in MIRROR_X[2:-2]}
+        best = min(rss.values())
+        assert sorted(c for c, v in rss.items() if v <= best * (1.0 + 1e-12)) == [4.0, 8.0]
+
+    @pytest.mark.parametrize("form", SEARCHED_FORMS)
+    def test_duplicated_x(self, form):
+        xs = np.repeat(WIGGLY_X, 2)
+        ys = np.repeat(WIGGLY_Y, 2) + np.tile([0.05, -0.05], WIGGLY_X.size)
+        assert_matches_exhaustive(form, xs, ys)
+
+    @pytest.mark.parametrize("form", SEARCHED_FORMS)
+    def test_perfect_fit_at_rss_floor(self, form):
+        expected = assert_matches_exhaustive(form, PERFECT_X, PERFECT_Y[form])
+        assert expected.sigma == math.sqrt(RSS_FLOOR / PERFECT_X.size)
+
+    @pytest.mark.parametrize("form", SEARCHED_FORMS)
+    def test_constant_y(self, form):
+        assert_matches_exhaustive(form, WIGGLY_X, np.full(WIGGLY_X.size, 2.5))
+
+    # Magnitudes keep x ** -5 and y . y finite, as for GDP and rates.
+    @pytest.mark.parametrize("form", SEARCHED_FORMS)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_samples(self, form, data):
+        n = data.draw(st.integers(PARAM_COUNT[form] + 2, 40))
+        xs = data.draw(st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n))
+        ys = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        if len(set(xs)) > 1:
+            assert_matches_exhaustive(form, xs, ys)
 
 
 class TestBreakpointForms:

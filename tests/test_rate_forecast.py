@@ -1,9 +1,13 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from demotrend import rate_forecast
+from demotrend.augmentation import build_augmented_series
 from demotrend.core import FERTILE_BANDS, AGE_BANDS, Sex, Variable
+from demotrend.data_ingest import load_dataset
 from demotrend.errors import NonPositiveGdp, NoWeightData
 from demotrend.models import FORM_ORDER, ModelForm, PARAM_COUNT, aicc, raw_prediction
 from demotrend.rate_forecast import (
@@ -15,7 +19,7 @@ from demotrend.rate_forecast import (
     forecast_rate,
 )
 
-from conftest import scalar_forecast
+from conftest import TINY, scalar_forecast
 
 # Long wiggly sample: every candidate form is admissible (n = 14 > 5 + 1).
 GDP = np.array([400.0, 550.0, 700.0, 900.0, 1150.0, 1400.0, 1700.0, 2100.0,
@@ -214,3 +218,54 @@ class TestCountryEnsembles:
         for ensemble in built.fertility.values():
             forms = [m.form for m in ensemble.members]
             assert len(forms) == len(set(forms))
+
+
+class TestSharedSexFits:
+    """In a sexed dataset, a band that falls back to Both rows for the target
+    and every donor is fitted once and shared by Female and Male."""
+
+    @pytest.fixture
+    def mixed_dataset(self, tmp_path):
+        # The tiny fixture plus sex-specific 0-4 mortality for BBB only.
+        data = tmp_path / "mixed"
+        shutil.copytree(TINY, data)
+        rates = data / "rates.csv"
+        lines = rates.read_text(encoding="utf-8").splitlines()
+        both = [line.split(",") for line in lines
+                if line.startswith("BBB,") and ",Mortality,0-4,Both," in line]
+        lines += [f"BBB,{row[1]},Mortality,0-4,{sex},{float(row[5]) * scale:.6f}"
+                  for row in both for sex, scale in (("Female", 0.9), ("Male", 1.1))]
+        rates.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        dataset = load_dataset(data)
+        assert dataset.has_sexed_mortality
+        return dataset
+
+    @pytest.mark.parametrize("iso3,donors,split", [
+        ("AAA", [], set()),
+        ("AAA", ["BBB"], {"0-4"}),  # the donor has sexed rows
+        ("BBB", [], {"0-4"}),  # the target has sexed rows
+    ])
+    def test_builds_and_sharing(self, mixed_dataset, monkeypatch, iso3, donors, split):
+        calls = []
+
+        def counting(fit_points, weight_points):
+            calls.append(1)
+            return build_ensemble(fit_points, weight_points)
+
+        monkeypatch.setattr(rate_forecast, "build_ensemble", counting)
+        built = build_country_ensembles(mixed_dataset, iso3, donors)
+        assert len(calls) == len(FERTILE_BANDS) + len(AGE_BANDS) + len(split)
+        for band in AGE_BANDS:
+            female = built.mortality[(band, Sex.FEMALE)]
+            male = built.mortality[(band, Sex.MALE)]
+            assert (female is male) == (band not in split)
+
+    @pytest.mark.parametrize("sex", [Sex.FEMALE, Sex.MALE])
+    def test_shared_fit_equals_per_sex_fit(self, mixed_dataset, sex):
+        built = build_country_ensembles(mixed_dataset, "AAA", ["BBB"])
+        for band in ("5-9", "60-64"):
+            series = build_augmented_series("AAA", ["BBB"], Variable.MORTALITY, band,
+                                            mixed_dataset, sex=sex)
+            per_sex = build_ensemble(np.column_stack([series.fit_gdp, series.fit_rate]),
+                                     np.column_stack([series.weight_gdp, series.weight_rate]))
+            assert built.mortality[(band, sex)] == per_sex
