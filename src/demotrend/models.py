@@ -139,19 +139,29 @@ def akaike_weights(aiccs) -> list[float]:
 
 
 def fit(form: ModelForm, xs, ys) -> FitResult:
-    """Least-squares fit of one form to positive-x data.
+    """Least-squares fit of one form to positive-x data (one row of ``fit_rows``)."""
+    y = np.asarray(ys, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("xs and ys must be 1-d sequences of equal length")
+    return fit_rows(form, xs, y[None, :])[0]
+
+
+def fit_rows(form: ModelForm, xs, ys_rows) -> list[FitResult]:
+    """Least-squares fit of one form to each row of ``ys_rows``, all on the same ``xs``.
 
     Requires ``len(xs) >= k + 2`` so the corrected criterion is defined.
     Breakpoints are searched over interior observed x values (the two
     extremes at each end are excluded) with ties broken toward the smaller
     candidate; the negative-power exponent is found on a coarse grid and
-    refined by golden-section search.
+    refined by golden-section search. The checks and every array that
+    depends on x alone are made once; each row's result equals that of
+    fitting the row on its own.
     """
     x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("xs and ys must be 1-d sequences of equal length")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    ys = np.asarray(ys_rows, dtype=float)
+    if x.ndim != 1 or ys.ndim != 2 or ys.shape[1] != x.size:
+        raise ValueError("xs must be 1-d and ys_rows 2-d, with rows as long as xs")
+    if not (np.isfinite(x).all() and np.isfinite(ys).all()):
         raise NonFiniteInput("fit inputs must be finite")
     if (x <= 0.0).any():
         raise NonPositiveX("all predictor values must be strictly positive")
@@ -163,18 +173,16 @@ def fit(form: ModelForm, xs, ys) -> FitResult:
         raise DegenerateX("constant predictor admits only the null form")
 
     if form is ModelForm.NULL:
-        ybar = float(y.mean())
-        rss = float(np.square(y - ybar).sum())
-        return _finish(form, n, k, rss, ybar=ybar)
+        return [_fit_null(y, n, k) for y in ys]
     if form is ModelForm.LINEAR:
-        return _fit_transformed(form, x, y, x, n, k)
+        return _fit_transformed(form, ys, x, n, k)
     if form is ModelForm.DIVISION:
-        return _fit_transformed(form, x, y, 1.0 / x, n, k)
+        return _fit_transformed(form, ys, 1.0 / x, n, k)
     if form is ModelForm.NEG_LOG:
-        return _fit_transformed(form, x, y, np.log(x), n, k)
+        return _fit_transformed(form, ys, np.log(x), n, k)
     if form is ModelForm.NEG_POWER:
-        return _fit_neg_power(x, y, n, k)
-    return _fit_breakpoint(form, x, y, n, k)
+        return _fit_neg_power(x, ys, n, k)
+    return _fit_breakpoint(form, x, ys, n, k)
 
 
 def predict(fit_result: FitResult, x: float) -> float:
@@ -219,8 +227,7 @@ def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:
     raise ValueError(f"unknown form {f.form}")
 
 
-def _solve(columns: list[np.ndarray], y: np.ndarray) -> tuple[np.ndarray, float]:
-    a = np.column_stack(columns)
+def _solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     coef, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
     return coef, float(resid @ resid)
@@ -232,43 +239,57 @@ def _finish(form: ModelForm, n: int, k: int, rss: float, **coefs) -> FitResult:
                      aicc=aicc(rss, n, k), **coefs)
 
 
-def _fit_transformed(form, x, y, t, n, k) -> FitResult:
-    coef, rss = _solve([np.ones(n), t], y)
-    return _finish(form, n, k, rss, beta1=float(coef[0]), beta2=float(coef[1]))
+def _fit_null(y, n, k) -> FitResult:
+    ybar = float(y.mean())
+    rss = float(np.square(y - ybar).sum())
+    return _finish(ModelForm.NULL, n, k, rss, ybar=ybar)
 
 
-def _fit_neg_power(x, y, n, k) -> FitResult:
-    ones = np.ones(n)
+def _fit_transformed(form, ys, t, n, k) -> list[FitResult]:
+    a = np.column_stack([np.ones(n), t])
+    results = []
+    for y in ys:
+        coef, rss = _solve(a, y)
+        results.append(_finish(form, n, k, rss, beta1=float(coef[0]), beta2=float(coef[1])))
+    return results
 
-    def rss_at(b3: float) -> tuple[np.ndarray, float]:
-        return _solve([ones, x ** (-b3)], y)
 
+def _fit_neg_power(x, ys, n, k) -> list[FitResult]:
     steps = int(round((POWER_GRID_HI - POWER_GRID_LO) / POWER_GRID_STEP))
     grid = POWER_GRID_LO + np.arange(steps + 1) * POWER_GRID_STEP
-    i, _, best_rss = _exact_minimum(_screen_rss(x ** -grid[:, None], y), y,
-                                    lambda i: rss_at(float(grid[i])))
+    design = np.ones((n, 2))
+
+    def at(b3: float) -> np.ndarray:
+        np.power(x, -b3, out=design[:, 1])
+        return design
+
+    screens = _screen_rows(x ** -grid[:, None], ys)
+    return [_refine_power(y, screens[:, s], grid, at, n, k) for s, y in enumerate(ys)]
+
+
+def _refine_power(y, screened, grid, at, n, k) -> FitResult:
+    i, best_coef, best_rss = _exact_minimum(screened, y, lambda i: at(float(grid[i])))
     best_b3 = float(grid[i])
 
     lo = max(POWER_GRID_LO, best_b3 - POWER_GRID_STEP)
     hi = min(POWER_GRID_HI, best_b3 + POWER_GRID_STEP)
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
-    _, fc = rss_at(c)
-    _, fd = rss_at(d)
+    _, fc = _solve(at(c), y)
+    _, fd = _solve(at(d), y)
     while (hi - lo) > POWER_REFINE_RTOL * 0.5 * (lo + hi):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
-            _, fc = rss_at(c)
+            _, fc = _solve(at(c), y)
         else:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
-            _, fd = rss_at(d)
+            _, fd = _solve(at(d), y)
     refined = 0.5 * (lo + hi)
-    coef, rss = rss_at(refined)
+    coef, rss = _solve(at(refined), y)
     if best_rss < rss:  # refinement can only help inside the bracket; be safe
-        refined = best_b3
-        coef, rss = rss_at(refined)
+        refined, coef, rss = best_b3, best_coef, best_rss
     return _finish(ModelForm.NEG_POWER, n, k, rss,
                    beta1=float(coef[0]), beta2=float(coef[1]), beta3=float(refined))
 
@@ -279,7 +300,7 @@ def _breakpoint_candidates(x: np.ndarray) -> np.ndarray:
     return interior[(interior > xs_sorted[0]) & (interior < xs_sorted[-1])]
 
 
-def _fit_breakpoint(form, x, y, n, k) -> FitResult:
+def _fit_breakpoint(form, x, ys, n, k) -> list[FitResult]:
     candidates = _breakpoint_candidates(x)
     if candidates.size == 0:
         raise DegenerateX("no interior breakpoint candidates")
@@ -291,45 +312,51 @@ def _fit_breakpoint(form, x, y, n, k) -> FitResult:
         z, basis, partial = np.minimum(x, c), [ones], None
     else:
         z, basis, partial = np.maximum(x, c), [ones], None
-    i, coef, rss = _exact_minimum(_screen_rss(z, y, partial), y,
-                                  lambda i: _solve(basis + [z[i]], y))
-    x1 = float(candidates[i])
-    b1, b2 = float(coef[0]), float(coef[1])
-    if form is ModelForm.LINEAR_SPLINE:
-        return _finish(form, n, k, rss, beta1=b1, beta2=b2,
-                       slope_right=b2 + float(coef[2]), breakpoint_x1=x1)
-    return _finish(form, n, k, rss, beta1=b1, beta2=b2,
-                   breakpoint_x1=x1, ybar=b1 + b2 * x1)
+    screens = _screen_rows(z, ys, partial)
+    results = []
+    for s, y in enumerate(ys):
+        i, coef, rss = _exact_minimum(screens[:, s], y,
+                                      lambda i: np.column_stack(basis + [z[i]]))
+        x1 = float(candidates[i])
+        b1, b2 = float(coef[0]), float(coef[1])
+        if form is ModelForm.LINEAR_SPLINE:
+            results.append(_finish(form, n, k, rss, beta1=b1, beta2=b2,
+                                   slope_right=b2 + float(coef[2]), breakpoint_x1=x1))
+        else:
+            results.append(_finish(form, n, k, rss, beta1=b1, beta2=b2,
+                                   breakpoint_x1=x1, ybar=b1 + b2 * x1))
+    return results
 
 
-def _screen_rss(z: np.ndarray, y: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form RSS of regressing ``y`` on [1, z_c], or on [1, x, z_c] given ``x``,
-    for every row z_c of ``z``.
+def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form RSS of regressing each row y_s of ``ys`` on [1, z_c], or on
+    [1, x, z_c] given ``x``, for every row z_c of ``z``: a ``(C, S)`` array.
 
-    Centring removes the intercept; ``x`` is partialled out of ``y`` and of
-    every row (Frisch-Waugh-Lovell). A row with no variation left explains
+    Centring removes the intercept; ``x`` is partialled out of every y_s and
+    z_c (Frisch-Waugh-Lovell). A z_c with no variation left explains
     nothing, so its RSS is that of the basis alone.
     """
-    ry = y - y.mean()
+    ry = ys - ys.mean(axis=1, keepdims=True)
     rz = z - z.mean(axis=1, keepdims=True)
     if x is not None:
         dx = x - x.mean()
         sxx = dx @ dx
-        ry = ry - (ry @ dx / sxx) * dx
+        ry = ry - np.outer(ry @ dx / sxx, dx)
         rz = rz - np.outer(rz @ dx / sxx, dx)
-    szz = np.einsum("ij,ij->i", rz, rz)
-    szy = rz @ ry
-    return ry @ ry - np.divide(szy * szy, szz, out=np.zeros_like(szz), where=szz > 0.0)
+    szz = np.einsum("ij,ij->i", rz, rz)[:, None]
+    szy = rz @ ry.T
+    syy = np.einsum("ij,ij->i", ry, ry)
+    return syy - np.divide(szy * szy, szz, out=np.zeros_like(szy), where=szz > 0.0)
 
 
 def _exact_minimum(screened: np.ndarray, y: np.ndarray,
-                   solve) -> tuple[int, np.ndarray, float]:
+                   design) -> tuple[int, np.ndarray, float]:
     """Index, coefficients and RSS that a ``_solve`` scan of every candidate picks.
 
-    That scan keeps the first candidate, in ascending order, with the least
-    ``_solve`` RSS. A ``_solve`` RSS belongs to actual coefficients, so it
-    never undercuts the exact least squares that the screen computes by more
-    than rounding. Only candidates screened within ``SCREEN_RTOL * y.y`` of
+    ``design(i)`` is candidate i's design matrix. That scan keeps the first
+    candidate, in ascending order, with the least ``_solve`` RSS. A
+    ``_solve`` RSS belongs to actual coefficients, so it never undercuts the
+    exact least squares that the screen computes by more than rounding. Only candidates screened within ``SCREEN_RTOL * y.y`` of
     the best solved RSS can therefore win, and only they are solved: first
     those near the screened minimum, then any the solved RSS brings in range
     (an ill-conditioned candidate's ``_solve`` RSS can exceed its screen).
@@ -344,7 +371,7 @@ def _exact_minimum(screened: np.ndarray, y: np.ndarray,
         if todo.size == 0:
             return best
         for i in todo:
-            coef, rss = solve(i)
+            coef, rss = _solve(design(i), y)
             if best is None or (rss, i) < (best[2], best[0]):
                 best = (int(i), coef, rss)
         solved[todo] = True

@@ -27,7 +27,7 @@ from .models import (
     RateEnsemble,
     aicc,
     akaike_weights,
-    fit,
+    fit_rows,
     predict_clamped,
     raw_prediction,
 )
@@ -53,39 +53,57 @@ class CountryEnsembles:
 
 
 def build_ensemble(fit_points, weight_points) -> RateEnsemble:
-    """Fit all admissible forms and weight them by corrected-criterion evidence.
+    """Ensemble of one series; see ``build_ensembles``.
 
     ``fit_points`` and ``weight_points`` are sequences of (gdp, rate) pairs.
-    Coefficients come from ``fit_points``; residuals, sigma, and the
-    criterion are then recomputed on ``weight_points`` with n equal to the
-    scoring sample size and k unchanged. Forms whose preconditions fail are
-    skipped. At least the flat null form always survives; when it is the
-    only survivor on a sample too small to score, it carries weight 1 and
-    an infinite criterion value.
     """
     fp = np.asarray(fit_points, dtype=float).reshape(-1, 2)
     wp = np.asarray(weight_points, dtype=float).reshape(-1, 2)
-    if wp.shape[0] == 0:
-        raise NoWeightData("ensemble weighting requires target observations")
-    fx, fy = fp[:, 0], fp[:, 1]
-    wx, wy = wp[:, 0], wp[:, 1]
-    n_w = wp.shape[0]
+    return build_ensembles(fp[:, 0], [fp[:, 1]], wp[:, 0], [wp[:, 1]])[0]
 
-    members: list[FitResult] = []
+
+def build_ensembles(fit_x, fit_rates, weight_x, weight_rates) -> list[RateEnsemble]:
+    """Fit all admissible forms and weight them by corrected-criterion evidence,
+    for each of several rate series that share one GDP sample.
+
+    Row i of ``fit_rates`` and of ``weight_rates`` holds series i's rates at
+    the GDP values ``fit_x`` and ``weight_x``. Coefficients come from the fit
+    sample; residuals, sigma, and the criterion are then recomputed on the
+    weight sample with n equal to the scoring sample size and k unchanged.
+    Forms whose preconditions fail are skipped. At least the flat null form
+    always survives; when it is the only survivor on a sample too small to
+    score, it carries weight 1 and an infinite criterion value. Each
+    series' ensemble is the same as when it is built on its own.
+    """
+    fx = np.asarray(fit_x, dtype=float)
+    fys = np.asarray(fit_rates, dtype=float)
+    wx = np.asarray(weight_x, dtype=float)
+    wys = np.asarray(weight_rates, dtype=float)
+    n_w = wx.size
+    if n_w == 0:
+        raise NoWeightData("ensemble weighting requires target observations")
+    if wx.ndim != 1 or wys.shape != (len(fys), n_w):
+        raise ValueError("weight_rates must hold one row per series, as long as weight_x")
+
+    members: list[list[FitResult]] = [[] for _ in wys]
     for form in FORM_ORDER:
         k = PARAM_COUNT[form]
         if n_w <= k + 1:
             continue  # criterion undefined on the scoring sample
         try:
-            fitted = fit(form, fx, fy)
+            fitted = fit_rows(form, fx, fys)
         except (InsufficientData, DegenerateX):
             continue
-        resid = wy - raw_prediction(fitted, wx)
-        rss_w = float(resid @ resid)
-        members.append(replace(fitted,
-                               sigma=math.sqrt(max(rss_w, RSS_FLOOR) / n_w),
-                               n_fit=n_w,
-                               aicc=aicc(rss_w, n_w, k)))
+        for row, f, wy in zip(members, fitted, wys):
+            resid = wy - raw_prediction(f, wx)
+            rss_w = float(resid @ resid)
+            row.append(replace(f, sigma=math.sqrt(max(rss_w, RSS_FLOOR) / n_w),
+                               n_fit=n_w, aicc=aicc(rss_w, n_w, k)))
+    return [_weighted(row, fy, wy) for row, fy, wy in zip(members, fys, wys)]
+
+
+def _weighted(members: list[FitResult], fy: np.ndarray, wy: np.ndarray) -> RateEnsemble:
+    n_w = wy.size
     if not members:
         ybar = float(fy.mean())
         rss_w = float(np.square(wy - ybar).sum())
@@ -134,34 +152,37 @@ def build_country_ensembles(dataset: Dataset, iso3: str, donors,
     so identical donor sets across scenarios reuse fitted ensembles. A
     mortality band whose Female and Male samples are the same, because
     neither the country nor any donor has sex-specific rows for it, is
-    fitted once on the Both rows and shared by both sexes.
+    fitted once on the Both rows and shared by both sexes. The series not
+    in the cache are grouped by their fit and weight GDP samples, and each
+    group is built in one ``build_ensembles`` call.
     """
     donors = tuple(donors)
-    fertility = {
-        band: _cached_ensemble(dataset, iso3, donors, Variable.FERTILITY, band, None, cache)
-        for band in FERTILE_BANDS
-    }
-    mortality: dict[tuple[str, Sex], RateEnsemble] = {}
+    shared = {band for band in AGE_BANDS
+              if all(dataset.sexes_share_mortality(c, band) for c in (iso3, *donors))}
+    wanted = [(Variable.FERTILITY, band, None) for band in FERTILE_BANDS]
     for band in AGE_BANDS:
-        if all(dataset.sexes_share_mortality(c, band) for c in (iso3, *donors)):
-            shared = _cached_ensemble(dataset, iso3, donors, Variable.MORTALITY,
-                                      band, Sex.BOTH, cache)
-            mortality[(band, Sex.FEMALE)] = shared
-            mortality[(band, Sex.MALE)] = shared
-        else:
-            for sex in (Sex.FEMALE, Sex.MALE):
-                mortality[(band, sex)] = _cached_ensemble(
-                    dataset, iso3, donors, Variable.MORTALITY, band, sex, cache)
-    return CountryEnsembles(fertility=fertility, mortality=mortality)
+        wanted += [(Variable.MORTALITY, band, sex)
+                   for sex in ((Sex.BOTH,) if band in shared else (Sex.FEMALE, Sex.MALE))]
 
+    def key(variable, band, sex):
+        return (iso3, donors, variable.value, band, sex.value if sex else None)
 
-def _cached_ensemble(dataset, iso3, donors, variable, band, sex, cache):
-    key = (iso3, donors, variable.value, band, sex.value if sex else None)
-    if cache is not None and key in cache:
-        return cache[key]
-    series = build_augmented_series(iso3, donors, variable, band, dataset, sex=sex)
-    ensemble = build_ensemble(np.column_stack([series.fit_gdp, series.fit_rate]),
-                              np.column_stack([series.weight_gdp, series.weight_rate]))
-    if cache is not None:
-        cache[key] = ensemble
-    return ensemble
+    cache = {} if cache is None else cache
+    groups: dict[tuple[bytes, bytes], list] = {}
+    for variable, band, sex in wanted:
+        series_key = key(variable, band, sex)
+        if series_key not in cache:
+            series = build_augmented_series(iso3, donors, variable, band, dataset, sex=sex)
+            sample = (series.fit_gdp.tobytes(), series.weight_gdp.tobytes())
+            groups.setdefault(sample, []).append((series_key, series))
+    for group in groups.values():
+        keys, members = zip(*group)
+        cache.update(zip(keys, build_ensembles(
+            members[0].fit_gdp, [s.fit_rate for s in members],
+            members[0].weight_gdp, [s.weight_rate for s in members])))
+
+    return CountryEnsembles(
+        fertility={band: cache[key(Variable.FERTILITY, band, None)] for band in FERTILE_BANDS},
+        mortality={(band, sex): cache[key(Variable.MORTALITY, band,
+                                          Sex.BOTH if band in shared else sex)]
+                   for band in AGE_BANDS for sex in (Sex.FEMALE, Sex.MALE)})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demotrend.core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL, Sex
 from demotrend.demography import (
@@ -11,8 +13,19 @@ from demotrend.demography import (
     vital_rates_at,
 )
 from demotrend.errors import InvalidRate, NegativeState, PathwayGap
-from demotrend.rate_forecast import CapPolicy, CountryEnsembles, build_country_ensembles
-from demotrend.scenarios import GdpPathway, baseline_pathway
+from demotrend.rate_forecast import (
+    CapPolicy,
+    CountryEnsembles,
+    build_country_ensembles,
+    build_ensembles,
+)
+from demotrend.report import WORLD, aggregate, scopes_for
+from demotrend.scenarios import (
+    GdpPathway,
+    baseline_pathway,
+    convergence_pathway,
+    multiplier_pathway,
+)
 
 from conftest import scalar_forecast
 
@@ -346,3 +359,63 @@ class TestProjectCountry:
             state = step_year(state, VitalRates(asfr=np.array(asfr), mortality=np.array(q)))
             assert year == state.year
             assert np.array_equal(got.counts, state.counts), year
+
+
+def random_ensembles(rng, n_fit, n_weight, sexed):
+    """Ensembles fitted to random rates (fertility in [0, 0.4], mortality in
+    [0, 1]) at random GDP values spanning 100 to 100,000."""
+    fit_x = np.exp(rng.uniform(np.log(100.0), np.log(1e5), n_fit))
+    weight_x = fit_x[:n_weight]
+
+    def build(variable_max, count):
+        fit_rates = rng.uniform(0.0, variable_max, (count, n_fit))
+        return build_ensembles(fit_x, fit_rates, weight_x, fit_rates[:, :n_weight])
+
+    fertility = dict(zip(FERTILE_BANDS, build(0.4, len(FERTILE_BANDS))))
+    keys = [(band, sex) for band in AGE_BANDS for sex in (Sex.FEMALE, Sex.MALE)]
+    if sexed:
+        mortality = dict(zip(keys, build(1.0, len(keys))))
+    else:
+        both = build(1.0, len(AGE_BANDS))
+        mortality = {(band, sex): both[AGE_BANDS.index(band)] for band, sex in keys}
+    return CountryEnsembles(fertility=fertility, mortality=mortality)
+
+
+class TestProjectionProperties:
+    """Random ensembles and scenario pathways on the tiny fixture's countries."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_counts_finite_non_negative_and_aggregates_partition(self, tiny_dataset, data):
+        m = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, 5.0]), label="m")
+        totals = {}
+        for c in tiny_dataset.countries:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            n_fit = data.draw(st.integers(2, 40), label="n_fit")
+            n_weight = data.draw(st.integers(1, n_fit), label="n_weight")
+            sexed = data.draw(st.booleans(), label="sexed")
+            ensembles = random_ensembles(rng, n_fit, n_weight, sexed)
+            years, values = tiny_dataset.gdp_baseline_series(c.iso3)
+            pathway = baseline_pathway(c.iso3, years.astype(int).tolist(), values.tolist())
+            if m is None:
+                pathway = convergence_pathway(c.iso3, pathway.values[0])
+            else:
+                pathway = multiplier_pathway(pathway, m)
+            base = tiny_dataset.base_population(c.iso3)
+            trajectory = project_country(
+                PopulationState(iso3=c.iso3, year=2015, counts=base.counts),
+                ensembles, pathway, CapPolicy())
+            counts = np.array([state.counts for _, state in trajectory])
+            assert np.isfinite(counts).all(), (m, c.iso3, counts.max())
+            assert (counts >= 0.0).all()
+            totals[c.iso3] = np.array([total_population(s) for _, s in trajectory])
+
+        def series(scope):
+            return aggregate(totals, scope, tiny_dataset.country_map, "test", 2015).values
+
+        world = series(WORLD)
+        assert np.array_equal(sum(series(s) for s in scopes_for(["country"], tiny_dataset)),
+                              world)
+        for kind in ("income", "region"):
+            parts = sum(series(s) for s in scopes_for([kind], tiny_dataset))
+            np.testing.assert_allclose(parts, world, rtol=1e-12)

@@ -23,6 +23,7 @@ from demotrend.models import (
     aicc,
     akaike_weights,
     fit,
+    fit_rows,
     predict,
     raw_prediction,
 )
@@ -324,6 +325,44 @@ class TestScreenedSearchMatchesExhaustive:
         ys = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
         if len(set(xs)) > 1:
             assert_matches_exhaustive(form, xs, ys)
+
+
+class TestFitRows:
+    """A batch of rows on one x fits each row as the exhaustive scan does."""
+
+    ROWS = [WIGGLY_Y, np.full(WIGGLY_X.size, 2.5), WIGGLY_Y[::-1] * 1e3,
+            np.log(WIGGLY_X), WIGGLY_Y + np.tile([0.3, -0.3], WIGGLY_X.size // 2)]
+
+    @pytest.mark.parametrize("form", SEARCHED_FORMS)
+    def test_batch_matches_exhaustive(self, form):
+        assert fit_rows(form, WIGGLY_X, self.ROWS) == [
+            exhaustive_fit(form, WIGGLY_X, y) for y in self.ROWS]
+        rows = [PERFECT_Y[f] for f in SEARCHED_FORMS]
+        assert fit_rows(form, PERFECT_X, rows) == [
+            exhaustive_fit(form, PERFECT_X, y) for y in rows]
+        assert fit_rows(form, MIRROR_X, [MIRROR_Y])[0] == exhaustive_fit(form, MIRROR_X, MIRROR_Y)
+
+    @pytest.mark.parametrize("form", FORM_ORDER)
+    def test_row_order_does_not_matter(self, form):
+        fitted = fit_rows(form, WIGGLY_X, self.ROWS)
+        order = [3, 0, 4, 2, 1]
+        assert fit_rows(form, WIGGLY_X, [self.ROWS[i] for i in order]) == [
+            fitted[i] for i in order]
+        assert [fit(form, WIGGLY_X, y) for y in self.ROWS] == fitted
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_non_finite_row_rejected(self, row):
+        rows = np.array(self.ROWS[:3])
+        rows[row, 5] = math.inf
+        for form in FORM_ORDER:
+            with pytest.raises(NonFiniteInput):
+                fit_rows(form, WIGGLY_X, rows)
+
+    def test_rows_must_match_x(self):
+        with pytest.raises(ValueError):
+            fit_rows(ModelForm.LINEAR, WIGGLY_X, WIGGLY_Y)
+        with pytest.raises(ValueError):
+            fit_rows(ModelForm.LINEAR, WIGGLY_X, [WIGGLY_Y[:-1]])
 
 
 class TestBreakpointForms:

@@ -3,6 +3,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demotrend import rate_forecast
 from demotrend.augmentation import build_augmented_series
@@ -15,6 +17,7 @@ from demotrend.rate_forecast import (
     CountryEnsembles,
     build_country_ensembles,
     build_ensemble,
+    build_ensembles,
     forecast_pathway,
     forecast_rate,
 )
@@ -248,11 +251,11 @@ class TestSharedSexFits:
     def test_builds_and_sharing(self, mixed_dataset, monkeypatch, iso3, donors, split):
         calls = []
 
-        def counting(fit_points, weight_points):
-            calls.append(1)
-            return build_ensemble(fit_points, weight_points)
+        def counting(fit_x, fit_rates, weight_x, weight_rates):
+            calls.extend(fit_rates)
+            return build_ensembles(fit_x, fit_rates, weight_x, weight_rates)
 
-        monkeypatch.setattr(rate_forecast, "build_ensemble", counting)
+        monkeypatch.setattr(rate_forecast, "build_ensembles", counting)
         built = build_country_ensembles(mixed_dataset, iso3, donors)
         assert len(calls) == len(FERTILE_BANDS) + len(AGE_BANDS) + len(split)
         for band in AGE_BANDS:
@@ -269,3 +272,89 @@ class TestSharedSexFits:
             per_sex = build_ensemble(np.column_stack([series.fit_gdp, series.fit_rate]),
                                      np.column_stack([series.weight_gdp, series.weight_rate]))
             assert built.mortality[(band, sex)] == per_sex
+
+
+def one_series_ensemble(dataset, iso3, donors, variable, band, sex):
+    series = build_augmented_series(iso3, donors, variable, band, dataset, sex=sex)
+    return build_ensemble(np.column_stack([series.fit_gdp, series.fit_rate]),
+                          np.column_stack([series.weight_gdp, series.weight_rate]))
+
+
+def assert_built_per_series(dataset, iso3, donors, built):
+    for band in FERTILE_BANDS:
+        assert built.fertility[band] == one_series_ensemble(
+            dataset, iso3, donors, Variable.FERTILITY, band, None)
+    for (band, sex), ensemble in built.mortality.items():  # Both rows only
+        assert ensemble == one_series_ensemble(
+            dataset, iso3, donors, Variable.MORTALITY, band, Sex.BOTH)
+
+
+class TestBuildEnsembles:
+    """Series fitted together on one GDP sample equal one call per series."""
+
+    # Sample sizes at the k + 2 edge of every form, where forms drop out.
+    EDGES = sorted({k + 2 for k in PARAM_COUNT.values()})
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_batch_equals_one_call_per_series(self, data):
+        n_fit = data.draw(st.one_of(st.sampled_from(self.EDGES), st.integers(1, 30)))
+        n_weight = data.draw(st.one_of(st.sampled_from([n_fit] + self.EDGES),
+                                       st.integers(1, n_fit)).filter(lambda n: n <= n_fit))
+        gdp = st.one_of(st.floats(100.0, 1e5), st.sampled_from([800.0, 1600.0]))
+        fit_x = np.array(data.draw(st.lists(gdp, min_size=n_fit, max_size=n_fit)))
+        rate = st.floats(0.0, 1.0)
+        series = st.one_of(st.lists(rate, min_size=n_fit, max_size=n_fit),
+                           rate.map(lambda v: [v] * n_fit))  # constant y
+        fit_rates = np.array(data.draw(st.lists(series, min_size=1, max_size=6)))
+        weight_x, weight_rates = fit_x[:n_weight], fit_rates[:, :n_weight]
+        assert build_ensembles(fit_x, fit_rates, weight_x, weight_rates) == [
+            build_ensemble(np.column_stack([fit_x, fy]), np.column_stack([weight_x, wy]))
+            for fy, wy in zip(fit_rates, weight_rates)]
+
+    def test_country_series_in_several_samples(self, tmp_path, monkeypatch):
+        # AAA's 15-19 series loses its first year and its 20-24 series its
+        # last: their target samples differ from the others' and, at equal
+        # length, from each other. Donor BBB's 25-29 series loses 2015 and
+        # its 30-34 series every year up to 1990: their fit samples differ
+        # in the same way, with AAA's own target sample.
+        data = tmp_path / "split"
+        shutil.copytree(TINY, data)
+        rates = data / "rates.csv"
+        dropped = {("AAA", "15-19"): {1950}, ("AAA", "20-24"): {2015},
+                   ("BBB", "25-29"): {2015}, ("BBB", "30-34"): set(range(1950, 1991))}
+        lines = [line for line in rates.read_text(encoding="utf-8").splitlines()
+                 if not (",Fertility," in line and int(line.split(",")[1]) in
+                         dropped.get((line[:3], line.split(",")[3]), ()))]
+        rates.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        dataset = load_dataset(data)
+        groups = []
+
+        def counting(fit_x, fit_rates, weight_x, weight_rates):
+            groups.append(len(fit_rates))
+            return build_ensembles(fit_x, fit_rates, weight_x, weight_rates)
+
+        monkeypatch.setattr(rate_forecast, "build_ensembles", counting)
+        built = build_country_ensembles(dataset, "AAA", ["BBB"])
+        assert sorted(groups) == [1, 1, 1, 1, len(FERTILE_BANDS) - 4 + len(AGE_BANDS)]
+        assert_built_per_series(dataset, "AAA", ["BBB"], built)
+
+    def test_warm_cache_holding_part_of_the_keys(self, tiny_dataset):
+        cold: dict = {}
+        expected = build_country_ensembles(tiny_dataset, "AAA", ["BBB"], cache=cold)
+        assert_built_per_series(tiny_dataset, "AAA", ["BBB"], expected)
+        warm = {key: cold[key] for key in list(cold)[::3]}
+        held = dict(warm)
+        built = build_country_ensembles(tiny_dataset, "AAA", ["BBB"], cache=warm)
+        assert built == expected
+        assert warm == cold
+        for key, ensemble in held.items():
+            assert warm[key] is ensemble
+        assert all(built.fertility[band] is warm[("AAA", ("BBB",), "Fertility", band, None)]
+                   for band in FERTILE_BANDS)
+
+    def test_weight_rows_must_match(self):
+        with pytest.raises(ValueError):
+            build_ensembles(GDP, [RATE, RATE], GDP, [RATE])
+        with pytest.raises(NoWeightData):
+            build_ensembles(GDP, [RATE], [], [[]])
