@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     DegenerateX,
@@ -172,6 +173,8 @@ def fit_rows(form: ModelForm, xs, ys_rows) -> list[FitResult]:
     if form is not ModelForm.NULL and bool(np.all(x == x[0])):
         raise DegenerateX("constant predictor admits only the null form")
 
+    if not len(ys):
+        return []
     if form is ModelForm.NULL:
         return [_fit_null(y, n, k) for y in ys]
     if form is ModelForm.LINEAR:
@@ -227,10 +230,29 @@ def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:
     raise ValueError(f"unknown form {f.form}")
 
 
-def _solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    coef, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ coef
-    return coef, float(resid @ resid)
+def _solve_stack(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients ``(S, k)`` and RSS ``(S,)`` of each ``y[s]`` on ``a[s]``.
+
+    ``a`` is ``(S, n, k)`` and ``y`` is ``(S, n)``. One LAPACK call solves the
+    whole stack; each slice is bit for bit what ``np.linalg.lstsq`` gives
+    (default ``rcond``), which refuses stacks. A stacked ``matmul`` gives the
+    RSS bit for bit as ``resid @ resid`` does; ``einsum`` does not.
+    """
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        coef = _umath_linalg.lstsq(a, y[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+    resid = y - (a @ coef[..., None])[..., 0]
+    return coef, _sumsq(resid)
+
+
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _sumsq(r: np.ndarray) -> np.ndarray:
+    """``r[s] @ r[s]`` for each row of ``r``, bit for bit."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def _finish(form: ModelForm, n: int, k: int, rss: float, **coefs) -> FitResult:
@@ -247,51 +269,58 @@ def _fit_null(y, n, k) -> FitResult:
 
 def _fit_transformed(form, ys, t, n, k) -> list[FitResult]:
     a = np.column_stack([np.ones(n), t])
-    results = []
-    for y in ys:
-        coef, rss = _solve(a, y)
-        results.append(_finish(form, n, k, rss, beta1=float(coef[0]), beta2=float(coef[1])))
-    return results
+    coef, rss = _solve_stack(np.broadcast_to(a, (len(ys), n, 2)), ys)
+    return [_finish(form, n, k, r, beta1=b1, beta2=b2)
+            for (b1, b2), r in zip(coef.tolist(), rss.tolist())]
+
+
+def _power_designs(x: np.ndarray, b3s: np.ndarray) -> np.ndarray:
+    """Stacked designs [1, x^-b3], one per exponent in ``b3s``.
+
+    Each column is computed with a scalar exponent: an array exponent
+    gives different bits at b3 = 1 (numpy's reciprocal fast path).
+    """
+    a = np.ones((b3s.size, x.size, 2))
+    for design, b3 in zip(a, b3s.tolist()):
+        np.power(x, -b3, out=design[:, 1])
+    return a
 
 
 def _fit_neg_power(x, ys, n, k) -> list[FitResult]:
     steps = int(round((POWER_GRID_HI - POWER_GRID_LO) / POWER_GRID_STEP))
     grid = POWER_GRID_LO + np.arange(steps + 1) * POWER_GRID_STEP
-    design = np.ones((n, 2))
-
-    def at(b3: float) -> np.ndarray:
-        np.power(x, -b3, out=design[:, 1])
-        return design
-
     screens = _screen_rows(x ** -grid[:, None], ys)
-    return [_refine_power(y, screens[:, s], grid, at, n, k) for s, y in enumerate(ys)]
+    i, best_coef, best_rss = _exact_minima(screens, ys, lambda i: _power_designs(x, grid[i]))
+    best_b3 = grid[i]
 
-
-def _refine_power(y, screened, grid, at, n, k) -> FitResult:
-    i, best_coef, best_rss = _exact_minimum(screened, y, lambda i: at(float(grid[i])))
-    best_b3 = float(grid[i])
-
-    lo = max(POWER_GRID_LO, best_b3 - POWER_GRID_STEP)
-    hi = min(POWER_GRID_HI, best_b3 + POWER_GRID_STEP)
+    # Golden-section search on every row's bracket in lockstep: each step
+    # solves one probe for each row whose bracket is still too wide.
+    batch = len(ys)
+    lo = np.maximum(POWER_GRID_LO, best_b3 - POWER_GRID_STEP)
+    hi = np.minimum(POWER_GRID_HI, best_b3 + POWER_GRID_STEP)
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
-    _, fc = _solve(at(c), y)
-    _, fd = _solve(at(d), y)
-    while (hi - lo) > POWER_REFINE_RTOL * 0.5 * (lo + hi):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            _, fc = _solve(at(c), y)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            _, fd = _solve(at(d), y)
+    _, f = _solve_stack(_power_designs(x, np.concatenate([c, d])), np.concatenate([ys, ys]))
+    fc, fd = f[:batch], f[batch:]
+    while (active := (hi - lo) > POWER_REFINE_RTOL * 0.5 * (lo + hi)).any():
+        go_left = fc < fd
+        left = np.flatnonzero(active & go_left)
+        right = np.flatnonzero(active & ~go_left)
+        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
+        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
+        probed = np.flatnonzero(active)
+        f = np.empty(batch)
+        _, f[probed] = _solve_stack(_power_designs(x, np.where(go_left, c, d)[probed]),
+                                    ys[probed])
+        fc[left], fd[right] = f[left], f[right]
     refined = 0.5 * (lo + hi)
-    coef, rss = _solve(at(refined), y)
-    if best_rss < rss:  # refinement can only help inside the bracket; be safe
-        refined, coef, rss = best_b3, best_coef, best_rss
-    return _finish(ModelForm.NEG_POWER, n, k, rss,
-                   beta1=float(coef[0]), beta2=float(coef[1]), beta3=float(refined))
+    coef, rss = _solve_stack(_power_designs(x, refined), ys)
+    keep = best_rss < rss  # refinement can only help inside the bracket; be safe
+    refined[keep], coef[keep], rss[keep] = best_b3[keep], best_coef[keep], best_rss[keep]
+    return [_finish(ModelForm.NEG_POWER, n, k, r, beta1=b1, beta2=b2, beta3=b3)
+            for (b1, b2), r, b3 in zip(coef.tolist(), rss.tolist(), refined.tolist())]
 
 
 def _breakpoint_candidates(x: np.ndarray) -> np.ndarray:
@@ -307,23 +336,26 @@ def _fit_breakpoint(form, x, ys, n, k) -> list[FitResult]:
     ones = np.ones(n)
     c = candidates[:, None]
     if form is ModelForm.LINEAR_SPLINE:
-        z, basis, partial = np.maximum(x - c, 0.0), [ones, x], x
+        z, basis, partial = np.maximum(x - c, 0.0), np.column_stack([ones, x]), x
     elif form is ModelForm.RIGHT_HINGE:
-        z, basis, partial = np.minimum(x, c), [ones], None
+        z, basis, partial = np.minimum(x, c), ones[:, None], None
     else:
-        z, basis, partial = np.maximum(x, c), [ones], None
-    screens = _screen_rows(z, ys, partial)
+        z, basis, partial = np.maximum(x, c), ones[:, None], None
+
+    def designs(i: np.ndarray) -> np.ndarray:
+        a = np.empty((i.size, n, basis.shape[1] + 1))
+        a[:, :, :-1] = basis
+        a[:, :, -1] = z[i]
+        return a
+
+    best, coef, rss = _exact_minima(_screen_rows(z, ys, partial), ys, designs)
     results = []
-    for s, y in enumerate(ys):
-        i, coef, rss = _exact_minimum(screens[:, s], y,
-                                      lambda i: np.column_stack(basis + [z[i]]))
-        x1 = float(candidates[i])
-        b1, b2 = float(coef[0]), float(coef[1])
+    for x1, (b1, b2, *spline), r in zip(candidates[best].tolist(), coef.tolist(), rss.tolist()):
         if form is ModelForm.LINEAR_SPLINE:
-            results.append(_finish(form, n, k, rss, beta1=b1, beta2=b2,
-                                   slope_right=b2 + float(coef[2]), breakpoint_x1=x1))
+            results.append(_finish(form, n, k, r, beta1=b1, beta2=b2,
+                                   slope_right=b2 + spline[0], breakpoint_x1=x1))
         else:
-            results.append(_finish(form, n, k, rss, beta1=b1, beta2=b2,
+            results.append(_finish(form, n, k, r, beta1=b1, beta2=b2,
                                    breakpoint_x1=x1, ybar=b1 + b2 * x1))
     return results
 
@@ -334,7 +366,9 @@ def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> 
 
     Centring removes the intercept; ``x`` is partialled out of every y_s and
     z_c (Frisch-Waugh-Lovell). A z_c with no variation left explains
-    nothing, so its RSS is that of the basis alone.
+    nothing, so its RSS is that of the basis alone. The ``(C, S)`` product
+    uses ``einsum``, which never calls BLAS: on threaded OpenBLAS a product
+    this size wakes a helper thread that busy-waits.
     """
     ry = ys - ys.mean(axis=1, keepdims=True)
     rz = z - z.mean(axis=1, keepdims=True)
@@ -344,35 +378,44 @@ def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> 
         ry = ry - np.outer(ry @ dx / sxx, dx)
         rz = rz - np.outer(rz @ dx / sxx, dx)
     szz = np.einsum("ij,ij->i", rz, rz)[:, None]
-    szy = rz @ ry.T
+    szy = np.einsum("cn,sn->cs", rz, ry)
     syy = np.einsum("ij,ij->i", ry, ry)
     return syy - np.divide(szy * szy, szz, out=np.zeros_like(szy), where=szz > 0.0)
 
 
-def _exact_minimum(screened: np.ndarray, y: np.ndarray,
-                   design) -> tuple[int, np.ndarray, float]:
-    """Index, coefficients and RSS that a ``_solve`` scan of every candidate picks.
+def _exact_minima(screened: np.ndarray, ys: np.ndarray,
+                  designs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``ys``, the index, coefficients and RSS that a ``_solve_stack``
+    scan of every candidate picks: ``(S,)``, ``(S, k)`` and ``(S,)`` arrays.
 
-    ``design(i)`` is candidate i's design matrix. That scan keeps the first
-    candidate, in ascending order, with the least ``_solve`` RSS. A
-    ``_solve`` RSS belongs to actual coefficients, so it never undercuts the
-    exact least squares that the screen computes by more than rounding. Only candidates screened within ``SCREEN_RTOL * y.y`` of
-    the best solved RSS can therefore win, and only they are solved: first
-    those near the screened minimum, then any the solved RSS brings in range
-    (an ill-conditioned candidate's ``_solve`` RSS can exceed its screen).
-    A screen that is not finite never rules a candidate out.
+    ``screened`` is the ``(C, S)`` screen and ``designs(i)`` stacks the
+    design matrices of the candidate indices ``i``. That scan keeps, per
+    row, the first candidate in ascending order with the least solved RSS.
+    A solved RSS belongs to actual coefficients, so it never undercuts the
+    exact least squares that the screen computes by more than rounding.
+    Only candidates screened within ``SCREEN_RTOL * y.y`` of the row's best
+    solved RSS can therefore win, and only they are solved: first those
+    near the screened minimum, then any the solved RSS brings in range (an
+    ill-conditioned candidate's solved RSS can exceed its screen). A screen
+    that is not finite never rules a candidate out. Each round solves the
+    shortlisted (candidate, row) pairs of all rows in one call.
     """
-    tol = SCREEN_RTOL * float(y @ y)
-    solved = np.zeros(screened.size, dtype=bool)
-    bound = screened.min()
-    best = None
+    tol = SCREEN_RTOL * _sumsq(ys)
+    solved = np.zeros(screened.shape, dtype=bool)
+    rss = np.full(screened.shape, np.inf)
+    bound = screened.min(axis=0)
+    columns = np.arange(len(ys))
+    best_coef = None
     while True:
-        todo = np.flatnonzero(~(screened > bound + tol) & ~solved)
-        if todo.size == 0:
-            return best
-        for i in todo:
-            coef, rss = _solve(design(i), y)
-            if best is None or (rss, i) < (best[2], best[0]):
-                best = (int(i), coef, rss)
-        solved[todo] = True
-        bound = best[2]
+        cand, rows = np.nonzero(~(screened > bound + tol) & ~solved)
+        if cand.size == 0:
+            return best, best_coef, bound
+        coef, rss[cand, rows] = _solve_stack(designs(cand), ys[rows])
+        solved[cand, rows] = True
+        # argmin takes the first of equal minima: the smallest index wins ties.
+        best = rss.argmin(axis=0)
+        if best_coef is None:
+            best_coef = np.empty((len(ys), coef.shape[1]))
+        won = best[rows] == cand
+        best_coef[rows[won]] = coef[won]
+        bound = rss[best, columns]

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import math
 import shutil
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demotrend.cli import UsageError, _validate_scenario_token
 
@@ -181,6 +185,56 @@ class TestDeterminism:
         for name in names:
             assert (tmp_path / "j1" / name).read_bytes() == \
                 (tmp_path / "j3" / name).read_bytes(), name
+
+
+def jittered_tiny(seed, data_dir):
+    """The tiny fixture with every GDP value and rate scaled by a seeded
+    factor in [0.9, 1.1]; mortality stays at most 1."""
+    rng = np.random.default_rng(seed)
+    data_dir.mkdir()
+    for src in sorted(TINY.iterdir()):
+        lines = src.read_text(encoding="utf-8").splitlines()
+        if src.name in ("gdp_hist.csv", "gdp_baseline.csv", "rates.csv"):
+            for i in range(1, len(lines)):
+                *cells, value = lines[i].split(",")
+                value = float(value) * rng.uniform(0.9, 1.1)
+                if "Mortality" in cells:
+                    value = min(value, 1.0)
+                lines[i] = ",".join([*cells, f"{value:.9g}"])
+        (data_dir / src.name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data_dir
+
+
+class TestRandomDatasetProperties:
+    """Properties of whole runs on seeded variants of the tiny fixture."""
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_jobs_invisible_and_unit_multiplier_is_baseline(self, tmp_path_factory, seed):
+        root = tmp_path_factory.mktemp("jittered")
+        data_dir = jittered_tiny(seed, root / "data")
+        common = ["--data-dir", str(data_dir), "--aggregate", "world,income,country"]
+        sweep = [*common, "--scenario", "sweep:0:2:1", "--dump-donors", "--dump-ensembles"]
+        runs = {"j1": [*sweep, "--jobs", "1"], "j2": [*sweep, "--jobs", "2"],
+                "base": [*common, "--scenario", "baseline"]}
+        for out, args in runs.items():
+            code, _, stderr = run_cli([*args, "--out", str(root / out)])
+            assert code == 0, stderr
+
+        names = sorted(p.name for p in (root / "j1").iterdir())
+        assert names == sorted(p.name for p in (root / "j2").iterdir())
+        for name in names:
+            assert (root / "j1" / name).read_bytes() == (root / "j2" / name).read_bytes(), name
+
+        # multiplier_pathway recomposes the baseline's growth, so m = 1 is
+        # not bit-exact; populations are compared as the CSV rounds them.
+        base = {(r["scope"], r["year"]): float(r["population"])
+                for r in read_csv(root / "base" / "trajectories.csv")}
+        m1 = {(r["scope"], r["year"]): float(r["population"])
+              for r in read_csv(root / "j1" / "trajectories.csv") if r["scenario_id"] == "m1.0"}
+        assert base.keys() == m1.keys()
+        for key, value in base.items():
+            assert math.isclose(m1[key], value, rel_tol=1e-9), key
 
 
 class TestScenarioVariants:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demotrend import models
 from demotrend.errors import (
     DegenerateX,
     DenominatorZero,
@@ -26,6 +27,7 @@ from demotrend.models import (
     fit_rows,
     predict,
     raw_prediction,
+    _solve_stack,
 )
 
 # Deterministic wiggly fixture: strictly positive x, no candidate form exact.
@@ -363,6 +365,93 @@ class TestFitRows:
             fit_rows(ModelForm.LINEAR, WIGGLY_X, WIGGLY_Y)
         with pytest.raises(ValueError):
             fit_rows(ModelForm.LINEAR, WIGGLY_X, [WIGGLY_Y[:-1]])
+
+
+class TestSolveStack:
+    """One stacked LAPACK call gives each slice what ``np.linalg.lstsq`` gives."""
+
+    @staticmethod
+    def assert_matches_lstsq(a, y):
+        coef, rss = _solve_stack(a, y)
+        assert coef.shape == (y.shape[0], a.shape[2]) and rss.shape == (y.shape[0],)
+        for s in range(y.shape[0]):
+            expected = np.linalg.lstsq(a[s], y[s], rcond=None)[0]
+            resid = y[s] - a[s] @ expected
+            assert np.array_equal(coef[s], expected)
+            assert rss[s] == resid @ resid
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [5, 12, 66, 400])
+    def test_random_stacks(self, n, k):
+        rng = np.random.default_rng(n * 10 + k)
+        a = rng.normal(size=(9, n, k))
+        a[:, :, 0] = 1.0
+        y = rng.normal(size=(9, n)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(9, 1))
+        self.assert_matches_lstsq(a, y)
+
+    def test_broadcast_design(self):
+        rng = np.random.default_rng(3)
+        a = np.column_stack([np.ones(40), rng.uniform(1.0, 50.0, 40)])
+        y = rng.normal(size=(6, 40))
+        self.assert_matches_lstsq(np.broadcast_to(a, (6, 40, 2)), y)
+
+    def test_ill_conditioned_power(self):
+        rng = np.random.default_rng(4)
+        x = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), size=(5, 30)))
+        a = np.stack([np.column_stack([np.ones(30), xs ** -5.0]) for xs in x])
+        self.assert_matches_lstsq(a, rng.normal(size=(5, 30)) * 1e3)
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(1.0, 10.0, size=(4, 20))
+        a = np.stack([np.column_stack([np.ones(20), xs, xs]) for xs in x])
+        self.assert_matches_lstsq(a, rng.normal(size=(4, 20)))
+
+    def test_nan_in_one_slice_raises(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(3, 10, 2))
+        a[1, 4, 1] = math.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_stack(a, rng.normal(size=(3, 10)))
+
+
+class TestLockstepGoldenSection:
+    """NegPower rows of one batch whose searches stop at different steps."""
+
+    # At x = 2.2, 5.1 and 15.3, x^-1 from an array of exponents differs in
+    # the last bit from x^-1.0 with a scalar exponent.
+    X = np.array([1.3, 2.2, 3.7, 5.1, 7.3, 9.7, 12.1, 15.3, 19.1, 24.7, 30.3, 37.9])
+    NOISE = np.tile([0.01, -0.01], X.size // 2)
+    ROWS = {
+        "edge_lo": 1.0 + 3.0 * X ** -0.05 + NOISE,
+        "edge_hi": 1.0 + 3.0 * X ** -5.0 + NOISE * 0.1,
+        "interior": 5.0 + 3.0 * X ** -0.5 + NOISE,
+        "steep": 2.0 + 4.0 * X ** -2.3 + NOISE,
+        "unit": 2.0 + 7.0 / X,
+        "wiggly": WIGGLY_Y,
+    }
+
+    def test_batch_matches_exhaustive_and_one_row_fits(self, monkeypatch):
+        probes = []
+
+        def counting(a, y):
+            probes.append(len(y))
+            return _solve_stack(a, y)
+
+        monkeypatch.setattr(models, "_solve_stack", counting)
+        fitted = dict(zip(self.ROWS, fit_rows(ModelForm.NEG_POWER, self.X,
+                                             list(self.ROWS.values()))))
+        monkeypatch.undo()
+        # Rows drop out of the search at different steps.
+        assert len(set(probes)) > 3
+        # The bracket of an edge winner is half as wide as an interior one's.
+        assert 0.05 < fitted["edge_lo"].beta3 < 0.1
+        # Refinement loses to the grid winner at the 5.0 edge and at b3 = 1.
+        assert fitted["edge_hi"].beta3 == 5.0
+        assert fitted["unit"].beta3 == 1.0
+        for name, y in self.ROWS.items():
+            assert fitted[name] == exhaustive_fit(ModelForm.NEG_POWER, self.X, y), name
+            assert fitted[name] == fit(ModelForm.NEG_POWER, self.X, y), name
 
 
 class TestBreakpointForms:
