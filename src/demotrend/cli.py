@@ -21,10 +21,11 @@ import numpy as np
 
 from . import __version__
 from .augmentation import DonorRule, select_donors
-from .core import AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, Sex, Variable
+from .core import AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, SEX_COLUMNS, Sex, Variable
 from .data_ingest import HEADERS, Dataset, load_dataset
 from .demography import PopulationState, project_country, total_population
 from .errors import DemotrendError, SchemaViolation
+from .models import FORM_ORDER, ModelForm
 from .rate_forecast import CapPolicy, build_country_ensembles
 from .report import RunResult, aggregate, emit_outputs, scopes_for, sensitivity_ratio
 from .scenarios import (
@@ -39,6 +40,18 @@ from .scenarios import (
 
 AGGREGATE_KINDS = ("world", "income", "region", "country")
 SENSITIVITY_YEAR = 2050
+
+# Per form, which of the weight, beta1, beta2, beta3, x1, sigma and aicc
+# columns of ensembles.csv it fills from its table entries.
+_DUMPED = [(True, form is not ModelForm.NULL, form is not ModelForm.NULL,
+            form is ModelForm.NEG_POWER,
+            form in (ModelForm.LINEAR_SPLINE, ModelForm.RIGHT_HINGE, ModelForm.LEFT_HINGE),
+            True, True) for form in FORM_ORDER]
+# The variable, age_group and sex of each series of a country, in dump order.
+_DUMP_SERIES = ([f"{Variable.FERTILITY.value},{band},{Sex.FEMALE.value}"
+                 for band in FERTILE_BANDS]
+                + [f"{Variable.MORTALITY.value},{band},{sex.value}"
+                   for band in AGE_BANDS for sex in SEX_COLUMNS])
 
 
 class UsageError(Exception):
@@ -128,13 +141,13 @@ def run(config: RunConfig) -> list[Path]:
 
     scenario_ids = [sid for sid, _ in scenario_list]
     country_totals: dict[str, dict[str, np.ndarray]] = {sid: {} for sid in scenario_ids}
-    donor_rows: list[tuple] = []
-    ensemble_rows: list[tuple] = []
+    donor_lines: list[str] = []
+    ensemble_lines: list[str] = []
     for iso3, totals, donors, ensembles in per_country:
         for sid, series in totals.items():
             country_totals[sid][iso3] = series
-        donor_rows.extend(donors)
-        ensemble_rows.extend(ensembles)
+        donor_lines.extend(donors)
+        ensemble_lines.extend(ensembles)
 
     record_map = {c.iso3: c for c in dataset.countries}
     scopes = scopes_for(config.aggregate, dataset)
@@ -151,13 +164,12 @@ def run(config: RunConfig) -> list[Path]:
     written = emit_outputs(result, out, config.out_format)
     try:
         if config.dump_donors:
-            written.append(_write_rows(out / "donors.csv",
-                                       "scenario_id,target_iso3,donor_iso3",
-                                       donor_rows))
+            written.append(_write_lines(out / "donors.csv",
+                                        "scenario_id,target_iso3,donor_iso3", donor_lines))
         if config.dump_ensembles:
             header = ("scenario_id,iso3,variable,age_group,sex,form,weight,"
                       "beta1,beta2,beta3,x1,sigma,aicc")
-            written.append(_write_rows(out / "ensembles.csv", header, ensemble_rows))
+            written.append(_write_lines(out / "ensembles.csv", header, ensemble_lines))
         written.append(_write_manifest(config, out))
     except Exception:
         for path in written:
@@ -184,9 +196,10 @@ def _project_one(iso3: str):
         if series[0].size:
             candidates[other] = series
     cache: dict = {}
+    dumped: dict[tuple, list[str]] = {}  # ensembles.csv cells per donor set
     totals: dict[str, np.ndarray] = {}
-    donor_rows: list[tuple] = []
-    ensemble_rows: list[tuple] = []
+    donor_lines: list[str] = []
+    ensemble_lines: list[str] = []
     for sid, pathways in p.scenarios:
         pathway = pathways[iso3]
         rule = DonorRule(target_gdp_2015=pathway.gdp(BASE_YEAR),
@@ -197,33 +210,30 @@ def _project_one(iso3: str):
                                      horizon=p.horizon, srb=p.srb)
         totals[sid] = np.array([total_population(state) for _, state in trajectory])
         if p.dump_donors:
-            donor_rows.extend((sid, iso3, donor) for donor in donors)
+            donor_lines.extend(f"{sid},{iso3},{donor}" for donor in donors)
         if p.dump_ensembles:
-            ensemble_rows.extend(_ensemble_dump_rows(sid, iso3, ensembles))
-    return iso3, totals, donor_rows, ensemble_rows
+            if tuple(donors) not in dumped:
+                dumped[tuple(donors)] = _ensemble_dump_cells(ensembles)
+            ensemble_lines.extend(f"{sid},{iso3},{cells}" for cells in dumped[tuple(donors)])
+    return iso3, totals, donor_lines, ensemble_lines
 
 
-def _ensemble_dump_rows(sid: str, iso3: str, ensembles):
-    rows = []
-
-    def emit(variable, band, sex_label, ensemble):
-        for member, weight in zip(ensemble.members, ensemble.weights):
-            rows.append((sid, iso3, variable, band, sex_label, member.form.value,
-                         _num(weight), _num(member.beta1), _num(member.beta2),
-                         _num(member.beta3), _num(member.breakpoint_x1),
-                         _num(member.sigma), _num(member.aicc)))
-
-    for band in FERTILE_BANDS:
-        emit(Variable.FERTILITY.value, band, Sex.FEMALE.value, ensembles.fertility[band])
-    for band in AGE_BANDS:
-        for sex in (Sex.FEMALE, Sex.MALE):
-            emit(Variable.MORTALITY.value, band, sex.value,
-                 ensembles.mortality[(band, sex)])
-    return rows
-
-
-def _num(value) -> str:
-    return "" if value is None else f"{value:.9g}"
+def _ensemble_dump_cells(ensembles) -> list[str]:
+    """``ensembles.csv`` lines of one country less scenario_id and iso3, one per
+    member of each series, formatted from the ensemble table."""
+    table = ensembles.table
+    rows, cols = np.nonzero(table.member)
+    values = np.column_stack([table.weight[rows, cols], table.coef[rows, cols],
+                              table.sigma[rows, cols], table.aicc[rows, cols]]).ravel()
+    written = [w for col in cols.tolist() for w in _DUMPED[col]]
+    text = [f"{v:.9g}" if w else "" for v, w in zip(values.tolist(), written)]
+    members: dict[int, list[str]] = {}
+    for i, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
+        members.setdefault(row, []).append(
+            ",".join([FORM_ORDER[col].value, *text[7 * i:7 * i + 7]]))
+    order = [*ensembles.fertility_rows.tolist(), *ensembles.mortality_rows.ravel().tolist()]
+    return [f"{series},{member}"
+            for series, row in zip(_DUMP_SERIES, order) for member in members[row]]
 
 
 def _sensitivity_rows(scenario_ids, country_totals, horizon):
@@ -236,10 +246,8 @@ def _sensitivity_rows(scenario_ids, country_totals, horizon):
             for iso3 in sorted(reference)]
 
 
-def _write_rows(path: Path, header: str, rows) -> Path:
-    lines = [header]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
-    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+def _write_lines(path: Path, header: str, lines) -> Path:
+    path.write_text("".join(f"{line}\n" for line in [header, *lines]), encoding="utf-8")
     return path
 
 

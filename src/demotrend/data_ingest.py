@@ -81,13 +81,6 @@ class BasePopulation:
     counts: np.ndarray
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    n_countries: int
-    pop_share_of_base_year: float
-    share_by_iso3: dict[str, float]
-
-
 @dataclass(eq=False)
 class Dataset:
     countries: list[CountryRecord]
@@ -128,9 +121,18 @@ class Dataset:
         return {b.iso3: b for b in self.base_pop}
 
     @cached_property
+    def sexed_mortality(self) -> frozenset[tuple[str, str]]:
+        """The (iso3, age band) pairs with sex-specific mortality rows.
+
+        Female and Male mortality of any other pair resolve to the same
+        rows: the Both rows, or none.
+        """
+        return frozenset((iso3, band) for iso3, variable, band, sex in self._rate_index
+                         if variable is Variable.MORTALITY and sex is not Sex.BOTH)
+
+    @property
     def has_sexed_mortality(self) -> bool:
-        return any(r.variable is Variable.MORTALITY and r.sex is not Sex.BOTH
-                   for r in self.rates)
+        return bool(self.sexed_mortality)
 
     def rate_series(self, iso3: str, variable: Variable, age_group: str,
                     sex: Sex | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -149,15 +151,6 @@ class Dataset:
                 return found
         return self._rate_index.get((iso3, variable, age_group, Sex.BOTH),
                                     _EMPTY_SERIES)
-
-    def sexes_share_mortality(self, iso3: str, age_group: str) -> bool:
-        """Whether Female and Male mortality for one band resolve to the same rows.
-
-        That holds when the country has no sex-specific rows for the band,
-        so both sexes fall back to its Both rows (or both find none).
-        """
-        return all((iso3, Variable.MORTALITY, age_group, sex) not in self._rate_index
-                   for sex in (Sex.FEMALE, Sex.MALE))
 
     def gdp_hist_series(self, iso3: str) -> tuple[np.ndarray, np.ndarray]:
         return self._gdp_hist_index.get(iso3, _EMPTY_SERIES)
@@ -197,24 +190,6 @@ def load_dataset(data_dir) -> Dataset:
     return Dataset(countries=countries, rates=rates, gdp_hist=gdp_hist,
                    gdp_baseline=gdp_baseline, base_pop=base_pop,
                    rejections=rejections)
-
-
-def validate_coverage(dataset: Dataset, world_reference: float | None = None) -> CoverageReport:
-    """Country count and base-year population shares.
-
-    Per-country shares are fractions of the loaded base-year total. The
-    overall share is 1.0 unless ``world_reference`` (total world population
-    in the base year, persons) is supplied for comparison.
-    """
-    totals = {b.iso3: float(b.counts.sum()) for b in dataset.base_pop}
-    grand = sum(totals.values())
-    shares = {iso3: (totals[iso3] / grand if grand > 0.0 else 0.0)
-              for iso3 in sorted(totals)}
-    overall = 1.0 if world_reference is None else (
-        grand / world_reference if world_reference > 0.0 else 0.0)
-    return CoverageReport(n_countries=len(dataset.countries),
-                          pop_share_of_base_year=overall,
-                          share_by_iso3=shares)
 
 
 def _open_rows(root: Path, name: str):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL, Sex, Variable
+from .core import AGE_BANDS, FEMALE_COL, FERTILE_SLICE, MALE_COL
 from .errors import InvalidRate, NegativeState
-from .rate_forecast import CapPolicy, CountryEnsembles, forecast_pathway
+from .rate_forecast import CapPolicy, CountryEnsembles, model_inputs
 
 N_BANDS = len(AGE_BANDS)
 
@@ -77,32 +77,22 @@ def total_population(state: PopulationState) -> float:
     return float(state.counts.sum())
 
 
-def vital_rates_at(ensembles: CountryEnsembles, gdp: float, cap: CapPolicy) -> VitalRates:
-    """Evaluate every rate ensemble at one GDP level (see ``forecast_rates``)."""
-    asfr, mortality = forecast_rates(ensembles, np.array([gdp], dtype=float), cap)
-    return VitalRates(asfr=asfr[0], mortality=mortality[0])
-
-
 def forecast_rates(ensembles: CountryEnsembles, gdp: np.ndarray,
                    cap: CapPolicy) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every rate ensemble over T GDP values: asfr (T, 6), q (T, 21, 2).
 
-    An ensemble shared by both sexes is evaluated once. Forecast mortality
-    is truncated at 1.0: the ensembles are fitted to probabilities, but an
-    extrapolated curve must not leave [0, 1].
+    The GDP is checked and capped once, and each form is evaluated once
+    over all of the country's series. Forecast mortality is truncated at
+    1.0: the ensembles are fitted to probabilities, but an extrapolated
+    curve must not leave [0, 1].
     """
-    asfr = np.column_stack([forecast_pathway(ensembles.fertility[band], gdp,
-                                             Variable.FERTILITY, cap)
-                            for band in FERTILE_BANDS])
+    gdp, fertility_x = model_inputs(gdp, cap)
+    x = np.repeat(gdp[None, :], len(ensembles.table.weight), axis=0)
+    x[ensembles.fertility_rows] = fertility_x
+    rates = ensembles.table.forecast(x).T
     mortality = np.empty((gdp.size, N_BANDS, 2))
-    for i, band in enumerate(AGE_BANDS):
-        female = ensembles.mortality[(band, Sex.FEMALE)]
-        male = ensembles.mortality[(band, Sex.MALE)]
-        mortality[:, i, FEMALE_COL] = forecast_pathway(female, gdp, Variable.MORTALITY, cap)
-        mortality[:, i, MALE_COL] = (mortality[:, i, FEMALE_COL] if male is female else
-                                     forecast_pathway(male, gdp, Variable.MORTALITY, cap))
-    np.minimum(mortality, 1.0, out=mortality)
-    return asfr, mortality
+    np.minimum(rates[:, ensembles.mortality_rows], 1.0, out=mortality)
+    return np.ascontiguousarray(rates[:, ensembles.fertility_rows]), mortality
 
 
 def project_country(base: PopulationState, ensembles: CountryEnsembles, pathway,

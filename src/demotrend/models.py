@@ -65,10 +65,17 @@ SCREEN_RTOL = 1e-9
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Forms fitted as a straight line in a transformed x.
+_TRANSFORMS = {
+    ModelForm.LINEAR: lambda x: x,
+    ModelForm.DIVISION: lambda x: 1.0 / x,
+    ModelForm.NEG_LOG: np.log,
+}
+
 
 @dataclass(frozen=True)
 class FitResult:
-    """One estimated curve plus its score.
+    """One estimated curve plus its score: the one-row view of a fit.
 
     ``beta1``/``beta2`` are intercept and slope-or-scale, ``beta3`` is the
     positive exponent (negative-power form only), ``slope_right`` is the
@@ -90,22 +97,18 @@ class FitResult:
     ybar: float | None = None
 
 
-@dataclass(frozen=True)
-class RateEnsemble:
-    """Weighted collection of fitted forms for one rate series."""
-
-    members: tuple[FitResult, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.members) != len(self.weights) or not self.members:
-            raise ValueError("ensemble needs matching, non-empty members and weights")
-        forms = [m.form for m in self.members]
-        if len(set(forms)) != len(forms):
-            raise ValueError("ensemble members must be distinct forms")
-        total = math.fsum(self.weights)
-        if any(w < 0.0 or w > 1.0 for w in self.weights) or abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must lie in [0, 1] and sum to 1, got sum {total}")
+def fit_result(form: ModelForm, coef, sigma: float, aicc: float, n: int) -> FitResult:
+    """The ``FitResult`` of one coefficient row as ``fit_rows`` returns it."""
+    b1, b2, b3, x1 = (float(v) for v in coef)
+    fields: dict = {"ybar": b1} if form is ModelForm.NULL else {"beta1": b1, "beta2": b2}
+    if form is ModelForm.NEG_POWER:
+        fields["beta3"] = b3
+    elif form is ModelForm.LINEAR_SPLINE:
+        fields.update(slope_right=b3, breakpoint_x1=x1)
+    elif form in (ModelForm.RIGHT_HINGE, ModelForm.LEFT_HINGE):
+        fields.update(breakpoint_x1=x1, ybar=b1 + b2 * x1)
+    return FitResult(form=form, sigma=sigma, n_fit=n, k_params=PARAM_COUNT[form],
+                     aicc=aicc, **fields)
 
 
 def aicc(rss: float, n: int, k: int) -> float:
@@ -117,26 +120,42 @@ def aicc(rss: float, n: int, k: int) -> float:
     n : number of observations.
     k : number of estimated parameters, residual sigma included.
     """
+    return float(scores(np.array([rss], dtype=float), n, k)[1][0])
+
+
+def scores(rss: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Residual sigma and corrected criterion (see ``aicc``) of each RSS in ``rss``.
+
+    The logarithm is ``math.log`` of each value, whose bits numpy's
+    vectorized ``np.log`` is not guaranteed to reproduce.
+    """
     if n <= k + 1:
         raise DenominatorZero(n, k)
-    rss = max(float(rss), RSS_FLOOR)
-    return n * math.log(rss / n) + 2.0 * k + 2.0 * k * (k + 1.0) / (n - k - 1.0)
+    per_obs = np.maximum(rss, RSS_FLOOR) / n
+    log = np.array([math.log(v) for v in per_obs.tolist()])
+    return np.sqrt(per_obs), n * log + 2.0 * k + 2.0 * k * (k + 1.0) / (n - k - 1.0)
 
 
 def akaike_weights(aiccs) -> list[float]:
-    """Normalize criterion values into evidence weights.
-
-    The minimum is subtracted before exponentiation, so the result is
-    invariant to a common additive shift and safe from overflow.
-    """
+    """Normalize criterion values into evidence weights (see ``evidence_weights``)."""
     a = np.asarray(list(aiccs), dtype=float)
     if a.size == 0:
         raise EmptyInput("akaike_weights requires at least one criterion value")
-    if not np.isfinite(a).all():
+    return evidence_weights(a[None, :])[0].tolist()
+
+
+def evidence_weights(aiccs: np.ndarray) -> np.ndarray:
+    """Normalized evidence weights of each row of a 2-d array of criterion values.
+
+    Each row's minimum is subtracted before exponentiation, so the result is
+    invariant to a common additive shift and safe from overflow. A row sums
+    as its 1-d copy does only in a C-ordered array.
+    """
+    aiccs = np.ascontiguousarray(aiccs)
+    if not np.isfinite(aiccs).all():
         raise NonFiniteInput("criterion values must be finite")
-    rel = np.exp(-(a - a.min()) / 2.0)
-    w = rel / rel.sum()
-    return [float(v) for v in w]
+    rel = np.exp(-(aiccs - aiccs.min(axis=1, keepdims=True)) / 2.0)
+    return rel / rel.sum(axis=1, keepdims=True)
 
 
 def fit(form: ModelForm, xs, ys) -> FitResult:
@@ -144,22 +163,28 @@ def fit(form: ModelForm, xs, ys) -> FitResult:
     y = np.asarray(ys, dtype=float)
     if y.ndim != 1:
         raise ValueError("xs and ys must be 1-d sequences of equal length")
-    return fit_rows(form, xs, y[None, :])[0]
+    coef, rss = fit_rows(form, xs, y[None, :])
+    sigma, score = scores(rss, y.size, PARAM_COUNT[form])
+    return fit_result(form, coef[0], sigma.item(), score.item(), y.size)
 
 
-def fit_rows(form: ModelForm, xs, ys_rows) -> list[FitResult]:
-    """Least-squares fit of one form to each row of ``ys_rows``, all on the same ``xs``.
+def fit_rows(form: ModelForm, xs, ys_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares fit of one form to each row of ``ys_rows``, all on the same
+    ``xs``: coefficients ``(S, 4)`` and residual sums of squares ``(S,)``.
 
-    Requires ``len(xs) >= k + 2`` so the corrected criterion is defined.
-    Breakpoints are searched over interior observed x values (the two
-    extremes at each end are excluded) with ties broken toward the smaller
-    candidate; the negative-power exponent is found on a coarse grid and
-    refined by golden-section search. The checks and every array that
-    depends on x alone are made once; each row's result equals that of
-    fitting the row on its own.
+    A coefficient row holds b1, b2, then b3 (the negative-power exponent) or
+    the spline's right slope, then the breakpoint x1; the null form keeps its
+    mean in b1, and a column the form does not use is NaN. Requires
+    ``len(xs) >= k + 2`` so the corrected criterion is defined. Breakpoints
+    are searched over interior observed x values (the two extremes at each
+    end are excluded) with ties broken toward the smaller candidate; the
+    negative-power exponent is found on a coarse grid and refined by
+    golden-section search. The checks and every array that depends on x
+    alone are made once; each row's result equals that of fitting the row
+    on its own.
     """
     x = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys_rows, dtype=float)
+    ys = np.ascontiguousarray(ys_rows, dtype=float)  # each row reduces as a 1-d array
     if x.ndim != 1 or ys.ndim != 2 or ys.shape[1] != x.size:
         raise ValueError("xs must be 1-d and ys_rows 2-d, with rows as long as xs")
     if not (np.isfinite(x).all() and np.isfinite(ys).all()):
@@ -173,40 +198,31 @@ def fit_rows(form: ModelForm, xs, ys_rows) -> list[FitResult]:
     if form is not ModelForm.NULL and bool(np.all(x == x[0])):
         raise DegenerateX("constant predictor admits only the null form")
 
+    coef = np.full((len(ys), 4), np.nan)
     if not len(ys):
-        return []
+        return coef, np.empty(0)
     if form is ModelForm.NULL:
-        return [_fit_null(y, n, k) for y in ys]
-    if form is ModelForm.LINEAR:
-        return _fit_transformed(form, ys, x, n, k)
-    if form is ModelForm.DIVISION:
-        return _fit_transformed(form, ys, 1.0 / x, n, k)
-    if form is ModelForm.NEG_LOG:
-        return _fit_transformed(form, ys, np.log(x), n, k)
+        coef[:, 0] = ys.mean(axis=1)
+        return coef, np.square(ys - coef[:, :1]).sum(axis=1)
+    if form in _TRANSFORMS:
+        a = np.column_stack([np.ones(n), _TRANSFORMS[form](x)])
+        coef[:, :2], rss = _solve_stack(np.broadcast_to(a, (len(ys), n, 2)), ys)
+        return coef, rss
     if form is ModelForm.NEG_POWER:
-        return _fit_neg_power(x, ys, n, k)
-    return _fit_breakpoint(form, x, ys, n, k)
+        return _fit_neg_power(x, ys, coef)
+    return _fit_breakpoint(form, x, ys, coef)
 
 
 def predict(fit_result: FitResult, x: float) -> float:
     """Evaluate a fitted curve at one GDP value, clamped below at zero."""
     if not math.isfinite(x) or x <= 0.0:
         raise NonPositiveX(f"prediction requires positive finite GDP, got {x}")
-    return float(predict_clamped(fit_result, np.array([x]))[0])
-
-
-def predict_clamped(fit_result: FitResult, xs) -> np.ndarray:
-    """Model values at positive finite GDP values, clamped below at zero.
-
-    A value that is not positive, NaN included, becomes 0. The caller
-    validates ``xs``.
-    """
-    value = raw_prediction(fit_result, xs)
-    return np.where(value > 0.0, value, 0.0)
+    value = float(raw_prediction(fit_result, [x])[0])
+    return value if value > 0.0 else 0.0
 
 
 def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:
-    """Unclamped model values; used for residuals during fitting and scoring."""
+    """Unclamped model values of one fit; the one-row oracle of ``predict_rows``."""
     x = np.asarray(xs, dtype=float)
     f = fit_result
     if f.form is ModelForm.NULL:
@@ -230,6 +246,36 @@ def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:
     raise ValueError(f"unknown form {f.form}")
 
 
+def predict_rows(form: ModelForm, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unclamped values, broadcastable to ``(S, T)``, of each coefficient row
+    ``coef[s]`` of one form at GDP values ``x``, ``(T,)`` or ``(S, T)``.
+
+    Each value takes the elementwise operations of ``raw_prediction``. The
+    exponent stays a scalar per row: an array of exponents gives other bits
+    at b3 = 1 (numpy's reciprocal fast path).
+    """
+    b1, b2, b3, x1 = (coef[:, j, None] for j in range(4))
+    if form is ModelForm.NULL:
+        return b1
+    if form is ModelForm.LINEAR:
+        return b1 + b2 * x
+    if form is ModelForm.DIVISION:
+        return b1 + b2 / x
+    if form is ModelForm.NEG_LOG:
+        return b1 + b2 * np.log(x)
+    if form is ModelForm.NEG_POWER:
+        powers = np.empty(np.broadcast_shapes(b1.shape, x.shape))
+        for out, xs, exponent in zip(powers, np.broadcast_to(x, powers.shape),
+                                     coef[:, 2].tolist()):
+            out[...] = xs ** -exponent
+        return b1 + b2 * powers
+    if form is ModelForm.LINEAR_SPLINE:
+        return b1 + b2 * np.minimum(x, x1) + b3 * np.maximum(x - x1, 0.0)
+    if form is ModelForm.RIGHT_HINGE:
+        return b1 + b2 * np.minimum(x, x1)
+    return b1 + b2 * np.maximum(x, x1)
+
+
 def _solve_stack(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients ``(S, k)`` and RSS ``(S,)`` of each ``y[s]`` on ``a[s]``.
 
@@ -243,35 +289,16 @@ def _solve_stack(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                      over="ignore", divide="ignore", under="ignore"):
         coef = _umath_linalg.lstsq(a, y[..., None], rcond, signature="ddd->ddid")[0][..., 0]
     resid = y - (a @ coef[..., None])[..., 0]
-    return coef, _sumsq(resid)
+    return coef, sumsq(resid)
 
 
 def _raise_lstsq_error(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def _sumsq(r: np.ndarray) -> np.ndarray:
+def sumsq(r: np.ndarray) -> np.ndarray:
     """``r[s] @ r[s]`` for each row of ``r``, bit for bit."""
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-
-
-def _finish(form: ModelForm, n: int, k: int, rss: float, **coefs) -> FitResult:
-    sigma = math.sqrt(max(rss, RSS_FLOOR) / n)
-    return FitResult(form=form, sigma=sigma, n_fit=n, k_params=k,
-                     aicc=aicc(rss, n, k), **coefs)
-
-
-def _fit_null(y, n, k) -> FitResult:
-    ybar = float(y.mean())
-    rss = float(np.square(y - ybar).sum())
-    return _finish(ModelForm.NULL, n, k, rss, ybar=ybar)
-
-
-def _fit_transformed(form, ys, t, n, k) -> list[FitResult]:
-    a = np.column_stack([np.ones(n), t])
-    coef, rss = _solve_stack(np.broadcast_to(a, (len(ys), n, 2)), ys)
-    return [_finish(form, n, k, r, beta1=b1, beta2=b2)
-            for (b1, b2), r in zip(coef.tolist(), rss.tolist())]
 
 
 def _power_designs(x: np.ndarray, b3s: np.ndarray) -> np.ndarray:
@@ -286,7 +313,7 @@ def _power_designs(x: np.ndarray, b3s: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fit_neg_power(x, ys, n, k) -> list[FitResult]:
+def _fit_neg_power(x, ys, coef) -> tuple[np.ndarray, np.ndarray]:
     steps = int(round((POWER_GRID_HI - POWER_GRID_LO) / POWER_GRID_STEP))
     grid = POWER_GRID_LO + np.arange(steps + 1) * POWER_GRID_STEP
     screens = _screen_rows(x ** -grid[:, None], ys)
@@ -316,20 +343,29 @@ def _fit_neg_power(x, ys, n, k) -> list[FitResult]:
                                     ys[probed])
         fc[left], fd[right] = f[left], f[right]
     refined = 0.5 * (lo + hi)
-    coef, rss = _solve_stack(_power_designs(x, refined), ys)
+    coef[:, :2], rss = _solve_stack(_power_designs(x, refined), ys)
     keep = best_rss < rss  # refinement can only help inside the bracket; be safe
-    refined[keep], coef[keep], rss[keep] = best_b3[keep], best_coef[keep], best_rss[keep]
-    return [_finish(ModelForm.NEG_POWER, n, k, r, beta1=b1, beta2=b2, beta3=b3)
-            for (b1, b2), r, b3 in zip(coef.tolist(), rss.tolist(), refined.tolist())]
+    refined[keep], coef[keep, :2], rss[keep] = best_b3[keep], best_coef[keep], best_rss[keep]
+    coef[:, 2] = refined
+    return coef, rss
 
 
 def _breakpoint_candidates(x: np.ndarray) -> np.ndarray:
+    """Distinct values of the sorted ``x`` less its two smallest and two largest
+    entries, strictly inside the range of ``x``, ascending.
+
+    Sorting and dropping repeats does what ``np.unique`` does without
+    importing ``numpy.ma``, which ``np.unique`` does on its first call.
+    """
     xs_sorted = np.sort(x)
-    interior = np.unique(xs_sorted[2:-2])
-    return interior[(interior > xs_sorted[0]) & (interior < xs_sorted[-1])]
+    interior = xs_sorted[2:-2]
+    keep = (interior > xs_sorted[0]) & (interior < xs_sorted[-1])
+    keep[1:] &= interior[1:] != interior[:-1]
+    return interior[keep]
 
 
-def _fit_breakpoint(form, x, ys, n, k) -> list[FitResult]:
+def _fit_breakpoint(form, x, ys, coef) -> tuple[np.ndarray, np.ndarray]:
+    n = x.size
     candidates = _breakpoint_candidates(x)
     if candidates.size == 0:
         raise DegenerateX("no interior breakpoint candidates")
@@ -348,16 +384,12 @@ def _fit_breakpoint(form, x, ys, n, k) -> list[FitResult]:
         a[:, :, -1] = z[i]
         return a
 
-    best, coef, rss = _exact_minima(_screen_rows(z, ys, partial), ys, designs)
-    results = []
-    for x1, (b1, b2, *spline), r in zip(candidates[best].tolist(), coef.tolist(), rss.tolist()):
-        if form is ModelForm.LINEAR_SPLINE:
-            results.append(_finish(form, n, k, r, beta1=b1, beta2=b2,
-                                   slope_right=b2 + spline[0], breakpoint_x1=x1))
-        else:
-            results.append(_finish(form, n, k, r, beta1=b1, beta2=b2,
-                                   breakpoint_x1=x1, ybar=b1 + b2 * x1))
-    return results
+    best, solved, rss = _exact_minima(_screen_rows(z, ys, partial), ys, designs)
+    coef[:, :2] = solved[:, :2]
+    if form is ModelForm.LINEAR_SPLINE:
+        coef[:, 2] = solved[:, 1] + solved[:, 2]
+    coef[:, 3] = candidates[best]
+    return coef, rss
 
 
 def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
@@ -400,7 +432,7 @@ def _exact_minima(screened: np.ndarray, ys: np.ndarray,
     that is not finite never rules a candidate out. Each round solves the
     shortlisted (candidate, row) pairs of all rows in one call.
     """
-    tol = SCREEN_RTOL * _sumsq(ys)
+    tol = SCREEN_RTOL * sumsq(ys)
     solved = np.zeros(screened.shape, dtype=bool)
     rss = np.full(screened.shape, np.inf)
     bound = screened.min(axis=0)

@@ -171,6 +171,21 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
+    def test_openblas_thread_count_invisible(self, tmp_path):
+        # The README suggests OPENBLAS_NUM_THREADS=1 to save CPU; it must not
+        # change a byte of any output.
+        args = ["--data-dir", str(TINY), "--scenario", "sweep:0:2:1",
+                "--dump-donors", "--dump-ensembles"]
+        code1, _, err1 = run_cli([*args, "--out", str(tmp_path / "default")])
+        code2, _, err2 = run_cli([*args, "--out", str(tmp_path / "one")],
+                                 env_extra={"OPENBLAS_NUM_THREADS": "1"})
+        assert code1 == 0 and code2 == 0, err1 + err2
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "one" / name).read_bytes(), name
+
     def test_worker_count_invisible(self, tmp_path):
         args = ["--data-dir", str(TINY), "--scenario", "sweep:0:2:1",
                 "--aggregate", "world,country", "--dump-donors",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from demotrend.core import IncomeGroup, Region, Sex, Variable
-from demotrend.data_ingest import load_dataset, validate_coverage
+from demotrend.data_ingest import load_dataset
 from demotrend.errors import MissingFile, NonPositiveGdp, SchemaViolation
 
 from conftest import minimal_rows, write_rows
@@ -47,6 +47,7 @@ class TestHappyPath:
         years, rates = ds.rate_series("AAA", Variable.MORTALITY, "0-4", Sex.FEMALE)
         assert rates.tolist() == [0.01]
         assert not ds.has_sexed_mortality
+        assert ds.sexed_mortality == frozenset()
 
     def test_mortality_prefers_sexed_rows(self, tmp_path):
         def mutate(rows):
@@ -58,6 +59,7 @@ class TestHappyPath:
         assert female.tolist() == [0.04]
         assert male.tolist() == [0.01]  # falls back to the Both row
         assert ds.has_sexed_mortality
+        assert ds.sexed_mortality == {("AAA", "0-4")}
 
     def test_missing_series_is_empty(self, tmp_path):
         ds = load_mutated(tmp_path, lambda rows: None)
@@ -246,18 +248,3 @@ class TestValueValidation:
 
         with pytest.raises(SchemaViolation):
             load_mutated(tmp_path, mutate)
-
-
-class TestCoverage:
-    def test_shares_sum_to_one(self, tiny_dataset):
-        report = validate_coverage(tiny_dataset)
-        assert report.n_countries == 3
-        assert report.pop_share_of_base_year == 1.0
-        assert sum(report.share_by_iso3.values()) == pytest.approx(1.0, abs=1e-12)
-        assert list(report.share_by_iso3) == sorted(report.share_by_iso3)
-
-    def test_world_reference(self, tmp_path):
-        ds = load_mutated(tmp_path, lambda rows: None)
-        total = float(ds.base_population("AAA").counts.sum())
-        report = validate_coverage(ds, world_reference=total * 2.0)
-        assert report.pop_share_of_base_year == pytest.approx(0.5)

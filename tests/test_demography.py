@@ -8,14 +8,15 @@ from demotrend.demography import (
     PopulationState,
     VitalRates,
     project_country,
+    forecast_rates,
     step_year,
     total_population,
-    vital_rates_at,
 )
 from demotrend.errors import InvalidRate, NegativeState, PathwayGap
 from demotrend.rate_forecast import (
     CapPolicy,
     CountryEnsembles,
+    EnsembleTable,
     build_country_ensembles,
     build_ensembles,
 )
@@ -248,6 +249,12 @@ def projection_setup(tiny_dataset):
     return built, pathway, base
 
 
+def vital_rates_at(ensembles, gdp, cap):
+    """One year's rates: the pathway forecast at a single GDP value."""
+    asfr, mortality = forecast_rates(ensembles, np.array([gdp]), cap)
+    return VitalRates(asfr=asfr[0], mortality=mortality[0])
+
+
 class TestVitalRatesAt:
 
     def test_shapes_and_bounds(self, built):
@@ -336,11 +343,12 @@ class TestProjectCountry:
                                                      tiny_dataset, sexes):
         """Every state equals step_year composed with rates forecast one year at a time."""
         built, _, base = projection_setup
-        if sexes == "distinct":
+        if sexes == "distinct":  # Male mortality from BBB's ensembles
             other = build_country_ensembles(tiny_dataset, "BBB", [])
-            built = CountryEnsembles(fertility=built.fertility, mortality={
-                (band, sex): (other if sex is Sex.MALE else built).mortality[(band, sex)]
-                for band, sex in built.mortality})
+            built = CountryEnsembles(
+                EnsembleTable.concat([built.table, other.table]), built.fertility_rows,
+                np.column_stack([built.mortality_rows[:, FEMALE_COL],
+                                 other.mortality_rows[:, MALE_COL] + len(built.table.n_fit)]))
         # 300 to 60,000: crosses the 30,000 fertility cap
         pathway = GdpPathway(iso3="AAA", scenario_id="test", start_year=2015,
                              values=np.geomspace(300.0, 60000.0, 86))
@@ -371,14 +379,14 @@ def random_ensembles(rng, n_fit, n_weight, sexed):
         fit_rates = rng.uniform(0.0, variable_max, (count, n_fit))
         return build_ensembles(fit_x, fit_rates, weight_x, fit_rates[:, :n_weight])
 
-    fertility = dict(zip(FERTILE_BANDS, build(0.4, len(FERTILE_BANDS))))
-    keys = [(band, sex) for band in AGE_BANDS for sex in (Sex.FEMALE, Sex.MALE)]
-    if sexed:
-        mortality = dict(zip(keys, build(1.0, len(keys))))
-    else:
-        both = build(1.0, len(AGE_BANDS))
-        mortality = {(band, sex): both[AGE_BANDS.index(band)] for band, sex in keys}
-    return CountryEnsembles(fertility=fertility, mortality=mortality)
+    fertility = build(0.4, len(FERTILE_BANDS))
+    if sexed:  # rows (band, Female), (band, Male) for each band
+        rows = np.arange(2 * len(AGE_BANDS)).reshape(len(AGE_BANDS), 2)
+    else:  # one row per band, shared by both sexes
+        rows = np.repeat(np.arange(len(AGE_BANDS))[:, None], 2, axis=1)
+    mortality = build(1.0, rows.max() + 1)
+    return CountryEnsembles(EnsembleTable.concat([fertility, mortality]),
+                            np.arange(len(FERTILE_BANDS)), rows + len(FERTILE_BANDS))
 
 
 class TestProjectionProperties:

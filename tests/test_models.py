@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,15 +23,17 @@ from demotrend.models import (
     ModelForm,
     PARAM_COUNT,
     RSS_FLOOR,
-    RateEnsemble,
     aicc,
     akaike_weights,
     fit,
     fit_rows,
     predict,
+    predict_rows,
     raw_prediction,
+    _breakpoint_candidates,
     _solve_stack,
 )
+from demotrend.rate_forecast import EnsembleTable
 
 # Deterministic wiggly fixture: strictly positive x, no candidate form exact.
 WIGGLY_X = np.array([1.0, 2.0, 3.5, 5.0, 7.0, 9.5, 12.0, 15.0, 19.0, 24.0, 30.0, 37.0])
@@ -329,6 +334,14 @@ class TestScreenedSearchMatchesExhaustive:
             assert_matches_exhaustive(form, xs, ys)
 
 
+def fitted_rows(form, xs, rows):
+    """``fit_rows`` as one ``FitResult`` per row, scored as ``fit`` scores."""
+    coef, rss = fit_rows(form, xs, rows)
+    sigma, score = models.scores(rss, len(xs), PARAM_COUNT[form])
+    return [models.fit_result(form, c, s, a, len(xs))
+            for c, s, a in zip(coef, sigma.tolist(), score.tolist())]
+
+
 class TestFitRows:
     """A batch of rows on one x fits each row as the exhaustive scan does."""
 
@@ -337,20 +350,29 @@ class TestFitRows:
 
     @pytest.mark.parametrize("form", SEARCHED_FORMS)
     def test_batch_matches_exhaustive(self, form):
-        assert fit_rows(form, WIGGLY_X, self.ROWS) == [
+        assert fitted_rows(form, WIGGLY_X, self.ROWS) == [
             exhaustive_fit(form, WIGGLY_X, y) for y in self.ROWS]
         rows = [PERFECT_Y[f] for f in SEARCHED_FORMS]
-        assert fit_rows(form, PERFECT_X, rows) == [
+        assert fitted_rows(form, PERFECT_X, rows) == [
             exhaustive_fit(form, PERFECT_X, y) for y in rows]
-        assert fit_rows(form, MIRROR_X, [MIRROR_Y])[0] == exhaustive_fit(form, MIRROR_X, MIRROR_Y)
+        assert fitted_rows(form, MIRROR_X, [MIRROR_Y])[0] == exhaustive_fit(form, MIRROR_X,
+                                                                             MIRROR_Y)
 
     @pytest.mark.parametrize("form", FORM_ORDER)
     def test_row_order_does_not_matter(self, form):
-        fitted = fit_rows(form, WIGGLY_X, self.ROWS)
+        fitted = fitted_rows(form, WIGGLY_X, self.ROWS)
         order = [3, 0, 4, 2, 1]
-        assert fit_rows(form, WIGGLY_X, [self.ROWS[i] for i in order]) == [
+        assert fitted_rows(form, WIGGLY_X, [self.ROWS[i] for i in order]) == [
             fitted[i] for i in order]
         assert [fit(form, WIGGLY_X, y) for y in self.ROWS] == fitted
+
+    @pytest.mark.parametrize("form", FORM_ORDER)
+    def test_predict_rows_equals_one_row_prediction(self, form):
+        coef, _ = fit_rows(form, WIGGLY_X, self.ROWS)
+        x = np.array([0.5, 2.2, 5.1, 15.3, 40.0])
+        got = np.broadcast_to(predict_rows(form, coef, x), (len(self.ROWS), x.size))
+        for row, result in zip(got, fitted_rows(form, WIGGLY_X, self.ROWS)):
+            assert np.array_equal(row, raw_prediction(result, x))
 
     @pytest.mark.parametrize("row", [0, 2])
     def test_non_finite_row_rejected(self, row):
@@ -439,8 +461,8 @@ class TestLockstepGoldenSection:
             return _solve_stack(a, y)
 
         monkeypatch.setattr(models, "_solve_stack", counting)
-        fitted = dict(zip(self.ROWS, fit_rows(ModelForm.NEG_POWER, self.X,
-                                             list(self.ROWS.values()))))
+        fitted = dict(zip(self.ROWS, fitted_rows(ModelForm.NEG_POWER, self.X,
+                                                list(self.ROWS.values()))))
         monkeypatch.undo()
         # Rows drop out of the search at different steps.
         assert len(set(probes)) > 3
@@ -574,19 +596,60 @@ class TestPredict:
 
 
 class TestRateEnsembleType:
-    def _member(self):
-        return fit(ModelForm.NULL, WIGGLY_X, WIGGLY_Y)
+    """The array check of ``EnsembleTable`` that replaced the per-object
+    validation of ``RateEnsemble``."""
+
+    @staticmethod
+    def table(weights, member=None):
+        """One series whose members are the first forms of ``FORM_ORDER``."""
+        weight = np.zeros((1, len(FORM_ORDER)))
+        weight[0, :len(weights)] = weights
+        if member is None:
+            member = np.arange(len(FORM_ORDER)) < len(weights)
+        return EnsembleTable(member=np.array([member]), coef=np.zeros((1, len(FORM_ORDER), 4)),
+                             weight=weight, sigma=np.ones_like(weight),
+                             aicc=np.zeros_like(weight), n_fit=np.array([12]))
 
     def test_weights_must_normalize(self):
-        member = self._member()
         with pytest.raises(ValueError):
-            RateEnsemble(members=(member,), weights=(0.5,))
+            self.table([0.5])
+        with pytest.raises(ValueError):
+            self.table([0.7, 0.7])
+        with pytest.raises(ValueError):
+            self.table([1.5, -0.5])
+        with pytest.raises(ValueError):
+            self.table([], member=np.zeros(len(FORM_ORDER), dtype=bool))
 
     def test_members_must_be_distinct(self):
-        member = self._member()
+        # One column per form: a form appears once or not at all, and no
+        # weight may sit on a form outside the ensemble.
         with pytest.raises(ValueError):
-            RateEnsemble(members=(member, member), weights=(0.5, 0.5))
+            self.table([0.5, 0.5], member=np.arange(len(FORM_ORDER)) < 1)
 
     def test_valid_ensemble_accepted(self):
-        ensemble = RateEnsemble(members=(self._member(),), weights=(1.0,))
+        ensemble = self.table([1.0]).ensemble(0)
         assert ensemble.weights == (1.0,)
+        assert [m.form for m in ensemble.members] == [ModelForm.NULL]
+
+
+class TestBreakpointCandidates:
+    def test_equal_unique_on_duplicated_x(self):
+        rng = np.random.default_rng(11)
+        for x in (np.repeat(WIGGLY_X, 3), np.tile(WIGGLY_X[:5], 4),
+                  np.round(rng.uniform(1.0, 9.0, 60)), np.full(9, 2.0),
+                  np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])):
+            rng.shuffle(x)
+            xs_sorted = np.sort(x)
+            expected = np.unique(xs_sorted[2:-2])
+            expected = expected[(expected > xs_sorted[0]) & (expected < xs_sorted[-1])]
+            got = _breakpoint_candidates(x)
+            assert got.shape == expected.shape and (got == expected).all()
+
+    def test_fitting_does_not_import_numpy_ma(self):
+        script = ("import sys\n"
+                  "from demotrend.models import ModelForm, fit\n"
+                  "fit(ModelForm.LINEAR_SPLINE, [1, 2, 2, 3, 4, 5, 6, 6, 7], [3, 1, 2, 0, 2, 1, 3, 2, 4])\n"
+                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr

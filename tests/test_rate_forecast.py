@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 
 from demotrend import rate_forecast
 from demotrend.augmentation import build_augmented_series
-from demotrend.core import FERTILE_BANDS, AGE_BANDS, Sex, Variable
+from demotrend.core import FERTILE_BANDS, AGE_BANDS, SEX_COLUMNS, Sex, Variable
 from demotrend.data_ingest import load_dataset
+from demotrend.demography import forecast_rates
 from demotrend.errors import NonPositiveGdp, NoWeightData
 from demotrend.models import FORM_ORDER, ModelForm, PARAM_COUNT, aicc, raw_prediction
 from demotrend.rate_forecast import (
     CapPolicy,
-    CountryEnsembles,
+    EnsembleTable,
     build_country_ensembles,
     build_ensemble,
     build_ensembles,
-    forecast_pathway,
     forecast_rate,
 )
 
@@ -143,47 +143,97 @@ class TestForecastRate:
 
 
 class TestForecastPathway:
-    """The array forecast against a scalar loop over the same pathway."""
+    """The array forecast of a country's series against a scalar loop over
+    the same pathway."""
 
     # 200 to 200,000 over 86 years: crosses the 30,000 fertility cap and
     # drives many members' raw values below zero.
     GDP = np.geomspace(200.0, 200000.0, 86)
 
     @pytest.fixture(scope="class")
-    def ensembles(self, tiny_dataset):
-        seen = {}
-        for iso3, donors in (("AAA", ["BBB"]), ("BBB", []), ("CCC", [])):
-            built = build_country_ensembles(tiny_dataset, iso3, donors)
-            for ensemble in [*built.fertility.values(), *built.mortality.values()]:
-                seen[id(ensemble)] = ensemble
-        return list(seen.values())
+    def countries(self, tiny_dataset):
+        return [build_country_ensembles(tiny_dataset, iso3, donors)
+                for iso3, donors in (("AAA", ["BBB"]), ("BBB", []), ("CCC", []))]
 
     @pytest.mark.parametrize("variable", list(Variable))
-    def test_equals_scalar_loop(self, ensembles, variable):
+    def test_equals_scalar_loop(self, countries, variable):
         cap = CapPolicy()
-        fertility = variable is Variable.FERTILITY
-        for ensemble in ensembles:
-            got = forecast_pathway(ensemble, self.GDP, variable, cap)
-            expected = scalar_forecast(ensemble, self.GDP, fertility,
-                                       cap.fertility_cap_gdp)
-            assert np.array_equal(got, expected)
+        for built in countries:
+            asfr, mortality = forecast_rates(built, self.GDP, cap)
+            if variable is Variable.FERTILITY:
+                for i, band in enumerate(FERTILE_BANDS):
+                    expected = scalar_forecast(built.fertility[band], self.GDP, True,
+                                               cap.fertility_cap_gdp)
+                    assert np.array_equal(asfr[:, i], expected)
+            else:
+                for (band, sex), ensemble in built.mortality.items():
+                    expected = scalar_forecast(ensemble, self.GDP, False, cap.fertility_cap_gdp)
+                    got = mortality[:, AGE_BANDS.index(band), SEX_COLUMNS.index(sex)]
+                    assert np.array_equal(got, np.minimum(expected, 1.0))
 
-    def test_pathway_covers_cap_and_negative_members(self, ensembles):
+    def test_pathway_covers_cap_and_negative_members(self, countries):
         cap = CapPolicy().fertility_cap_gdp
         assert self.GDP.min() < cap < self.GDP.max()
         assert any((raw_prediction(m, self.GDP) < 0.0).any()
-                   for ensemble in ensembles for m in ensemble.members)
+                   for built in countries
+                   for ensemble in [*built.fertility.values(), *built.mortality.values()]
+                   for m in ensemble.members)
 
-    def test_empty_pathway(self, ensembles):
-        got = forecast_pathway(ensembles[0], np.empty(0), Variable.MORTALITY, CapPolicy())
-        assert got.shape == (0,)
+    def test_empty_pathway(self, countries):
+        asfr, mortality = forecast_rates(countries[0], np.empty(0), CapPolicy())
+        assert asfr.shape == (0, len(FERTILE_BANDS))
+        assert mortality.shape == (0, len(AGE_BANDS), 2)
 
     @pytest.mark.parametrize("bad", [0.0, -100.0, math.nan, math.inf])
-    def test_any_invalid_gdp_rejected(self, ensembles, bad):
+    def test_any_invalid_gdp_rejected(self, countries, bad):
         gdp = self.GDP.copy()
         gdp[40] = bad
         with pytest.raises(NonPositiveGdp):
-            forecast_pathway(ensembles[0], gdp, Variable.MORTALITY, CapPolicy())
+            forecast_rates(countries[0], gdp, CapPolicy())
+
+
+def table_of(forms, coefs):
+    """Row i is an ensemble of ``forms[i]`` alone, weight 1; every form of
+    ``forms`` has row i's coefficients ``coefs[i]``, in the ensemble or not."""
+    shape = (len(forms), len(FORM_ORDER))
+    member, coef, weight = np.zeros(shape, dtype=bool), np.full((*shape, 4), np.nan), np.zeros(shape)
+    for row, form in enumerate(forms):
+        member[row, FORM_ORDER.index(form)] = True
+        for other in forms:
+            coef[row, FORM_ORDER.index(other)] = coefs[row]
+    weight[member] = 1.0
+    return EnsembleTable(member=member, coef=coef, weight=weight, sigma=np.ones(shape),
+                         aicc=np.zeros(shape), n_fit=np.full(len(forms), 10))
+
+
+class TestTableForecast:
+    """Shortcuts in the table forecast that a scalar loop would not take."""
+
+    def test_infinite_member_next_to_masked_form(self):
+        # Both rows overflow to +inf at x = 10, in their member (Linear in
+        # row 0, NegLog in row 1) and in the other form, which is outside
+        # their ensemble. Adding 0 * inf for that form would give NaN.
+        coefs = [[0.0, 1e308, math.nan, math.nan]] * 2
+        table = table_of([ModelForm.LINEAR, ModelForm.NEG_LOG], coefs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = table.forecast(np.array([10.0, 1e-300]))
+            one = forecast_rate(table.ensemble(0), 10.0, Variable.MORTALITY, CapPolicy())
+            expected = [scalar_forecast(table.ensemble(row), [10.0, 1e-300], False, 3e4)
+                        for row in range(2)]
+        assert (got[:, 0] == math.inf).all() and one == math.inf
+        assert np.array_equal(got, expected)
+
+    def test_unit_exponent_equals_scalar_forecast(self):
+        # At these x, x ** -1.0 with an array exponent differs in the last
+        # bit from the scalar exponent that raw_prediction uses.
+        x = np.array([2.2, 5.1, 15.3])
+        table = table_of([ModelForm.NEG_POWER] * 3, [[0.0, 1.0, 1.0, math.nan],
+                                                     [2.0, 7.0, 1.0, math.nan],
+                                                     [1.0, 3.0, 0.5, math.nan]])
+        got = table.forecast(x)
+        for row in range(3):
+            expected = scalar_forecast(table.ensemble(row), x, False, 3e4)
+            assert np.array_equal(got[row], expected), row
 
 
 class TestCountryEnsembles:
@@ -289,6 +339,19 @@ def assert_built_per_series(dataset, iso3, donors, built):
             dataset, iso3, donors, Variable.MORTALITY, band, Sex.BOTH)
 
 
+def assert_rows_equal_one_series_builds(fit_x, fit_rates, weight_x, weight_rates):
+    """Each row of one build equals its one-series build, and its forecast the
+    scalar loop over that build's members."""
+    table = build_ensembles(fit_x, fit_rates, weight_x, weight_rates)
+    gdp = np.geomspace(50.0, 2e5, 40)
+    got = table.forecast(gdp)
+    for row, (fy, wy) in enumerate(zip(fit_rates, weight_rates)):
+        one = build_ensemble(np.column_stack([fit_x, fy]), np.column_stack([weight_x, wy]))
+        assert table.ensemble(row) == one
+        assert np.array_equal(got[row], scalar_forecast(one, gdp, False, 3e4))
+    return table
+
+
 class TestBuildEnsembles:
     """Series fitted together on one GDP sample equal one call per series."""
 
@@ -308,9 +371,20 @@ class TestBuildEnsembles:
                            rate.map(lambda v: [v] * n_fit))  # constant y
         fit_rates = np.array(data.draw(st.lists(series, min_size=1, max_size=6)))
         weight_x, weight_rates = fit_x[:n_weight], fit_rates[:, :n_weight]
-        assert build_ensembles(fit_x, fit_rates, weight_x, weight_rates) == [
-            build_ensemble(np.column_stack([fit_x, fy]), np.column_stack([weight_x, wy]))
-            for fy, wy in zip(fit_rates, weight_rates)]
+        assert_rows_equal_one_series_builds(fit_x, fit_rates, weight_x, weight_rates)
+
+    @pytest.mark.parametrize("n_weight", [1, 3, 4, 5, 6, 7, 14])
+    def test_inadmissible_forms_and_null_fallback(self, n_weight):
+        # n_weight <= k + 1 drops a form; at 3 and below only the null
+        # fallback with an infinite criterion is left.
+        rates = np.array([RATE, RATE[::-1], 0.5 * RATE + 0.01 * np.sin(GDP)])
+        table = assert_rows_equal_one_series_builds(GDP, rates, GDP[:n_weight],
+                                                    rates[:, :n_weight])
+        forms = [f for f in FORM_ORDER if n_weight > PARAM_COUNT[f] + 1] or [ModelForm.NULL]
+        for row in range(len(rates)):
+            ensemble = table.ensemble(row)
+            assert [m.form for m in ensemble.members] == forms
+            assert (ensemble.members[0].aicc == math.inf) == (n_weight <= 3)
 
     def test_country_series_in_several_samples(self, tmp_path, monkeypatch):
         # AAA's 15-19 series loses its first year and its 20-24 series its
@@ -340,18 +414,21 @@ class TestBuildEnsembles:
         assert_built_per_series(dataset, "AAA", ["BBB"], built)
 
     def test_warm_cache_holding_part_of_the_keys(self, tiny_dataset):
+        donor_sets = [("AAA", ["BBB"]), ("AAA", []), ("BBB", [])]
         cold: dict = {}
-        expected = build_country_ensembles(tiny_dataset, "AAA", ["BBB"], cache=cold)
-        assert_built_per_series(tiny_dataset, "AAA", ["BBB"], expected)
-        warm = {key: cold[key] for key in list(cold)[::3]}
+        expected = [build_country_ensembles(tiny_dataset, iso3, donors, cache=cold)
+                    for iso3, donors in donor_sets]
+        assert_built_per_series(tiny_dataset, "AAA", ["BBB"], expected[0])
+        warm = {key: cold[key] for key in list(cold)[::2]}
         held = dict(warm)
-        built = build_country_ensembles(tiny_dataset, "AAA", ["BBB"], cache=warm)
-        assert built == expected
-        assert warm == cold
-        for key, ensemble in held.items():
-            assert warm[key] is ensemble
-        assert all(built.fertility[band] is warm[("AAA", ("BBB",), "Fertility", band, None)]
-                   for band in FERTILE_BANDS)
+        built = [build_country_ensembles(tiny_dataset, iso3, donors, cache=warm)
+                 for iso3, donors in donor_sets]
+        for got, want in zip(built, expected):
+            assert got.fertility == want.fertility and got.mortality == want.mortality
+        assert warm.keys() == cold.keys()
+        for key, ensembles in held.items():
+            assert warm[key] is ensembles
+        assert built[0] is held[("AAA", ("BBB",))]
 
     def test_weight_rows_must_match(self):
         with pytest.raises(ValueError):
