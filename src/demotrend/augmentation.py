@@ -95,29 +95,37 @@ def build_augmented_series(target: str, donors, variable: Variable, age_group: s
     target_pairs = _annual_pairs(dataset, target, variable, age_group, sex, TARGET_WINDOW)
     if target_pairs is None:
         raise NoTargetData(f"{target}: no usable {variable.value} history for {age_group}")
-    fit_gdp = [target_pairs[0]]
-    fit_rate = [target_pairs[1]]
-    for donor in donors:
-        pairs = _annual_pairs(dataset, donor, variable, age_group, sex, DONOR_WINDOW)
-        if pairs is None:
-            continue
-        fit_gdp.append(pairs[0])
-        fit_rate.append(pairs[1])
-    return AugmentedSeries(fit_gdp=np.concatenate(fit_gdp),
-                           fit_rate=np.concatenate(fit_rate),
+    donor_pairs = [_annual_pairs(dataset, donor, variable, age_group, sex, DONOR_WINDOW)
+                   for donor in donors]
+    fit_gdp, fit_rate = (np.concatenate(arrays) for arrays in zip(
+        target_pairs, *(pairs for pairs in donor_pairs if pairs is not None)))
+    return AugmentedSeries(fit_gdp=fit_gdp, fit_rate=fit_rate,
                            weight_gdp=target_pairs[0].copy(),
                            weight_rate=target_pairs[1].copy())
 
 
 def _annual_pairs(dataset, iso3, variable, age_group, sex, window):
-    rate_years, rate_values = dataset.rate_series(iso3, variable, age_group, sex)
-    gdp_years, gdp_values = dataset.gdp_hist_series(iso3)
-    if rate_years.size == 0 or gdp_years.size == 0:
+    """One country's annual (GDP, rate) arrays inside ``window``, or None; memoized,
+    read-only, on the dataset by the rate series read and the window, so Female
+    and Male mortality that fall back to the Both rows share an entry."""
+    series = dataset.rate_key(iso3, variable, age_group, sex)
+    key = ("annual_pairs", series, window)
+    if series is not None and key not in dataset.memo:
+        dataset.memo[key] = _interpolated(dataset.rate_index[series],
+                                          dataset.gdp_hist_series(iso3), window)
+    return dataset.memo.get(key)
+
+
+def _interpolated(rate_series, gdp_series, window):
+    (rate_years, rate_values), (gdp_years, gdp_values) = rate_series, gdp_series
+    if gdp_years.size == 0:
         return None
     lo = int(max(window[0], rate_years[0], gdp_years[0]))
     hi = int(min(window[1], rate_years[-1], gdp_years[-1]))
     if hi < lo:
         return None
     years = np.arange(lo, hi + 1, dtype=float)
-    return (np.interp(years, gdp_years, gdp_values),
-            np.interp(years, rate_years, rate_values))
+    pairs = (np.interp(years, gdp_years, gdp_values), np.interp(years, rate_years, rate_values))
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs

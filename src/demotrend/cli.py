@@ -7,7 +7,6 @@ byte-identical files regardless of the worker count.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -92,13 +91,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        _validate_scenario_token(config.scenario)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        run(config)
+        run(_config_from_args(args))
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -113,10 +106,11 @@ def main(argv=None) -> int:
 
 def run(config: RunConfig) -> list[Path]:
     """Execute one full projection run; returns the written paths."""
+    spec = _validate_scenario_token(config.scenario)
     dataset = load_dataset(config.data_dir)
     for rejection in dataset.rejections:
         print(f"warning: {rejection}", file=sys.stderr)
-    scenario_list = _build_scenarios(dataset, config)
+    scenario_list = _build_scenarios(dataset, spec, config.horizon)
     if not scenario_list:
         raise UsageError(f"scenario {config.scenario!r} produced no scenarios")
     countries = sorted(c.iso3 for c in dataset.countries)
@@ -131,6 +125,8 @@ def run(config: RunConfig) -> list[Path]:
                              dump_donors=config.dump_donors,
                              dump_ensembles=config.dump_ensembles)
     if config.jobs > 1 and len(countries) > 1:
+        import concurrent.futures  # only worker pools need it: keeps start-up short
+
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(config.jobs, len(countries)),
                 initializer=_init_worker, initargs=(payload,)) as pool:
@@ -149,10 +145,9 @@ def run(config: RunConfig) -> list[Path]:
         donor_lines.extend(donors)
         ensemble_lines.extend(ensembles)
 
-    record_map = {c.iso3: c for c in dataset.countries}
     scopes = scopes_for(config.aggregate, dataset)
     aggregates = {
-        sid: [aggregate(country_totals[sid], scope, record_map, sid, BASE_YEAR)
+        sid: [aggregate(country_totals[sid], scope, dataset.country_map, sid, BASE_YEAR)
               for scope in scopes]
         for sid in scenario_ids
     }
@@ -188,13 +183,9 @@ def _project_one(iso3: str):
     dataset = p.dataset
     base = dataset.base_population(iso3)
     base_state = PopulationState(iso3=iso3, year=base.year, counts=base.counts.copy())
-    candidates = {}
-    for other in p.country_order:
-        if other == iso3:
-            continue
-        series = dataset.gdp_hist_series(other)
-        if series[0].size:
-            candidates[other] = series
+    # select_donors skips a country without GDP rows in its window.
+    candidates = {other: dataset.gdp_hist_series(other)
+                  for other in p.country_order if other != iso3}
     cache: dict = {}
     dumped: dict[tuple, list[str]] = {}  # ensembles.csv cells per donor set
     totals: dict[str, np.ndarray] = {}
@@ -279,28 +270,54 @@ def _write_manifest(config: RunConfig, out: Path) -> Path:
     return path
 
 
-def _validate_scenario_token(token: str) -> None:
-    if token in ("baseline", "convergence", "sweep"):
-        return
+@dataclass(frozen=True)
+class Baseline:
+    """``baseline``: each country's baseline GDP pathway."""
+
+
+@dataclass(frozen=True)
+class Multiplier:
+    """``m:<m>``: baseline growth rates scaled by ``m``."""
+    m: float
+
+
+@dataclass(frozen=True)
+class Convergence:
+    """``convergence``: steady convergence to the target GDP by 2100."""
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """``sweep[:<from>:<to>:<step>]``: one multiplier scenario per step."""
+    m_from: float = 0.0
+    m_to: float = 2.0
+    step: float = 0.1
+
+
+def _validate_scenario_token(token: str) -> Baseline | Multiplier | Convergence | Sweep:
+    """The ``--scenario`` token parsed into its spec; a bad token is a ``UsageError``."""
+    named = {"baseline": Baseline(), "convergence": Convergence(), "sweep": Sweep()}
+    if token in named:
+        return named[token]
     if token.startswith("m:"):
         value = _parse_float_token(token[2:], "multiplier")
         if value < 0.0:
             raise UsageError(f"multiplier must be non-negative, got {value}")
-        return
+        return Multiplier(value)
     if token.startswith("sweep:"):
         parts = token.split(":")
         if len(parts) != 4:
             raise UsageError("sweep takes exactly sweep:<from>:<to>:<step>")
-        m_from = _parse_float_token(parts[1], "sweep start")
-        m_to = _parse_float_token(parts[2], "sweep end")
-        step = _parse_float_token(parts[3], "sweep step")
-        if m_from < 0.0:
+        spec = Sweep(_parse_float_token(parts[1], "sweep start"),
+                     _parse_float_token(parts[2], "sweep end"),
+                     _parse_float_token(parts[3], "sweep step"))
+        if spec.m_from < 0.0:
             raise UsageError("sweep start must be non-negative")
-        if step <= 0.0:
+        if spec.step <= 0.0:
             raise UsageError("sweep step must be positive")
-        if sweep_count(m_from, m_to, step) > MAX_SWEEP_SCENARIOS:
+        if sweep_count(spec.m_from, spec.m_to, spec.step) > MAX_SWEEP_SCENARIOS:
             raise UsageError(f"sweep would run more than {MAX_SWEEP_SCENARIOS} scenarios")
-        return
+        return spec
     raise UsageError(f"unrecognized scenario {token!r}; expected baseline, "
                      f"m:<value>, convergence, or sweep[:<from>:<to>:<step>]")
 
@@ -323,27 +340,20 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _build_scenarios(dataset: Dataset, config: RunConfig):
-    token = config.scenario
-    start, end = BASE_YEAR, config.horizon
-    if token == "baseline":
-        return [("baseline", build_baselines(dataset, start, end))]
-    if token == "convergence":
-        baselines = build_baselines(dataset, start, end)
-        pathways = {iso3: convergence_pathway(iso3, base.gdp(start), start=start, end=end)
-                    for iso3, base in baselines.items()}
-        return [("convergence", pathways)]
-    if token.startswith("m:"):
-        m = float(token[2:])
-        baselines = build_baselines(dataset, start, end)
-        pathways = {iso3: multiplier_pathway(base, m) for iso3, base in baselines.items()}
-        return [(scenario_label(m), pathways)]
-    parts = token.split(":")
-    if parts[0] == "sweep":
-        m_from, m_to, step = (0.0, 2.0, 0.1) if len(parts) == 1 else (
-            float(parts[1]), float(parts[2]), float(parts[3]))
-        return sweep(dataset, m_from, m_to, step, start=start, end=end)
-    raise UsageError(f"unrecognized scenario {token!r}")
+def _build_scenarios(dataset: Dataset, spec, horizon: int):
+    """(scenario id, pathways by iso3) for each scenario of ``spec``."""
+    start, end = BASE_YEAR, horizon
+    if isinstance(spec, Sweep):
+        return sweep(dataset, spec.m_from, spec.m_to, spec.step, start=start, end=end)
+    baselines = build_baselines(dataset, start, end)
+    if isinstance(spec, Baseline):
+        return [("baseline", baselines)]
+    if isinstance(spec, Convergence):
+        return [("convergence", {iso3: convergence_pathway(iso3, base.gdp(start),
+                                                           start=start, end=end)
+                                 for iso3, base in baselines.items()})]
+    return [(scenario_label(spec.m),
+             {iso3: multiplier_pathway(base, spec.m) for iso3, base in baselines.items()})]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,14 +10,18 @@ Input directory layout::
 
 Loading is strict about schema and value ranges but tolerant of rows whose
 iso3 code is not in the country register: those rows are dropped and
-reported as diagnostics rather than aborting the load. Observation series
-are stored raw; interpolation between observed years is the consumer's job.
+reported as diagnostics rather than aborting the load. Each file is checked
+a whole column at a time, and the error on its earliest bad line is
+reported. Observation series are stored raw, as (years, values) arrays;
+interpolation between observed years is the consumer's job.
 """
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,9 @@ HEADERS = {
 RATE_YEAR_MIN = 1950
 RATE_YEAR_MAX = 2015
 
+Series = tuple[np.ndarray, np.ndarray]  # (years, values) as float arrays, oldest first
+RateRow = namedtuple("RateRow", "iso3 year variable age_group sex rate")
+
 
 @dataclass(frozen=True)
 class CountryRecord:
@@ -53,23 +60,6 @@ class CountryRecord:
     name: str
     income_group: IncomeGroup
     region: Region
-
-
-@dataclass(frozen=True)
-class RateObservation:
-    iso3: str
-    year: int
-    variable: Variable
-    age_group: str
-    sex: Sex
-    rate: float
-
-
-@dataclass(frozen=True)
-class GdpObservation:
-    iso3: str
-    year: int
-    gdp_pc: float
 
 
 @dataclass(eq=False)
@@ -83,116 +73,149 @@ class BasePopulation:
 
 @dataclass(eq=False)
 class Dataset:
+    """The validated inputs. ``rate_index`` is keyed by (iso3, variable, age
+    band, sex), the other indexes by iso3; ``memo`` holds what consumers
+    derive from the series, once per dataset."""
+
     countries: list[CountryRecord]
-    rates: list[RateObservation]
-    gdp_hist: list[GdpObservation]
-    gdp_baseline: list[GdpObservation]
-    base_pop: list[BasePopulation]
+    rate_index: dict[tuple, Series]
+    gdp_hist_index: dict[str, Series]
+    gdp_baseline_index: dict[str, Series]
+    base_pop_index: dict[str, BasePopulation]
     rejections: list[UnknownCountry] = field(default_factory=list)
+    memo: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def country_map(self) -> dict[str, CountryRecord]:
         return {c.iso3: c for c in self.countries}
 
     @cached_property
-    def _rate_index(self) -> dict[tuple, tuple[np.ndarray, np.ndarray]]:
-        grouped: dict[tuple, list[tuple[int, float]]] = {}
-        for r in self.rates:
-            key = (r.iso3, r.variable, r.age_group, r.sex)
-            grouped.setdefault(key, []).append((r.year, r.rate))
-        index = {}
-        for key, pairs in grouped.items():
-            pairs.sort()
-            years = np.array([p[0] for p in pairs], dtype=float)
-            values = np.array([p[1] for p in pairs], dtype=float)
-            index[key] = (years, values)
-        return index
-
-    @cached_property
-    def _gdp_hist_index(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        return _group_gdp(self.gdp_hist)
-
-    @cached_property
-    def _gdp_baseline_index(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        return _group_gdp(self.gdp_baseline)
-
-    @cached_property
-    def _base_pop_index(self) -> dict[str, BasePopulation]:
-        return {b.iso3: b for b in self.base_pop}
-
-    @cached_property
     def sexed_mortality(self) -> frozenset[tuple[str, str]]:
-        """The (iso3, age band) pairs with sex-specific mortality rows.
-
-        Female and Male mortality of any other pair resolve to the same
-        rows: the Both rows, or none.
-        """
-        return frozenset((iso3, band) for iso3, variable, band, sex in self._rate_index
+        """The (iso3, age band) pairs with sex-specific mortality rows; Female and
+        Male mortality of any other pair resolve to the same rows (Both, or none)."""
+        return frozenset((iso3, band) for iso3, variable, band, sex in self.rate_index
                          if variable is Variable.MORTALITY and sex is not Sex.BOTH)
 
     @property
     def has_sexed_mortality(self) -> bool:
         return bool(self.sexed_mortality)
 
-    def rate_series(self, iso3: str, variable: Variable, age_group: str,
-                    sex: Sex | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Observed (years, rates) for one series, oldest first.
+    @property
+    def rates(self) -> list[RateRow]:
+        """Every rate observation, series by series (for inspection only)."""
+        return [RateRow(iso3, year, variable, band, sex, rate)
+                for (iso3, variable, band, sex), (years, values) in self.rate_index.items()
+                for year, rate in zip(years.astype(int).tolist(), values.tolist())]
 
-        Fertility is always Female-denominated regardless of ``sex``. For
-        mortality, sex-specific observations are preferred and Both-sex
-        observations are the fallback shared by both sexes.
-        """
+    def rate_key(self, iso3: str, variable: Variable, age_group: str,
+                 sex: Sex | None = None) -> tuple | None:
+        """The ``rate_index`` key that ``rate_series`` reads, or None if it has no rows.
+        Fertility is always Female-denominated; for mortality, sex-specific rows are
+        preferred and the Both rows are the fallback shared by both sexes."""
         if variable is Variable.FERTILITY:
-            return self._rate_index.get((iso3, variable, age_group, Sex.FEMALE),
-                                        _EMPTY_SERIES)
-        if sex is not None and sex is not Sex.BOTH:
-            found = self._rate_index.get((iso3, variable, age_group, sex))
-            if found is not None:
-                return found
-        return self._rate_index.get((iso3, variable, age_group, Sex.BOTH),
-                                    _EMPTY_SERIES)
+            sex = Sex.FEMALE
+        elif (iso3, variable, age_group, sex) not in self.rate_index:
+            sex = Sex.BOTH
+        key = (iso3, variable, age_group, sex)
+        return key if key in self.rate_index else None
 
-    def gdp_hist_series(self, iso3: str) -> tuple[np.ndarray, np.ndarray]:
-        return self._gdp_hist_index.get(iso3, _EMPTY_SERIES)
+    def rate_series(self, iso3: str, variable: Variable, age_group: str,
+                    sex: Sex | None = None) -> Series:
+        """Observed (years, rates) for one series, oldest first (see ``rate_key``)."""
+        return self.rate_index.get(self.rate_key(iso3, variable, age_group, sex),
+                                   _EMPTY_SERIES)
 
-    def gdp_baseline_series(self, iso3: str) -> tuple[np.ndarray, np.ndarray]:
-        return self._gdp_baseline_index.get(iso3, _EMPTY_SERIES)
+    def gdp_hist_series(self, iso3: str) -> Series:
+        return self.gdp_hist_index.get(iso3, _EMPTY_SERIES)
+
+    def gdp_baseline_series(self, iso3: str) -> Series:
+        return self.gdp_baseline_index.get(iso3, _EMPTY_SERIES)
 
     def base_population(self, iso3: str) -> BasePopulation | None:
-        return self._base_pop_index.get(iso3)
+        return self.base_pop_index.get(iso3)
 
 
 _EMPTY_SERIES = (np.array([], dtype=float), np.array([], dtype=float))
-
-
-def _group_gdp(observations) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    grouped: dict[str, list[tuple[int, float]]] = {}
-    for g in observations:
-        grouped.setdefault(g.iso3, []).append((g.year, g.gdp_pc))
-    index = {}
-    for iso3, pairs in grouped.items():
-        pairs.sort()
-        index[iso3] = (np.array([p[0] for p in pairs], dtype=float),
-                       np.array([p[1] for p in pairs], dtype=float))
-    return index
+_MEMBER = {e.value: e for e in (*Variable, *Sex)}  # enum member by cell text
+_SEX_COLUMN = {sex.value: col for col, sex in enumerate(SEX_COLUMNS)}
 
 
 def load_dataset(data_dir) -> Dataset:
-    """Read, validate, and cross-reference the five input files."""
+    """Read, validate, and cross-reference the five input files, in that order."""
     root = Path(data_dir)
-    countries = _load_countries(root)
-    known = {c.iso3 for c in countries}
-    rejections: list[UnknownCountry] = []
-    rates = _load_rates(root, known, rejections)
-    gdp_hist = _load_gdp(root, "gdp_hist.csv", known, rejections)
-    gdp_baseline = _load_gdp(root, "gdp_baseline.csv", known, rejections)
-    base_pop = _load_base_pop(root, known, rejections)
-    return Dataset(countries=countries, rates=rates, gdp_hist=gdp_hist,
-                   gdp_baseline=gdp_baseline, base_pop=base_pop,
-                   rejections=rejections)
+    countries = _load_countries(_Rows(root, "countries.csv"))
+    known, rejections = {c.iso3 for c in countries}, []
+    indexes = [load(_Rows(root, name, known, rejections)) for load, name in (
+        (_load_rates, "rates.csv"), (_load_gdp, "gdp_hist.csv"),
+        (_load_gdp, "gdp_baseline.csv"), (_load_base_pop, "base_pop.csv"))]
+    return Dataset(countries, *indexes, rejections=rejections)
 
 
-def _open_rows(root: Path, name: str):
+class _Rows:
+    """The data rows of one file as columns, less the rows of countries
+    outside ``known`` (added to ``rejections`` in file order). Each ``check``
+    flags the rows failing one rule; ``raise_first`` raises the failure on
+    the earliest row, and on that row the failure of the first check made.
+    """
+
+    def __init__(self, root: Path, name: str, known: set[str] | None = None,
+                 rejections: list[UnknownCountry] | None = None):
+        self.name = name
+        lines, rows = _read(root, name)
+        if known is not None:
+            keep = [row[0] in known for row in rows]
+            if not all(keep):
+                rejections.extend(UnknownCountry(name, line, row[0])
+                                  for line, row, kept in zip(lines, rows, keep) if not kept)
+                lines, rows = list(compress(lines, keep)), list(compress(rows, keep))
+        self.lines = lines
+        self.columns = list(zip(*rows)) if rows else [()] * len(HEADERS[name])
+        self._first = None  # (row, exception) of the earliest failure
+
+    def check(self, bad, reason: str, *cells, error=SchemaViolation) -> None:
+        """Flag the rows where ``bad`` is true. The failure of row i is
+        ``error(file, line, reason.format(*(cell[i] for cell in cells)))``,
+        where a cell may also be a function of i."""
+        hits = np.flatnonzero(bad)
+        if hits.size and (self._first is None or hits[0] < self._first[0]):
+            i = int(hits[0])
+            values = [cell(i) if callable(cell) else cell[i] for cell in cells]
+            self._first = (i, error(self.name, self.lines[i], reason.format(*values)))
+
+    def raise_first(self) -> None:
+        if self._first is not None:
+            raise self._first[1]
+
+    def parsed(self, j: int, convert, wanted: str) -> list:
+        """Column ``j`` converted cell by cell; a cell that fails reads as 0."""
+        column = self.columns[j]
+        try:
+            return list(map(convert, column))
+        except ValueError:
+            values = [_converted(convert, text) for text in column]
+            self.check([v is None for v in values],
+                       f"{HEADERS[self.name][j]} must be {wanted}, got {{!r}}", column)
+            return [0 if v is None else v for v in values]
+
+    def floats(self, j: int) -> np.ndarray:
+        values = np.array(self.parsed(j, float, "numeric"), dtype=float)
+        self.check(~np.isfinite(values), f"{HEADERS[self.name][j]} must be finite, got {{!r}}",
+                   self.columns[j])
+        return values
+
+    def member(self, j: int, allowed, reason: str) -> None:
+        """Check that column ``j`` holds only ``allowed`` values."""
+        if not set(self.columns[j]).issubset(allowed):
+            self.check([text not in allowed for text in self.columns[j]], reason, self.columns[j])
+
+    def enum(self, j: int, enum_cls) -> None:
+        values = [e.value for e in enum_cls]
+        self.member(j, values, f"{HEADERS[self.name][j]} must be one of {', '.join(values)}, "
+                               "got {!r}")
+
+
+def _read(root: Path, name: str) -> tuple[list[int], list[list[str]]]:
+    """The non-blank data rows of one file and the physical line each ends on."""
     path = root / name
     if not path.is_file():
         raise MissingFile(path)
@@ -206,156 +229,113 @@ def _open_rows(root: Path, name: str):
             raise SchemaViolation(name, 1,
                                   f"expected header {','.join(HEADERS[name])!r}, "
                                   f"got {','.join(header)!r}")
-        rows = []
+        lines, rows = [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise SchemaViolation(name, reader.line_num,
                                       f"expected {len(header)} fields, got {len(row)}")
-            rows.append((reader.line_num, row))
+            lines.append(reader.line_num)
+            rows.append(row)
     if not rows:
         raise SchemaViolation(name, 0, "file contains no data rows")
-    return rows
+    return lines, rows
 
 
-def _parse_int(name, line, text, label) -> int:
+def _converted(convert, text):
     try:
-        return int(text)
+        return convert(text)
     except ValueError:
-        raise SchemaViolation(name, line, f"{label} must be an integer, got {text!r}") from None
+        return None
 
 
-def _parse_float(name, line, text, label) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise SchemaViolation(name, line, f"{label} must be numeric, got {text!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise SchemaViolation(name, line, f"{label} must be finite, got {text!r}")
-    return value
+def _repeats(keys) -> np.ndarray:
+    """Mask of the rows whose key already occurred on an earlier row."""
+    first: dict = {}
+    seen = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.int64)
+    return seen != np.arange(seen.size)
 
 
-def _parse_enum(name, line, text, enum_cls, label):
-    try:
-        return enum_cls(text)
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise SchemaViolation(name, line,
-                              f"{label} must be one of {allowed}, got {text!r}") from None
+def _series(keys, years: np.ndarray, values: np.ndarray) -> dict[tuple, Series]:
+    """(years, values) per key, oldest first; keys in order of first appearance."""
+    ids: dict = {}
+    sid = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.int64)
+    order = np.lexsort((years, sid))
+    years, values = years[order], values[order]
+    ends = np.cumsum(np.bincount(sid, minlength=len(ids))).tolist()
+    return {key: (years[a:b], values[a:b]) for key, a, b in zip(ids, [0, *ends], ends)}
 
 
-def _load_countries(root: Path) -> list[CountryRecord]:
-    name = "countries.csv"
-    records = []
-    seen: set[str] = set()
-    for line, row in _open_rows(root, name):
-        iso3, country_name, income, region = row
-        if not iso3:
-            raise SchemaViolation(name, line, "iso3 must be non-empty")
-        if iso3 in seen:
-            raise SchemaViolation(name, line, f"duplicate iso3 {iso3!r}")
-        seen.add(iso3)
-        records.append(CountryRecord(
-            iso3=iso3, name=country_name,
-            income_group=_parse_enum(name, line, income, IncomeGroup, "income_group"),
-            region=_parse_enum(name, line, region, Region, "region")))
-    return records
+def _load_countries(rows: _Rows) -> list[CountryRecord]:
+    iso3, names, income, region = rows.columns
+    rows.check([not code for code in iso3], "iso3 must be non-empty")
+    rows.check(_repeats(iso3), "duplicate iso3 {!r}", iso3)
+    rows.enum(2, IncomeGroup)
+    rows.enum(3, Region)
+    rows.raise_first()
+    return [CountryRecord(iso3=code, name=name, income_group=IncomeGroup(group),
+                          region=Region(area))
+            for code, name, group, area in zip(iso3, names, income, region)]
 
 
-def _load_rates(root: Path, known: set[str],
-                rejections: list[UnknownCountry]) -> list[RateObservation]:
-    name = "rates.csv"
-    out = []
-    seen: set[tuple] = set()
-    for line, row in _open_rows(root, name):
-        iso3, year_s, variable_s, age_group, sex_s, rate_s = row
-        if iso3 not in known:
-            rejections.append(UnknownCountry(name, line, iso3))
-            continue
-        year = _parse_int(name, line, year_s, "year")
-        if not RATE_YEAR_MIN <= year <= RATE_YEAR_MAX:
-            raise SchemaViolation(name, line,
-                                  f"year must lie in {RATE_YEAR_MIN}-{RATE_YEAR_MAX}, got {year}")
-        variable = _parse_enum(name, line, variable_s, Variable, "variable")
-        sex = _parse_enum(name, line, sex_s, Sex, "sex")
-        if age_group not in AGE_INDEX:
-            raise SchemaViolation(name, line, f"unknown age_group {age_group!r}")
-        rate = _parse_float(name, line, rate_s, "rate")
-        if rate < 0.0:
-            raise SchemaViolation(name, line, f"rate must be non-negative, got {rate}")
-        if variable is Variable.MORTALITY and rate > 1.0:
-            raise SchemaViolation(name, line,
-                                  f"mortality rate is a probability in [0, 1], got {rate}")
-        if variable is Variable.FERTILITY:
-            if age_group not in FERTILE_BANDS:
-                raise SchemaViolation(name, line,
-                                      f"fertility age_group must lie in 15-44, got {age_group!r}")
-            if sex is not Sex.FEMALE:
-                raise SchemaViolation(name, line, "fertility rows must have sex=Female")
-        key = (iso3, year, variable, age_group, sex)
-        if key in seen:
-            raise SchemaViolation(name, line, f"duplicate observation {key}")
-        seen.add(key)
-        out.append(RateObservation(iso3=iso3, year=year, variable=variable,
-                                   age_group=age_group, sex=sex, rate=rate))
-    return out
+def _load_rates(rows: _Rows) -> dict[tuple, Series]:
+    iso3, _, variable, band, sex, _ = rows.columns
+    years = rows.parsed(1, int, "an integer")
+    rows.check([not RATE_YEAR_MIN <= year <= RATE_YEAR_MAX for year in years],
+               f"year must lie in {RATE_YEAR_MIN}-{RATE_YEAR_MAX}, got {{}}", years)
+    rows.enum(2, Variable)
+    rows.enum(4, Sex)
+    rows.member(3, AGE_INDEX, "unknown age_group {!r}")
+    rate = rows.floats(5)
+    rows.check(rate < 0.0, "rate must be non-negative, got {}", rate.item)
+    fertility = np.array([text == "Fertility" for text in variable], dtype=bool)
+    rows.check(~fertility & (rate > 1.0),
+               "mortality rate is a probability in [0, 1], got {}", rate.item)
+    rows.check(fertility & np.array([text not in FERTILE_BANDS for text in band], dtype=bool),
+               "fertility age_group must lie in 15-44, got {!r}", band)
+    rows.check(fertility & np.array([text != "Female" for text in sex], dtype=bool),
+               "fertility rows must have sex=Female")
+    rows.check(_repeats(zip(iso3, years, variable, band, sex)), "duplicate observation {}",
+               lambda i: (iso3[i], years[i], _MEMBER[variable[i]], band[i], _MEMBER[sex[i]]))
+    rows.raise_first()
+    series = _series(zip(iso3, variable, band, sex), np.array(years, dtype=float), rate)
+    return {(code, _MEMBER[v], b, _MEMBER[s]): pair for (code, v, b, s), pair in series.items()}
 
 
-def _load_gdp(root: Path, name: str, known: set[str],
-              rejections: list[UnknownCountry]) -> list[GdpObservation]:
-    out = []
-    seen: set[tuple] = set()
-    for line, row in _open_rows(root, name):
-        iso3, year_s, gdp_s = row
-        if iso3 not in known:
-            rejections.append(UnknownCountry(name, line, iso3))
-            continue
-        year = _parse_int(name, line, year_s, "year")
-        gdp = _parse_float(name, line, gdp_s, "gdp_pc")
-        if gdp <= 0.0:
-            raise NonPositiveGdp(f"gdp_pc must be positive, got {gdp}", file=name, line=line)
-        if (iso3, year) in seen:
-            raise SchemaViolation(name, line, f"duplicate observation ({iso3}, {year})")
-        seen.add((iso3, year))
-        out.append(GdpObservation(iso3=iso3, year=year, gdp_pc=gdp))
-    return out
+def _load_gdp(rows: _Rows) -> dict[str, Series]:
+    iso3 = rows.columns[0]
+    years = rows.parsed(1, int, "an integer")
+    gdp = rows.floats(2)
+    rows.check(gdp <= 0.0, "gdp_pc must be positive, got {}", gdp.item,
+               error=lambda file, line, reason: NonPositiveGdp(reason, file=file, line=line))
+    rows.check(_repeats(zip(iso3, years)), "duplicate observation ({}, {})", iso3, years)
+    rows.raise_first()
+    return _series(iso3, np.array(years, dtype=float), gdp)
 
 
-def _load_base_pop(root: Path, known: set[str],
-                   rejections: list[UnknownCountry]) -> list[BasePopulation]:
-    name = "base_pop.csv"
-    cells: dict[str, np.ndarray] = {}
-    filled: dict[str, set[tuple[str, Sex]]] = {}
-    for line, row in _open_rows(root, name):
-        iso3, year_s, age_group, sex_s, count_s = row
-        if iso3 not in known:
-            rejections.append(UnknownCountry(name, line, iso3))
-            continue
-        year = _parse_int(name, line, year_s, "year")
-        if year != BASE_YEAR:
-            raise SchemaViolation(name, line, f"base year must be {BASE_YEAR}, got {year}")
-        if age_group not in AGE_INDEX:
-            raise SchemaViolation(name, line, f"unknown age_group {age_group!r}")
-        sex = _parse_enum(name, line, sex_s, Sex, "sex")
-        if sex is Sex.BOTH:
-            raise SchemaViolation(name, line, "base population rows must be sex-specific")
-        count = _parse_float(name, line, count_s, "count")
-        if count < 0.0:
-            raise SchemaViolation(name, line, f"count must be non-negative, got {count}")
-        cell = (age_group, sex)
-        marks = filled.setdefault(iso3, set())
-        if cell in marks:
-            raise SchemaViolation(name, line, f"duplicate cell {iso3}/{age_group}/{sex.value}")
-        marks.add(cell)
-        counts = cells.setdefault(iso3, np.zeros((len(AGE_BANDS), 2)))
-        counts[AGE_INDEX[age_group], SEX_COLUMNS.index(sex)] = count
-    for iso3 in sorted(cells):
-        missing = [(band, sex.value) for band in AGE_BANDS for sex in SEX_COLUMNS
-                   if (band, sex) not in filled[iso3]]
+def _load_base_pop(rows: _Rows) -> dict[str, BasePopulation]:
+    iso3, _, band, sex, _ = rows.columns
+    years = rows.parsed(1, int, "an integer")
+    rows.check([year != BASE_YEAR for year in years], f"base year must be {BASE_YEAR}, got {{}}",
+               years)
+    rows.member(2, AGE_INDEX, "unknown age_group {!r}")
+    rows.enum(3, Sex)
+    rows.check([text == "Both" for text in sex], "base population rows must be sex-specific")
+    count = rows.floats(4)
+    rows.check(count < 0.0, "count must be non-negative, got {}", count.item)
+    rows.check(_repeats(zip(iso3, band, sex)), "duplicate cell {}/{}/{}", iso3, band, sex)
+    rows.raise_first()
+
+    names = sorted(set(iso3))
+    counts = np.full((len(names), len(AGE_BANDS), 2), np.nan)  # NaN marks a missing cell
+    counts[np.searchsorted(names, iso3), [AGE_INDEX[b] for b in band],
+           [_SEX_COLUMN[s] for s in sex]] = count
+    for code, grid in zip(names, counts):
+        missing = [(AGE_BANDS[b], SEX_COLUMNS[s].value) for b, s in np.argwhere(np.isnan(grid))]
         if missing:
-            raise SchemaViolation(name, 0,
-                                  f"{iso3}: missing cohort cells {missing[:4]}"
+            raise SchemaViolation(rows.name, 0,
+                                  f"{code}: missing cohort cells {missing[:4]}"
                                   f"{' ...' if len(missing) > 4 else ''}")
-    return [BasePopulation(iso3=iso3, year=BASE_YEAR, counts=cells[iso3])
-            for iso3 in sorted(cells)]
+    return {code: BasePopulation(iso3=code, year=BASE_YEAR, counts=grid)
+            for code, grid in zip(names, counts)}

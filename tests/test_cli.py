@@ -1,14 +1,24 @@
 import hashlib
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demotrend.cli import UsageError, _validate_scenario_token
+from demotrend.cli import (
+    Baseline,
+    Convergence,
+    Multiplier,
+    Sweep,
+    UsageError,
+    _validate_scenario_token,
+)
 
 from conftest import TINY, minimal_rows, run_cli, write_rows
 
@@ -186,6 +196,15 @@ class TestDeterminism:
             assert (tmp_path / "default" / name).read_bytes() == \
                 (tmp_path / "one" / name).read_bytes(), name
 
+    def test_import_leaves_worker_pools_unloaded(self):
+        """Single-job runs never pay for importing ``concurrent.futures``."""
+        script = ("import sys\n"
+                  "import demotrend.cli\n"
+                  "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+
     def test_worker_count_invisible(self, tmp_path):
         args = ["--data-dir", str(TINY), "--scenario", "sweep:0:2:1",
                 "--aggregate", "world,country", "--dump-donors",
@@ -263,6 +282,16 @@ class TestScenarioVariants:
         base_pop = [(r["scope"], r["year"], r["population"]) for r in base_rows]
         m1_pop = [(r["scope"], r["year"], r["population"]) for r in m1_rows]
         assert base_pop == m1_pop
+
+    def test_manifest_records_the_raw_token(self, tmp_path):
+        """The spec drives the run; the manifest keeps the token as typed."""
+        code, _, stderr = run_cli(["--data-dir", str(TINY), "--out", str(tmp_path / "m"),
+                                   "--scenario", "m:1e0", "--format", "csv"])
+        assert code == 0, stderr
+        manifest = json.loads((tmp_path / "m" / "run_manifest.json").read_text())
+        assert manifest["config"]["scenario"] == "m:1e0"
+        rows = read_csv(tmp_path / "m" / "trajectories.csv")
+        assert {r["scenario_id"] for r in rows} == {"m1.0"}
 
     def test_convergence_runs(self, tmp_path):
         code, _, stderr = run_cli(["--data-dir", str(TINY),
@@ -363,6 +392,30 @@ class TestUsageErrors:
 
     def test_largest_sweep_accepted_at_parse(self):
         _validate_scenario_token("sweep:0:999:1")
+
+    @pytest.mark.parametrize("token,spec", [
+        ("baseline", Baseline()),
+        ("convergence", Convergence()),
+        ("sweep", Sweep(0.0, 2.0, 0.1)),
+        ("sweep:0:2:0.5", Sweep(0.0, 2.0, 0.5)),
+        ("sweep:0.5:0.25:1", Sweep(0.5, 0.25, 1.0)),
+        ("m:1.5", Multiplier(1.5)),
+        ("m:0", Multiplier(0.0)),
+    ])
+    def test_token_parses_to_spec(self, token, spec):
+        assert _validate_scenario_token(token) == spec
+
+    def test_bad_token_rejected_before_reading_data(self, tmp_path):
+        code, _, stderr = run_cli(["--data-dir", str(tmp_path / "absent"),
+                                   "--out", str(tmp_path / "x"), "--scenario", "m:abc"])
+        assert code == 2
+        assert "multiplier must be numeric" in stderr
+
+    def test_empty_sweep_is_a_usage_error(self, tmp_path):
+        code, _, stderr = run_cli(["--data-dir", str(TINY), "--out", str(tmp_path / "x"),
+                                   "--scenario", "sweep:0.5:0.25:1"])
+        assert code == 2
+        assert "produced no scenarios" in stderr
 
     def test_missing_data_dir_flag(self, tmp_path):
         code, _, stderr = run_cli(["--out", str(tmp_path / "x")],

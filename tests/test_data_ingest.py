@@ -1,7 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demotrend.core import IncomeGroup, Region, Sex, Variable
+from demotrend.augmentation import DONOR_WINDOW, TARGET_WINDOW, build_augmented_series
+from demotrend.core import AGE_BANDS, FERTILE_BANDS, IncomeGroup, Region, Sex, Variable
 from demotrend.data_ingest import load_dataset
 from demotrend.errors import MissingFile, NonPositiveGdp, SchemaViolation
 
@@ -248,3 +254,364 @@ class TestValueValidation:
 
         with pytest.raises(SchemaViolation):
             load_mutated(tmp_path, mutate)
+
+
+def load_error(tmp_path, mutate):
+    with pytest.raises((SchemaViolation, NonPositiveGdp)) as err:
+        load_mutated(tmp_path, mutate)
+    return err.value
+
+
+RATES_END = len(minimal_rows()["rates.csv"]) + 1  # line of a row appended to rates.csv
+BASE_POP_END = len(minimal_rows()["base_pop.csv"]) + 1
+GDP_HIST_END = len(minimal_rows()["gdp_hist.csv"]) + 1
+
+
+class TestErrorLocation:
+    """The exception class, file, line and message of each ingest error.
+
+    Within a file, a row with the wrong number of fields is reported first;
+    otherwise the earliest bad line in file order is reported, and on that
+    line the first failing check (in rates.csv: year, variable, sex,
+    age_group, rate, rate range, fertility band and sex, duplicate key).
+    """
+
+    @pytest.mark.parametrize("bad_row,file,line,reason", [
+        ("AAA,1949,Fertility,20-24,Female,0.2", "rates.csv", RATES_END,
+         "year must lie in 1950-2015, got 1949"),
+        ("AAA,2016,Fertility,20-24,Female,0.2", "rates.csv", RATES_END,
+         "year must lie in 1950-2015, got 2016"),
+        ("AAA,1990,Fertility,20-24,Female,-0.1", "rates.csv", RATES_END,
+         "rate must be non-negative, got -0.1"),
+        ("AAA,1990,Fertility,10-14,Female,0.2", "rates.csv", RATES_END,
+         "fertility age_group must lie in 15-44, got '10-14'"),
+        ("AAA,1990,Fertility,45-49,Female,0.2", "rates.csv", RATES_END,
+         "fertility age_group must lie in 15-44, got '45-49'"),
+        ("AAA,1990,Fertility,20-24,Male,0.2", "rates.csv", RATES_END,
+         "fertility rows must have sex=Female"),
+        ("AAA,1990,Fertility,20-24,Both,0.2", "rates.csv", RATES_END,
+         "fertility rows must have sex=Female"),
+        ("AAA,1990,Births,20-24,Female,0.2", "rates.csv", RATES_END,
+         "variable must be one of Fertility, Mortality, got 'Births'"),
+        ("AAA,1990,Mortality,0-3,Both,0.05", "rates.csv", RATES_END,
+         "unknown age_group '0-3'"),
+        ("AAA,1990.5,Mortality,0-4,Both,0.05", "rates.csv", RATES_END,
+         "year must be an integer, got '1990.5'"),
+        ("AAA,1995,Mortality,0-4,Both,1.7", "rates.csv", RATES_END,
+         "mortality rate is a probability in [0, 1], got 1.7"),
+        ("AAA,2015,0-4,Neither,10", "base_pop.csv", BASE_POP_END,
+         "sex must be one of Female, Male, Both, got 'Neither'"),
+        ("AAA,2014,0-4,Female,10", "base_pop.csv", BASE_POP_END,
+         "base year must be 2015, got 2014"),
+        ("AAA,2015,0-4,Both,10", "base_pop.csv", BASE_POP_END,
+         "base population rows must be sex-specific"),
+        ("AAA,2015,0-4,Female,-1", "base_pop.csv", BASE_POP_END,
+         "count must be non-negative, got -1.0"),
+    ])
+    def test_invalid_row_located(self, tmp_path, bad_row, file, line, reason):
+        error = load_error(tmp_path, lambda rows: rows[file].append(bad_row))
+        assert type(error) is SchemaViolation
+        assert (error.file, error.line, error.reason) == (file, line, reason)
+        assert str(error) == f"{file}:{line}: {reason}"
+
+    @pytest.mark.parametrize("value,kind,reason", [
+        ("0", NonPositiveGdp, "gdp_pc must be positive, got 0.0"),
+        ("-5", NonPositiveGdp, "gdp_pc must be positive, got -5.0"),
+        ("nan", SchemaViolation, "gdp_pc must be finite, got 'nan'"),
+        ("inf", SchemaViolation, "gdp_pc must be finite, got 'inf'"),
+    ])
+    def test_bad_gdp_located(self, tmp_path, value, kind, reason):
+        error = load_error(tmp_path,
+                           lambda rows: rows["gdp_hist.csv"].append(f"AAA,2000,{value}"))
+        assert type(error) is kind
+        assert (error.file, error.line) == ("gdp_hist.csv", GDP_HIST_END)
+        assert str(error) == f"gdp_hist.csv:{GDP_HIST_END}: {reason}"
+
+    def test_earlier_of_two_bad_rows_reported(self, tmp_path):
+        """The earlier row wins even when its check comes later in check order."""
+        def mutate(rows):
+            rows["rates.csv"].insert(2, "AAA,1990,Fertility,20-24,Male,0.2")
+            rows["rates.csv"].append("AAA,19x0,Fertility,20-24,Female,0.2")
+
+        error = load_error(tmp_path, mutate)
+        assert (error.line, error.reason) == (3, "fertility rows must have sex=Female")
+
+    def test_first_check_of_a_row_wins(self, tmp_path):
+        error = load_error(tmp_path, lambda rows: rows["rates.csv"].append(
+            "AAA,1949,Births,20-24,Female,0.2"))
+        assert (error.line, error.reason) == (RATES_END, "year must lie in 1950-2015, got 1949")
+
+    def test_non_numeric_rate_located(self, tmp_path):
+        error = load_error(tmp_path, lambda rows: rows["rates.csv"].append(
+            "AAA,1995,Mortality,0-4,Both,high"))
+        assert (error.line, error.reason) == (RATES_END, "rate must be numeric, got 'high'")
+
+    @pytest.mark.parametrize("file,row,reason", [
+        ("rates.csv", "AAA,1990,Fertility,20-24,Female,0.3",
+         "duplicate observation ('AAA', 1990, <Variable.FERTILITY: 'Fertility'>, '20-24', "
+         "<Sex.FEMALE: 'Female'>)"),
+        ("rates.csv", "AAA,01990,Fertility,20-24,Female,0.3",
+         "duplicate observation ('AAA', 1990, <Variable.FERTILITY: 'Fertility'>, '20-24', "
+         "<Sex.FEMALE: 'Female'>)"),
+        ("gdp_hist.csv", "AAA,1990,600", "duplicate observation (AAA, 1990)"),
+        ("base_pop.csv", "AAA,2015,0-4,Female,5", "duplicate cell AAA/0-4/Female"),
+    ])
+    def test_duplicate_reported_at_second_occurrence(self, tmp_path, file, row, reason):
+        error = load_error(tmp_path, lambda rows: rows[file].append(row))
+        assert type(error) is SchemaViolation
+        assert (error.file, error.line, error.reason) == (
+            file, len(minimal_rows()[file]) + 1, reason)
+
+    def test_duplicate_country_located(self, tmp_path):
+        error = load_error(tmp_path, lambda rows: rows["countries.csv"].append(
+            "AAA,Again,High,NorthAmerica"))
+        assert (error.file, error.line, error.reason) == (
+            "countries.csv", 3, "duplicate iso3 'AAA'")
+
+    def test_blank_and_multi_line_records_shift_line_numbers(self, tmp_path):
+        """Lines are physical lines: a blank line and a quoted field spanning
+        two lines each move the later rows down, as ``reader.line_num`` counts."""
+        def mutate(rows):
+            rows["countries.csv"] = ["iso3,name,income_group,region",
+                                     'AAA,"Ale\nph",Low,SubSaharanAfrica', "",
+                                     "BBB,Bet,Middle,EastAsiaPacific"]
+
+        error = load_error(tmp_path, mutate)
+        assert (error.file, error.line, error.reason) == (
+            "countries.csv", 5,
+            "income_group must be one of High, UpperMiddle, LowerMiddle, Low, got 'Middle'")
+
+    def test_multi_line_record_reports_its_last_line(self, tmp_path):
+        def mutate(rows):
+            rows["countries.csv"] = ["iso3,name,income_group,region", "",
+                                     'AAA,"Ale\nph",Low,Atlantis']
+
+        error = load_error(tmp_path, mutate)
+        assert (error.line, error.reason) == (4, "region must be one of EastAsiaPacific, "
+                                                 "EuropeCentralAsia, LatinAmericaCaribbean, "
+                                                 "MiddleEastNorthAfrica, NorthAmerica, "
+                                                 "SouthAsia, SubSaharanAfrica, got 'Atlantis'")
+
+    def test_multi_line_name_loads(self, tmp_path):
+        def mutate(rows):
+            rows["countries.csv"][1] = 'AAA,"Ale\nph",Low,SubSaharanAfrica'
+
+        assert load_mutated(tmp_path, mutate).countries[0].name == "Ale\nph"
+
+    def test_field_count_checked_before_values(self, tmp_path):
+        def mutate(rows):
+            rows["rates.csv"].insert(2, "AAA,1949,Fertility,20-24,Female,0.2")
+            rows["rates.csv"].append("AAA,1990,Fertility,20-24,Female")
+
+        error = load_error(tmp_path, mutate)
+        assert (error.line, error.reason) == (RATES_END + 1, "expected 6 fields, got 5")
+
+    def test_earlier_file_wins(self, tmp_path):
+        def mutate(rows):
+            rows["rates.csv"].append("AAA,1949,Fertility,20-24,Female,0.2")
+            rows["gdp_hist.csv"].insert(1, "AAA,1980,0")
+
+        error = load_error(tmp_path, mutate)
+        assert (error.file, error.line) == ("rates.csv", RATES_END)
+
+    def test_unknown_country_rows_skip_every_value_check(self, tmp_path):
+        def mutate(rows):
+            rows["rates.csv"].append("XXX,1949,Births,0-3,Neither,-1")
+            rows["rates.csv"].append("XXX,1949,Births,0-3,Neither,-1")
+            rows["gdp_hist.csv"].append("XXX,1990,0")
+            rows["base_pop.csv"].append("XXX,2014,0-3,Both,x")
+
+        ds = load_mutated(tmp_path, mutate)
+        assert len(ds.rejections) == 4
+
+    def test_missing_cohort_cell_reported_at_line_zero(self, tmp_path):
+        def mutate(rows):
+            rows["base_pop.csv"] = [r for r in rows["base_pop.csv"]
+                                    if not r.startswith(("AAA,2015,5-9,", "AAA,2015,100+,Male"))]
+
+        error = load_error(tmp_path, mutate)
+        assert (error.file, error.line, error.reason) == (
+            "base_pop.csv", 0,
+            "AAA: missing cohort cells [('5-9', 'Female'), ('5-9', 'Male'), ('100+', 'Male')]")
+
+    def test_rejections_keep_file_order_across_files(self, tmp_path):
+        def mutate(rows):
+            rows["rates.csv"].insert(3, "YYY,1990,Fertility,20-24,Female,0.3")
+            rows["rates.csv"].append("XXX,1990,Fertility,20-24,Female,0.3")
+            rows["gdp_hist.csv"].insert(1, "ZZZ,1990,700")
+            rows["gdp_hist.csv"].append("XXX,1990,700")
+            rows["gdp_baseline.csv"].append("WWW,2015,700")
+            rows["base_pop.csv"].insert(1, "VVV,2015,0-4,Female,10")
+
+        ds = load_mutated(tmp_path, mutate)
+        assert [(r.file, r.line, r.iso3) for r in ds.rejections] == [
+            ("rates.csv", 4, "YYY"), ("rates.csv", RATES_END + 1, "XXX"),
+            ("gdp_hist.csv", 2, "ZZZ"), ("gdp_hist.csv", GDP_HIST_END + 1, "XXX"),
+            ("gdp_baseline.csv", len(minimal_rows()["gdp_baseline.csv"]) + 1, "WWW"),
+            ("base_pop.csv", 2, "VVV")]
+
+
+KNOWN = ("AAA", "BBB", "CCC")
+SERIES = ([(Variable.FERTILITY, band, Sex.FEMALE) for band in FERTILE_BANDS[:2]]
+          + [(Variable.MORTALITY, band, sex) for band in ("0-4", "100+") for sex in Sex])
+HEADER_LINES = {"countries.csv": "iso3,name,income_group,region",
+                "rates.csv": "iso3,year,variable,age_group,sex,rate",
+                "gdp_hist.csv": "iso3,year,gdp_pc", "gdp_baseline.csv": "iso3,year,gdp_pc",
+                "base_pop.csv": "iso3,year,age_group,sex,count"}
+
+positive = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
+probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+hist_years = st.lists(st.integers(1950, 2015), min_size=1, max_size=8, unique=True)
+
+
+@st.composite
+def valid_inputs(draw):
+    """Valid rows of every file, as (iso3, cells, oracle value) per file."""
+    countries = draw(st.lists(st.sampled_from(KNOWN), min_size=1, max_size=3, unique=True))
+    rows = {name: [] for name in HEADER_LINES}
+    for iso3 in countries:
+        rows["countries.csv"].append((iso3, f"{iso3},Name {iso3},Low,SouthAsia", None))
+        for name in ("gdp_hist.csv", "gdp_baseline.csv"):
+            for year in draw(hist_years if name == "gdp_hist.csv"
+                             else st.lists(st.integers(2015, 2100), min_size=1, max_size=4,
+                                           unique=True)):
+                value = draw(positive)
+                rows[name].append((iso3, f"{iso3},{year},{value!r}", (year, value)))
+        for variable, band, sex in draw(st.lists(st.sampled_from(SERIES), unique=True,
+                                                 min_size=1, max_size=len(SERIES))):
+            for year in draw(hist_years):
+                rate = draw(probability)
+                rows["rates.csv"].append((iso3, f"{iso3},{year},{variable.value},{band},"
+                                                f"{sex.value},{rate!r}",
+                                          ((variable, band, sex), year, rate)))
+        for band in AGE_BANDS:
+            for col, sex in enumerate(("Female", "Male")):
+                count = draw(st.floats(min_value=0.0, max_value=1e7, allow_nan=False))
+                rows["base_pop.csv"].append((iso3, f"{iso3},2015,{band},{sex},{count!r}",
+                                             (band, col, count)))
+    return rows
+
+
+@st.composite
+def shuffled_files(draw):
+    """Every file's valid rows shuffled, with blank lines and rows of unknown
+    countries mixed in; returns the file texts and the rows in file order."""
+    files = {}
+    for name, rows in draw(valid_inputs()).items():
+        if name != "countries.csv":
+            for k in range(draw(st.integers(0, 3))):
+                rows.append(("XXX" if k % 2 else "YYY", None, None))
+        rows = draw(st.permutations(rows))
+        lines = [HEADER_LINES[name]]
+        for row in rows:
+            lines.extend([""] * draw(st.integers(0, 1)))
+            lines.append(row[1] if row[1] is not None else
+                         ",".join([row[0]] + ["?"] * HEADER_LINES[name].count(",")))
+        files[name] = (lines, rows)
+    return files
+
+
+def plain_oracle(files):
+    """The expected series, grids and rejections, from plain dicts."""
+    rates, gdp, base, rejections = {}, {"gdp_hist.csv": {}, "gdp_baseline.csv": {}}, {}, []
+    for name in ("rates.csv", "gdp_hist.csv", "gdp_baseline.csv", "base_pop.csv"):
+        lines, rows = files[name]
+        line_of = [i + 1 for i, text in enumerate(lines) if text][1:]
+        for line, (iso3, cells, value) in zip(line_of, rows):
+            if cells is None:
+                rejections.append((name, line, iso3))
+            elif name == "rates.csv":
+                rates.setdefault((iso3, *value[0]), []).append(value[1:])
+            elif name == "base_pop.csv":
+                base.setdefault(iso3, [[0.0, 0.0] for _ in AGE_BANDS])
+                band, col, count = value
+                base[iso3][AGE_BANDS.index(band)][col] = count
+            else:
+                gdp[name].setdefault(iso3, []).append(value)
+    return rates, gdp, base, rejections
+
+
+def oracle_rate_series(rates, iso3, variable, band, sex):
+    if variable is Variable.FERTILITY:
+        return sorted(rates.get((iso3, variable, band, Sex.FEMALE), []))
+    if sex in (Sex.FEMALE, Sex.MALE) and (iso3, variable, band, sex) in rates:
+        return sorted(rates[(iso3, variable, band, sex)])
+    return sorted(rates.get((iso3, variable, band, Sex.BOTH), []))
+
+
+def uncached_pairs(rate_pairs, gdp_pairs, window):
+    """Annual (GDP, rate) pairs of one country, recomputed on every call."""
+    if not rate_pairs or not gdp_pairs:
+        return None
+    rate_years, rate_values = (np.array(v, dtype=float) for v in zip(*rate_pairs))
+    gdp_years, gdp_values = (np.array(v, dtype=float) for v in zip(*gdp_pairs))
+    lo = int(max(window[0], rate_years[0], gdp_years[0]))
+    hi = int(min(window[1], rate_years[-1], gdp_years[-1]))
+    if hi < lo:
+        return None
+    years = np.arange(lo, hi + 1, dtype=float)
+    return np.interp(years, gdp_years, gdp_values), np.interp(years, rate_years, rate_values)
+
+
+def same_array(got, expected):
+    return got.dtype == np.float64 and got.tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+class TestColumnarSeries:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(files=shuffled_files())
+    def test_series_equal_plain_dict_oracle(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp)
+            for name, (lines, _) in files.items():
+                (data / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            ds = load_dataset(data)
+        rates, gdp, base, rejections = plain_oracle(files)
+        known = [iso3 for iso3, _, _ in files["countries.csv"][1]]
+
+        assert [(r.file, r.line, r.iso3) for r in ds.rejections] == rejections
+        assert ds.sexed_mortality == {(iso3, band) for iso3, variable, band, sex in rates
+                                      if variable is Variable.MORTALITY and sex is not Sex.BOTH}
+        for iso3 in (*KNOWN, "XXX"):
+            for name, series in (("gdp_hist.csv", ds.gdp_hist_series(iso3)),
+                                 ("gdp_baseline.csv", ds.gdp_baseline_series(iso3))):
+                pairs = sorted(gdp[name].get(iso3, []))
+                assert same_array(series[0], [y for y, _ in pairs])
+                assert same_array(series[1], [v for _, v in pairs])
+            population = ds.base_population(iso3)
+            if iso3 in known:
+                assert population.year == 2015
+                assert same_array(population.counts, base[iso3])
+            else:
+                assert population is None
+            for variable, band, _ in SERIES:
+                for sex in (None, *Sex):
+                    years, values = ds.rate_series(iso3, variable, band, sex)
+                    pairs = oracle_rate_series(rates, iso3, variable, band, sex)
+                    assert same_array(years, [y for y, _ in pairs])
+                    assert same_array(values, [v for _, v in pairs])
+
+        for target in known:
+            donors = [c for c in KNOWN if c != target]
+            for variable, band, sex in SERIES:
+                own = oracle_rate_series(rates, target, variable, band, sex)
+                gdp_own = sorted(gdp["gdp_hist.csv"].get(target, []))
+                expected = uncached_pairs(own, gdp_own, TARGET_WINDOW)
+                if expected is None:
+                    continue
+                fit = [expected]
+                for donor in donors:
+                    pairs = uncached_pairs(oracle_rate_series(rates, donor, variable, band, sex),
+                                           sorted(gdp["gdp_hist.csv"].get(donor, [])),
+                                           DONOR_WINDOW)
+                    if pairs is not None:
+                        fit.append(pairs)
+                for _ in range(2):  # the second build is served from the memo
+                    series = build_augmented_series(target, donors, variable, band, ds, sex=sex)
+                    assert same_array(series.fit_gdp, np.concatenate([p[0] for p in fit]))
+                    assert same_array(series.fit_rate, np.concatenate([p[1] for p in fit]))
+                    assert same_array(series.weight_gdp, expected[0])
+                    assert same_array(series.weight_rate, expected[1])
+                    assert series.weight_gdp.flags.writeable
+        cached = [array for pairs in ds.memo.values() if pairs is not None for array in pairs]
+        assert all(not array.flags.writeable for array in cached)
