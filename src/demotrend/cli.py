@@ -7,6 +7,7 @@ byte-identical files regardless of the worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -22,8 +23,8 @@ from . import __version__
 from .augmentation import DonorRule, select_donors
 from .core import AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, SEX_COLUMNS, Sex, Variable
 from .data_ingest import HEADERS, Dataset, load_dataset
-from .demography import PopulationState, project_country, total_population
-from .errors import DemotrendError, SchemaViolation
+from .demography import pathway_rates, project_totals
+from .errors import DemotrendError, IoFailure, SchemaViolation
 from .models import FORM_ORDER, ModelForm
 from .rate_forecast import CapPolicy, build_country_ensembles
 from .report import RunResult, aggregate, emit_outputs, scopes_for, sensitivity_ratio
@@ -38,6 +39,10 @@ from .scenarios import (
 )
 
 AGGREGATE_KINDS = ("world", "income", "region", "country")
+# Name and header of donors.csv and ensembles.csv.
+_DUMPS = (("donors.csv", "scenario_id,target_iso3,donor_iso3"),
+          ("ensembles.csv", "scenario_id,iso3,variable,age_group,sex,form,weight,"
+                            "beta1,beta2,beta3,x1,sigma,aicc"))
 SENSITIVITY_YEAR = 2050
 
 # Per form, which of the weight, beta1, beta2, beta3, x1, sigma and aicc
@@ -124,51 +129,53 @@ def run(config: RunConfig) -> list[Path]:
                              srb=config.srb, horizon=config.horizon,
                              dump_donors=config.dump_donors,
                              dump_ensembles=config.dump_ensembles)
-    if config.jobs > 1 and len(countries) > 1:
-        import concurrent.futures  # only worker pools need it: keeps start-up short
-
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(config.jobs, len(countries)),
-                initializer=_init_worker, initargs=(payload,)) as pool:
-            per_country = list(pool.map(_project_one, countries))
-    else:
-        _init_worker(payload)
-        per_country = [_project_one(iso3) for iso3 in countries]
-
     scenario_ids = [sid for sid, _ in scenario_list]
     country_totals: dict[str, dict[str, np.ndarray]] = {sid: {} for sid in scenario_ids}
-    donor_lines: list[str] = []
-    ensemble_lines: list[str] = []
-    for iso3, totals, donors, ensembles in per_country:
-        for sid, series in totals.items():
-            country_totals[sid][iso3] = series
-        donor_lines.extend(donors)
-        ensemble_lines.extend(ensembles)
-
-    scopes = scopes_for(config.aggregate, dataset)
-    aggregates = {
-        sid: [aggregate(country_totals[sid], scope, dataset.country_map, sid, BASE_YEAR)
-              for scope in scopes]
-        for sid in scenario_ids
-    }
-    sensitivity = _sensitivity_rows(scenario_ids, country_totals, config.horizon)
-    result = RunResult(start_year=BASE_YEAR, scenario_ids=scenario_ids,
-                       aggregates=aggregates, sensitivity=sensitivity)
-
     out = Path(config.out_dir)
-    written = emit_outputs(result, out, config.out_format)
+    written: list[Path] = []
     try:
-        if config.dump_donors:
-            written.append(_write_lines(out / "donors.csv",
-                                        "scenario_id,target_iso3,donor_iso3", donor_lines))
-        if config.dump_ensembles:
-            header = ("scenario_id,iso3,variable,age_group,sex,form,weight,"
-                      "beta1,beta2,beta3,x1,sigma,aicc")
-            written.append(_write_lines(out / "ensembles.csv", header, ensemble_lines))
+        with contextlib.ExitStack() as stack:
+            dumps = []  # rows are written as each country arrives, in country order
+            for on, (name, header) in zip((config.dump_donors, config.dump_ensembles), _DUMPS):
+                if on:
+                    out.mkdir(parents=True, exist_ok=True)
+                    dumps.append(stack.enter_context(open(out / name, "w", encoding="utf-8")))
+                    written.append(out / name)
+                    dumps[-1].write(f"{header}\n")
+                else:
+                    dumps.append(None)
+            if config.jobs > 1 and len(countries) > 1:
+                import concurrent.futures  # only worker pools need it: keeps start-up short
+
+                per_country = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                    max_workers=min(config.jobs, len(countries)),
+                    initializer=_init_worker, initargs=(payload,))).map(_project_one, countries)
+            else:
+                _init_worker(payload)
+                per_country = map(_project_one, countries)
+            for iso3, totals, *texts in per_country:
+                for sid, series in zip(scenario_ids, totals):
+                    country_totals[sid][iso3] = series
+                for handle, text in zip(dumps, texts):
+                    if handle is not None:
+                        handle.write(text)
+
+        scopes = scopes_for(config.aggregate, dataset)
+        aggregates = {
+            sid: [aggregate(country_totals[sid], scope, dataset.country_map, sid, BASE_YEAR)
+                  for scope in scopes]
+            for sid in scenario_ids
+        }
+        sensitivity = _sensitivity_rows(scenario_ids, country_totals, config.horizon)
+        result = RunResult(start_year=BASE_YEAR, scenario_ids=scenario_ids,
+                           aggregates=aggregates, sensitivity=sensitivity)
+        written[:0] = emit_outputs(result, out, config.out_format)
         written.append(_write_manifest(config, out))
-    except Exception:
+    except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"failed writing outputs to {out}: {exc}") from exc
         raise
     return written
 
@@ -178,35 +185,36 @@ def _init_worker(payload: _WorkerPayload) -> None:
 
 
 def _project_one(iso3: str):
-    """All scenarios for one country: totals plus optional dump rows."""
+    """All scenarios for one country: the (S, T+1) totals, then the
+    ``donors.csv`` and ``ensembles.csv`` text (empty unless dumped)."""
     p: _WorkerPayload = _WORKER["payload"]
     dataset = p.dataset
-    base = dataset.base_population(iso3)
-    base_state = PopulationState(iso3=iso3, year=base.year, counts=base.counts.copy())
+    base = dataset.base_population(iso3)  # iso3, year and counts, as a PopulationState
     # select_donors skips a country without GDP rows in its window.
     candidates = {other: dataset.gdp_hist_series(other)
                   for other in p.country_order if other != iso3}
     cache: dict = {}
     dumped: dict[tuple, list[str]] = {}  # ensembles.csv cells per donor set
-    totals: dict[str, np.ndarray] = {}
+    steps = p.horizon - base.year
+    asfr = np.empty((len(p.scenarios), steps, len(FERTILE_BANDS)))
+    q = np.empty((len(p.scenarios), steps, len(AGE_BANDS), 2))
     donor_lines: list[str] = []
     ensemble_lines: list[str] = []
-    for sid, pathways in p.scenarios:
+    for i, (sid, pathways) in enumerate(p.scenarios):
         pathway = pathways[iso3]
         rule = DonorRule(target_gdp_2015=pathway.gdp(BASE_YEAR),
                          target_pathway_max=pathway.max_gdp())
         donors = select_donors(rule, candidates)
         ensembles = build_country_ensembles(dataset, iso3, donors, cache)
-        trajectory = project_country(base_state, ensembles, pathway, p.cap,
-                                     horizon=p.horizon, srb=p.srb)
-        totals[sid] = np.array([total_population(state) for _, state in trajectory])
+        asfr[i], q[i] = pathway_rates(base, ensembles, pathway, p.cap, p.horizon)
         if p.dump_donors:
-            donor_lines.extend(f"{sid},{iso3},{donor}" for donor in donors)
+            donor_lines.extend(f"{sid},{iso3},{donor}\n" for donor in donors)
         if p.dump_ensembles:
             if tuple(donors) not in dumped:
                 dumped[tuple(donors)] = _ensemble_dump_cells(ensembles)
-            ensemble_lines.extend(f"{sid},{iso3},{cells}" for cells in dumped[tuple(donors)])
-    return iso3, totals, donor_lines, ensemble_lines
+            ensemble_lines.extend(f"{sid},{iso3},{cells}\n" for cells in dumped[tuple(donors)])
+    totals = project_totals(base, asfr, q, p.srb)
+    return iso3, totals, "".join(donor_lines), "".join(ensemble_lines)
 
 
 def _ensemble_dump_cells(ensembles) -> list[str]:
@@ -235,11 +243,6 @@ def _sensitivity_rows(scenario_ids, country_totals, horizon):
     low, reference, high = (country_totals[sid] for sid in ("m0.0", "m1.0", "m2.0"))
     return [(iso3, sensitivity_ratio(low[iso3][idx], high[iso3][idx], reference[iso3][idx]))
             for iso3 in sorted(reference)]
-
-
-def _write_lines(path: Path, header: str, lines) -> Path:
-    path.write_text("".join(f"{line}\n" for line in [header, *lines]), encoding="utf-8")
-    return path
 
 
 def _write_manifest(config: RunConfig, out: Path) -> Path:

@@ -306,6 +306,8 @@ def _load_rates(rows: _Rows) -> dict[tuple, Series]:
 def _load_gdp(rows: _Rows) -> dict[str, Series]:
     iso3 = rows.columns[0]
     years = rows.parsed(1, int, "an integer")
+    rows.check([not 1000 <= year <= 9999 for year in years],  # four digits
+               "year must lie in 1000-9999, got {}", years)
     gdp = rows.floats(2)
     rows.check(gdp <= 0.0, "gdp_pc must be positive, got {}", gdp.item,
                error=lambda file, line, reason: NonPositiveGdp(reason, file=file, line=line))

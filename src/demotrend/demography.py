@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AGE_BANDS, FEMALE_COL, FERTILE_SLICE, MALE_COL
+from .core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL
 from .errors import InvalidRate, NegativeState
 from .rate_forecast import CapPolicy, CountryEnsembles, model_inputs
 
@@ -48,29 +48,57 @@ def step_year(state: PopulationState, rates: VitalRates, srb: float = 1.05) -> P
     Births are drawn from the post-mortality, pre-aging female cohorts, so
     a woman contributes through the band she occupied during the year.
     """
-    counts = state.counts
-    q = np.asarray(rates.mortality, dtype=float)
-    asfr = np.asarray(rates.asfr, dtype=float)
-    if q.shape != (N_BANDS, 2) or asfr.shape != (FERTILE_SLICE.stop - FERTILE_SLICE.start,):
-        raise InvalidRate("rate arrays have wrong shape")
-    if (q < 0.0).any() or (q > 1.0).any():
-        raise InvalidRate("mortality probabilities must lie in [0, 1]")
-    if (asfr < 0.0).any():
-        raise InvalidRate("fertility rates must be non-negative")
-    if (counts < 0.0).any():
-        raise NegativeState(f"{state.iso3} {state.year}: negative cohort count")
+    asfr, q = _checked(state, rates.asfr, rates.mortality, 2)
+    counts = _step(state.counts[None], asfr[0], q[0], srb)[0]
+    return PopulationState(iso3=state.iso3, year=state.year + 1, counts=counts)
 
+
+def project_totals(base: PopulationState, asfr, q, srb: float = 1.05) -> np.ndarray:
+    """Totals (S, T+1), base year first, of ``base`` stepped through S
+    scenarios at once: asfr (S, T, 6), q (S, T, 21, 2). Equal bit for bit to
+    T ``step_year`` calls per scenario, and a bad input raises what the first
+    failing call would; only the current (S, 21, 2) state is kept."""
+    asfr, q = _checked(base, asfr, q, 0)
+    counts = np.repeat(base.counts[None], len(q), axis=0)
+    totals = np.empty((len(q), q.shape[1] + 1))
+    totals[:, 0] = counts.reshape(len(q), -1).sum(axis=1)
+    for t in range(q.shape[1]):
+        counts = _step(counts, asfr[:, t], q[:, t], srb)
+        totals[:, t + 1] = counts.reshape(len(q), -1).sum(axis=1)
+    return totals
+
+
+def _checked(base: PopulationState, asfr, q, lead: int) -> tuple[np.ndarray, np.ndarray]:
+    """``asfr`` (S, T, 6) and ``q`` (S, T, 21, 2), after ``lead`` unit axes in
+    front, checked in the order of S one-scenario runs: step by step, q
+    before asfr, and the base state after the first step's rates."""
+    asfr = np.asarray(asfr, dtype=float)[(None,) * lead]
+    q = np.asarray(q, dtype=float)[(None,) * lead]
+    if q.shape[2:] != (N_BANDS, 2) or asfr.shape != q.shape[:2] + (len(FERTILE_BANDS),):
+        raise InvalidRate("rate arrays have wrong shape")
+    bad_q = ((q < 0.0) | (q > 1.0)).any(axis=(2, 3)).ravel()
+    bad = bad_q | (asfr < 0.0).any(axis=2).ravel()
+    first = int(bad.argmax()) if bad.any() else bad.size
+    if first and bad.size and (base.counts < 0.0).any():
+        raise NegativeState(f"{base.iso3} {base.year}: negative cohort count")
+    if first < bad.size:
+        raise InvalidRate("mortality probabilities must lie in [0, 1]" if bad_q[first]
+                          else "fertility rates must be non-negative")
+    return asfr, q
+
+
+def _step(counts: np.ndarray, asfr: np.ndarray, q: np.ndarray, srb: float) -> np.ndarray:
+    """One year for B states at once: counts and q (B, 21, 2), asfr (B, 6)."""
     survivors = counts * (1.0 - q)
     graduating = survivors / 5.0
     aged = survivors - graduating
-    aged[1:] += graduating[:-1]
-    aged[-1] += graduating[-1]  # 100+ has no outflow
-
-    births = float(asfr @ survivors[FERTILE_SLICE, FEMALE_COL])
-    aged[0, FEMALE_COL] += births / (1.0 + srb)
-    aged[0, MALE_COL] += births * srb / (1.0 + srb)
-
-    return PopulationState(iso3=state.iso3, year=state.year + 1, counts=aged)
+    aged[:, 1:] += graduating[:, :-1]
+    aged[:, -1] += graduating[:, -1]  # 100+ has no outflow
+    # Stacked (1, 6) @ (6, 1): bit for bit the dot product of 1-D vectors.
+    births = (asfr[:, None, :] @ survivors[:, FERTILE_SLICE, FEMALE_COL, None])[:, 0, 0]
+    aged[:, 0, FEMALE_COL] += births / (1.0 + srb)
+    aged[:, 0, MALE_COL] += births * srb / (1.0 + srb)
+    return aged
 
 
 def total_population(state: PopulationState) -> float:
@@ -95,14 +123,10 @@ def forecast_rates(ensembles: CountryEnsembles, gdp: np.ndarray,
     return np.ascontiguousarray(rates[:, ensembles.fertility_rows]), mortality
 
 
-def project_country(base: PopulationState, ensembles: CountryEnsembles, pathway,
-                    cap: CapPolicy, horizon: int = 2100,
-                    srb: float = 1.05) -> list[tuple[int, PopulationState]]:
-    """Project from the base year to ``horizon`` inclusive.
-
-    Rates for the step from year t to t+1 are evaluated at the pathway's
-    GDP in year t. The returned trajectory includes the base state.
-    """
+def pathway_rates(base: PopulationState, ensembles: CountryEnsembles, pathway,
+                  cap: CapPolicy, horizon: int = 2100) -> tuple[np.ndarray, np.ndarray]:
+    """The rates of each step from the base year to ``horizon``: asfr (T, 6)
+    and q (T, 21, 2), the step from year t at the pathway's GDP in year t."""
     if base.year != pathway.start_year:
         raise ValueError(f"base year {base.year} does not match pathway start "
                          f"{pathway.start_year}")
@@ -111,10 +135,19 @@ def project_country(base: PopulationState, ensembles: CountryEnsembles, pathway,
     steps = horizon - base.year
     if steps:
         pathway.gdp(horizon - 1)  # PathwayGap when the pathway ends too early
-    asfr, mortality = forecast_rates(ensembles, pathway.values[:steps], cap)
+    return forecast_rates(ensembles, pathway.values[:steps], cap)
+
+
+def project_country(base: PopulationState, ensembles: CountryEnsembles, pathway,
+                    cap: CapPolicy, horizon: int = 2100,
+                    srb: float = 1.05) -> list[tuple[int, PopulationState]]:
+    """Project from the base year to ``horizon`` inclusive, one
+    ``step_year`` per year. The returned trajectory includes the base state.
+    """
+    asfr, mortality = pathway_rates(base, ensembles, pathway, cap, horizon)
     trajectory = [(base.year, base)]
     state = base
-    for t in range(steps):
+    for t in range(len(asfr)):
         state = step_year(state, VitalRates(asfr=asfr[t], mortality=mortality[t]), srb=srb)
         trajectory.append((state.year, state))
     return trajectory

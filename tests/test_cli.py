@@ -205,6 +205,46 @@ class TestDeterminism:
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+    def test_entry_point_pins_openblas_threads(self, preset, expected):
+        """``python -m demotrend`` and the ``demotrend`` script run one OpenBLAS
+        thread per process unless the user chose a count."""
+        script = ("import os\n"
+                  "import demotrend.__main__\n"
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**env, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+    def test_library_import_leaves_openblas_threads_unset(self):
+        script = ("import os\n"
+                  "import demotrend, demotrend.cli\n"
+                  "from demotrend.data_ingest import load_dataset\n"
+                  "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**env, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "None"
+
+    def test_pinned_thread_count_invisible(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        args = ["--data-dir", str(TINY), "--scenario", "sweep:0:2:1",
+                "--dump-donors", "--dump-ensembles"]
+        code1, _, err1 = run_cli([*args, "--out", str(tmp_path / "unset")])
+        code2, _, err2 = run_cli([*args, "--out", str(tmp_path / "four")],
+                                 env_extra={"OPENBLAS_NUM_THREADS": "4"})
+        assert code1 == 0 and code2 == 0, err1 + err2
+        names = sorted(p.name for p in (tmp_path / "unset").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "four").iterdir())
+        for name in names:
+            assert (tmp_path / "unset" / name).read_bytes() == \
+                (tmp_path / "four" / name).read_bytes(), name
+
     def test_worker_count_invisible(self, tmp_path):
         args = ["--data-dir", str(TINY), "--scenario", "sweep:0:2:1",
                 "--aggregate", "world,country", "--dump-donors",
@@ -472,6 +512,16 @@ class TestDataErrors:
         assert code == 1
         assert "BBB" in stderr
 
+    def test_huge_gdp_year_is_a_data_error(self, tmp_path):
+        data_dir = tmp_path / "tiny"
+        shutil.copytree(TINY, data_dir)
+        with open(data_dir / "gdp_hist.csv", "a") as handle:
+            handle.write(f"AAA,1{'0' * 400},900\n")
+        code, _, stderr = run_cli(["--data-dir", str(data_dir),
+                                   "--out", str(tmp_path / "out")])
+        assert code == 1, stderr
+        assert "gdp_hist.csv:" in stderr and "year must lie in 1000-9999" in stderr
+
     def test_unknown_country_rows_warn_but_run(self, tmp_path):
         rows = minimal_rows()
         rows["rates.csv"].append("QQQ,1990,Fertility,20-24,Female,0.3")
@@ -482,3 +532,35 @@ class TestDataErrors:
         assert code == 0
         assert "warning" in stderr and "QQQ" in stderr
         assert (tmp_path / "out" / "summary.csv").exists()
+
+
+class TestWriteFailures:
+    """A failed write exits 1 and leaves no output file, dumps included."""
+
+    @pytest.mark.parametrize("name", ["donors.csv", "ensembles.csv", "run_manifest.json",
+                                      "trajectories.csv"])
+    def test_unwritable_output_removes_every_file(self, tmp_path, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code, _, stderr = run_cli(["--data-dir", str(TINY), "--out", str(out),
+                                   "--scenario", "sweep:0:2:1",
+                                   "--dump-donors", "--dump-ensembles"])
+        assert code == 1, stderr
+        assert stderr.startswith(f"error: failed writing outputs to {out}:"), stderr
+        assert [p.name for p in out.iterdir()] == [name]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_data_error_for_a_later_country_leaves_no_dump(self, tmp_path, jobs):
+        """CCC, the last country, has no 20-24 fertility history: the dump rows
+        already written for AAA and BBB are removed."""
+        data_dir = tmp_path / "tiny"
+        shutil.copytree(TINY, data_dir)
+        rates = data_dir / "rates.csv"
+        rates.write_text("".join(line for line in rates.read_text().splitlines(True)
+                                 if not line.startswith("CCC") or ",20-24," not in line))
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out),
+                                   "--jobs", jobs, "--dump-donors", "--dump-ensembles"])
+        assert code == 1
+        assert stderr == "error: CCC: no usable Fertility history for 20-24\n"
+        assert not out.exists() or not any(out.iterdir())

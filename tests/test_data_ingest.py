@@ -327,6 +327,29 @@ class TestErrorLocation:
         assert (error.file, error.line) == ("gdp_hist.csv", GDP_HIST_END)
         assert str(error) == f"gdp_hist.csv:{GDP_HIST_END}: {reason}"
 
+    @pytest.mark.parametrize("file", ["gdp_hist.csv", "gdp_baseline.csv"])
+    @pytest.mark.parametrize("year", [pytest.param("1" + "0" * 400, id="1e400"),
+                                      "999", "10000", "-2000"])
+    def test_gdp_year_out_of_range_located(self, tmp_path, file, year):
+        """Checked right after the year parses: before gdp_pc, so a row with a
+        bad gdp_pc too reports its year."""
+        error = load_error(tmp_path, lambda rows: rows[file].append(f"AAA,{year},-1"))
+        line = len(minimal_rows()[file]) + 1
+        assert type(error) is SchemaViolation
+        assert (error.file, error.line, error.reason) == (
+            file, line, f"year must lie in 1000-9999, got {int(year)}")
+        assert str(error) == f"{file}:{line}: year must lie in 1000-9999, got {int(year)}"
+
+    @pytest.mark.parametrize("file", ["gdp_hist.csv", "gdp_baseline.csv"])
+    def test_gdp_year_range_is_inclusive(self, tmp_path, file):
+        """1000 and 9999 load: the earliest row then flagged is the duplicate."""
+        def mutate(rows):
+            rows[file] += ["AAA,1000,900", "AAA,9999,900", "AAA,9999,900"]
+
+        error = load_error(tmp_path, mutate)
+        assert (error.file, error.line, error.reason) == (
+            file, len(minimal_rows()[file]) + 3, "duplicate observation (AAA, 9999)")
+
     def test_earlier_of_two_bad_rows_reported(self, tmp_path):
         """The earlier row wins even when its check comes later in check order."""
         def mutate(rows):

@@ -9,6 +9,7 @@ from demotrend.demography import (
     VitalRates,
     project_country,
     forecast_rates,
+    project_totals,
     step_year,
     total_population,
 )
@@ -427,3 +428,157 @@ class TestProjectionProperties:
         for kind in ("income", "region"):
             parts = sum(series(s) for s in scopes_for([kind], tiny_dataset))
             np.testing.assert_allclose(parts, world, rtol=1e-12)
+
+
+def oracle_step(state, rates, srb):
+    """``step_year`` as it was before the batched projector, one state at a
+    time: the oracle for ``step_year`` and ``project_totals``."""
+    counts = state.counts
+    q = np.asarray(rates.mortality, dtype=float)
+    asfr = np.asarray(rates.asfr, dtype=float)
+    if q.shape != (N, 2) or asfr.shape != (FERTILE_SLICE.stop - FERTILE_SLICE.start,):
+        raise InvalidRate("rate arrays have wrong shape")
+    if (q < 0.0).any() or (q > 1.0).any():
+        raise InvalidRate("mortality probabilities must lie in [0, 1]")
+    if (asfr < 0.0).any():
+        raise InvalidRate("fertility rates must be non-negative")
+    if (counts < 0.0).any():
+        raise NegativeState(f"{state.iso3} {state.year}: negative cohort count")
+
+    survivors = counts * (1.0 - q)
+    graduating = survivors / 5.0
+    aged = survivors - graduating
+    aged[1:] += graduating[:-1]
+    aged[-1] += graduating[-1]  # 100+ has no outflow
+
+    births = float(asfr @ survivors[FERTILE_SLICE, FEMALE_COL])
+    aged[0, FEMALE_COL] += births / (1.0 + srb)
+    aged[0, MALE_COL] += births * srb / (1.0 + srb)
+
+    return PopulationState(iso3=state.iso3, year=state.year + 1, counts=aged)
+
+
+def outcome(run):
+    """``run()``'s result, or the class and message of what it raised."""
+    try:
+        return run()
+    except (InvalidRate, NegativeState) as exc:
+        return type(exc), str(exc)
+
+
+class TestProjectTotals:
+    """The batched projector against S one-scenario runs of the oracle step."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_per_step_oracle(self, data):
+        s_count = data.draw(st.integers(1, 6), label="S")
+        steps = data.draw(st.integers(0, 85), label="T")
+        srb = data.draw(st.floats(0.5, 2.0), label="srb")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        counts = 10.0 ** rng.uniform(-3.0, 8.0, (N, 2))
+        counts[rng.random((N, 2)) < 0.1] = 0.0
+        asfr = rng.uniform(0.0, 0.4, (s_count, steps, 6))
+        asfr[rng.random(asfr.shape) < 0.05] = 0.0
+        q = rng.uniform(0.0, 1.0, (s_count, steps, N, 2)) ** 4
+        q[rng.random(q.shape) < 0.01] = 1.0
+        # Faults at random steps, often the first steps, so that q and asfr
+        # faults, and faults of several scenarios, meet on one step.
+        for _ in range(data.draw(st.integers(0, 4), label="faults")):
+            kind = data.draw(st.sampled_from(["q<0", "q>1", "asfr<0", "base<0"]), label="kind")
+            if kind == "base<0":
+                counts[rng.integers(N), rng.integers(2)] = -data.draw(
+                    st.sampled_from([1e-300, 1.0, 1e6]), label="count")
+            elif steps:
+                at = (data.draw(st.integers(0, s_count - 1), label="s"),
+                      data.draw(st.integers(0, steps - 1) | st.integers(0, min(steps, 2) - 1),
+                                label="t"))
+                if kind == "asfr<0":
+                    asfr[at + (rng.integers(6),)] = -1e-12
+                else:
+                    q[at + (rng.integers(N), rng.integers(2))] = (
+                        -1e-12 if kind == "q<0" else 1.0 + 1e-12)
+        base = PopulationState(iso3="AAA", year=2015, counts=counts)
+
+        def oracle(step):
+            totals = np.empty((s_count, steps + 1))
+            for s in range(s_count):
+                state = base
+                totals[s, 0] = state.counts.sum()
+                for t in range(steps):
+                    rates = VitalRates(asfr=asfr[s, t], mortality=q[s, t])
+                    got = step(state, rates, srb)
+                    if step is step_year:  # every state, cell for cell
+                        want = oracle_step(state, rates, srb)
+                        assert got.year == want.year
+                        assert (got.counts == want.counts).all(), (s, t)
+                    state = got
+                    totals[s, t + 1] = state.counts.sum()
+            return totals
+
+        want = outcome(lambda: oracle(oracle_step))
+        got = outcome(lambda: project_totals(base, asfr, q, srb))
+        if isinstance(want, tuple):
+            assert got == want
+            assert outcome(lambda: oracle(step_year)) == want
+        else:
+            assert got.shape == want.shape
+            assert (got == want).all()
+            assert (oracle(step_year) == want).all()
+
+    MORTALITY = (InvalidRate, "mortality probabilities must lie in [0, 1]")
+    FERTILITY = (InvalidRate, "fertility rates must be non-negative")
+    NEGATIVE = (NegativeState, "AAA 2015: negative cohort count")
+
+    @pytest.mark.parametrize("faults,expected", [
+        ([("q", 1, 0), ("asfr", 0, 2)], FERTILITY),  # scenario order, not step order
+        ([("asfr", 1, 0), ("q", 0, 2)], MORTALITY),
+        ([("asfr", 0, 1), ("q", 0, 1)], MORTALITY),  # q before asfr on one step
+        ([("base", 0, 0), ("asfr", 0, 0)], FERTILITY),  # the state after the rates
+        ([("base", 0, 0), ("q", 0, 1)], NEGATIVE),
+        ([("base", 0, 0), ("q", 1, 0)], NEGATIVE),
+    ])
+    def test_first_failing_check_wins(self, faults, expected):
+        asfr, q = np.full((2, 3, 6), 0.1), np.full((2, 3, N, 2), 0.01)
+        counts = np.full((N, 2), 100.0)
+        for kind, s, t in faults:
+            if kind == "base":
+                counts[4, 1] = -1.0
+            elif kind == "asfr":
+                asfr[s, t, 2] = -0.1
+            else:
+                q[s, t, 7, 0] = 1.5
+        base = PopulationState(iso3="AAA", year=2015, counts=counts)
+        assert outcome(lambda: project_totals(base, asfr, q)) == expected
+
+        def oracle():
+            for s in range(2):
+                state = base
+                for t in range(3):
+                    state = oracle_step(state, VitalRates(asfr[s, t], q[s, t]), 1.05)
+
+        assert outcome(oracle) == expected
+
+    def test_no_steps_checks_nothing(self):
+        counts = np.full((N, 2), 100.0)
+        counts[0, 0] = -1.0
+        totals = project_totals(PopulationState(iso3="AAA", year=2015, counts=counts),
+                                np.full((2, 0, 6), -1.0), np.full((2, 0, N, 2), 2.0))
+        assert (totals == counts.sum()).all() and totals.shape == (2, 1)
+
+    def test_keeps_inputs_unchanged(self):
+        rng = np.random.default_rng(3)
+        base = PopulationState(iso3="AAA", year=2015, counts=rng.uniform(0, 1e6, (N, 2)))
+        asfr, q = rng.uniform(0.0, 0.4, (3, 5, 6)), rng.uniform(0.0, 0.2, (3, 5, N, 2))
+        before = [base.counts.copy(), asfr.copy(), q.copy()]
+        project_totals(base, asfr, q)
+        assert all((a == b).all() for a, b in zip(before, [base.counts, asfr, q]))
+
+    def test_wrong_shapes_rejected(self):
+        base = flat_state()
+        for asfr, q in [(np.zeros((2, 3, 5)), np.zeros((2, 3, N, 2))),
+                        (np.zeros((2, 3, 6)), np.zeros((2, 3, N - 1, 2))),
+                        (np.zeros((2, 3, 6)), np.zeros((2, 4, N, 2))),
+                        (np.zeros((3, 6)), np.zeros((3, N, 2)))]:
+            with pytest.raises(InvalidRate, match="wrong shape"):
+                project_totals(base, asfr, q)
