@@ -13,8 +13,7 @@ import json
 import math
 import os
 import sys
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +104,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # only an internal error prints one: keeps start-up short
+
         traceback.print_exc()
         return 3
 
@@ -132,6 +133,7 @@ def run(config: RunConfig) -> list[Path]:
     scenario_ids = [sid for sid, _ in scenario_list]
     country_totals: dict[str, dict[str, np.ndarray]] = {sid: {} for sid in scenario_ids}
     out = Path(config.out_dir)
+    out_existed = out.exists()
     written: list[Path] = []
     try:
         with contextlib.ExitStack() as stack:
@@ -174,6 +176,9 @@ def run(config: RunConfig) -> list[Path]:
     except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
+        if not out_existed:
+            with contextlib.suppress(OSError):
+                out.rmdir()  # only if this run made it and left it empty
         if isinstance(exc, OSError):
             raise IoFailure(f"failed writing outputs to {out}: {exc}") from exc
         raise

@@ -9,10 +9,16 @@ class Sex(Enum):
     MALE = "Male"
     BOTH = "Both"
 
+    # Members are singletons compared by identity; hashing them in C keeps the
+    # (iso3, variable, age band, sex) keys of every rate lookup cheap.
+    __hash__ = object.__hash__
+
 
 class Variable(Enum):
     FERTILITY = "Fertility"
     MORTALITY = "Mortality"
+
+    __hash__ = object.__hash__  # see Sex
 
 
 class IncomeGroup(Enum):

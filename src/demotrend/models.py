@@ -250,9 +250,8 @@ def predict_rows(form: ModelForm, coef: np.ndarray, x: np.ndarray) -> np.ndarray
     """Unclamped values, broadcastable to ``(S, T)``, of each coefficient row
     ``coef[s]`` of one form at GDP values ``x``, ``(T,)`` or ``(S, T)``.
 
-    Each value takes the elementwise operations of ``raw_prediction``. The
-    exponent stays a scalar per row: an array of exponents gives other bits
-    at b3 = 1 (numpy's reciprocal fast path).
+    Each value takes the elementwise operations of ``raw_prediction``; the
+    negative-power form takes every row's power in one ``neg_powers`` call.
     """
     b1, b2, b3, x1 = (coef[:, j, None] for j in range(4))
     if form is ModelForm.NULL:
@@ -264,11 +263,7 @@ def predict_rows(form: ModelForm, coef: np.ndarray, x: np.ndarray) -> np.ndarray
     if form is ModelForm.NEG_LOG:
         return b1 + b2 * np.log(x)
     if form is ModelForm.NEG_POWER:
-        powers = np.empty(np.broadcast_shapes(b1.shape, x.shape))
-        for out, xs, exponent in zip(powers, np.broadcast_to(x, powers.shape),
-                                     coef[:, 2].tolist()):
-            out[...] = xs ** -exponent
-        return b1 + b2 * powers
+        return b1 + b2 * neg_powers(x, coef[:, 2])
     if form is ModelForm.LINEAR_SPLINE:
         return b1 + b2 * np.minimum(x, x1) + b3 * np.maximum(x - x1, 0.0)
     if form is ModelForm.RIGHT_HINGE:
@@ -301,15 +296,27 @@ def sumsq(r: np.ndarray) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def _power_designs(x: np.ndarray, b3s: np.ndarray) -> np.ndarray:
-    """Stacked designs [1, x^-b3], one per exponent in ``b3s``.
+def neg_powers(x: np.ndarray, b3s: np.ndarray) -> np.ndarray:
+    """``x ** -b3`` for each positive exponent of ``b3s``, one row each: a
+    ``(B, T)`` array from ``x`` of shape ``(T,)`` or ``(B, T)``.
 
-    Each column is computed with a scalar exponent: an array exponent
-    gives different bits at b3 = 1 (numpy's reciprocal fast path).
+    One ``np.power`` takes every exponent, and each row has the bits of
+    ``x ** -b3`` with a scalar exponent. A scalar exponent of -1 takes
+    numpy's reciprocal path and an array exponent does not, so rows whose
+    exponent is exactly 1 are written as ``1.0 / x``.
     """
+    b3 = np.asarray(b3s, dtype=float)
+    powers = np.power(x, -b3[:, None])
+    one = b3 == 1.0
+    if one.any():
+        powers[one] = 1.0 / np.broadcast_to(x, powers.shape)[one]
+    return powers
+
+
+def _power_designs(x: np.ndarray, b3s: np.ndarray) -> np.ndarray:
+    """Stacked designs [1, x^-b3], one per exponent in ``b3s`` (see ``neg_powers``)."""
     a = np.ones((b3s.size, x.size, 2))
-    for design, b3 in zip(a, b3s.tolist()):
-        np.power(x, -b3, out=design[:, 1])
+    a[:, :, 1] = neg_powers(x, b3s)
     return a
 
 
@@ -398,9 +405,10 @@ def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> 
 
     Centring removes the intercept; ``x`` is partialled out of every y_s and
     z_c (Frisch-Waugh-Lovell). A z_c with no variation left explains
-    nothing, so its RSS is that of the basis alone. The ``(C, S)`` product
-    uses ``einsum``, which never calls BLAS: on threaded OpenBLAS a product
-    this size wakes a helper thread that busy-waits.
+    nothing, so its RSS is that of the basis alone. The ``(C, S)`` cross
+    products are one BLAS matrix product. Its summation order is BLAS's, so
+    a screen may differ from a per-pair sum in rounding, far inside
+    ``SCREEN_RTOL``; ``_exact_minima`` re-solves every candidate that could win.
     """
     ry = ys - ys.mean(axis=1, keepdims=True)
     rz = z - z.mean(axis=1, keepdims=True)
@@ -410,7 +418,7 @@ def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> 
         ry = ry - np.outer(ry @ dx / sxx, dx)
         rz = rz - np.outer(rz @ dx / sxx, dx)
     szz = np.einsum("ij,ij->i", rz, rz)[:, None]
-    szy = np.einsum("cn,sn->cs", rz, ry)
+    szy = rz @ ry.T
     syy = np.einsum("ij,ij->i", ry, ry)
     return syy - np.divide(szy * szy, szz, out=np.zeros_like(szy), where=szz > 0.0)
 

@@ -188,9 +188,9 @@ def _write_trajectories(result: RunResult, out: Path) -> Path:
     lines = ["scope,scenario_id,year,population"]
     for sid in result.scenario_ids:
         for series in result.aggregates[sid]:
-            for i, value in enumerate(series.values):
-                lines.append(f"{series.scope.label},{sid},"
-                             f"{series.start_year + i},{fmt_millions(value)}")
+            prefix = f"{series.scope.label},{sid}"
+            lines.extend(f"{prefix},{year},{millions:.6g}" for year, millions in enumerate(
+                (series.values / 1e6).tolist(), series.start_year))
     return _write_lines(out / "trajectories.csv", lines)
 
 
@@ -324,8 +324,9 @@ def _svg_chart(title: str, panels) -> str:
                      f'millions</text>')
         for label, start_year, values in series_list:
             color = _color(labels.index(label))
-            points = " ".join(f"{sx(start_year + i):.2f},{sy(v / 1e6):.2f}"
-                              for i, v in enumerate(values))
+            xs = sx(np.arange(start_year, start_year + values.size)).tolist()
+            ys = sy(values / 1e6).tolist()
+            points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
             parts.append(f'<polyline points="{points}" fill="none" '
                          f'stroke="{color}" stroke-width="1.4"/>')
     if legend_w:

@@ -1,3 +1,5 @@
+import enum
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from demotrend.augmentation import (
     build_augmented_series,
     select_donors,
 )
-from demotrend.core import Sex, Variable
+from demotrend.core import AGE_BANDS, FERTILE_BANDS, SEX_COLUMNS, Sex, Variable
+from demotrend.data_ingest import load_dataset
 from demotrend.errors import NoTargetData
+
+from conftest import TINY
 
 
 def candidates_of(dataset, exclude):
@@ -148,3 +153,30 @@ class TestAugmentedSeries:
                                    tiny_dataset)
         assert np.array_equal(a.fit_gdp, b.fit_gdp)
         assert np.array_equal(a.fit_rate, b.fit_rate)
+
+
+class TestRateKeyHashing:
+    def test_sex_and_variable_never_hash_in_python(self, monkeypatch):
+        """Every rate lookup hashes a (iso3, variable, band, sex) key; its enum
+        members hash in C, without a call to ``enum.Enum.__hash__``."""
+        dataset = load_dataset(TINY)  # fresh, so every pair is built and memoized here
+        hashed = []
+        python_hash = enum.Enum.__hash__
+
+        def counting_hash(member):
+            if isinstance(member, (Sex, Variable)):
+                hashed.append(member)
+            return python_hash(member)
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+        assert hash(enum.Enum("Probe", "A").A) is not None  # the counting hash is installed
+        countries = [c.iso3 for c in dataset.countries]
+        for target in countries:
+            donors = [c for c in countries if c != target]
+            for band in FERTILE_BANDS:
+                build_augmented_series(target, donors, Variable.FERTILITY, band, dataset)
+            for band in AGE_BANDS:
+                for sex in SEX_COLUMNS:
+                    build_augmented_series(target, donors, Variable.MORTALITY, band, dataset,
+                                           sex=sex)
+        assert hashed == []

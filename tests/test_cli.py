@@ -197,10 +197,12 @@ class TestDeterminism:
                 (tmp_path / "one" / name).read_bytes(), name
 
     def test_import_leaves_worker_pools_unloaded(self):
-        """Single-job runs never pay for importing ``concurrent.futures``."""
+        """Single-job runs never pay for importing ``concurrent.futures``, and
+        runs without an internal error never import ``traceback``."""
         script = ("import sys\n"
                   "import demotrend.cli\n"
-                  "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n")
+                  "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+                  "assert 'traceback' not in sys.modules, 'traceback was imported'\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
@@ -534,6 +536,16 @@ class TestDataErrors:
         assert (tmp_path / "out" / "summary.csv").exists()
 
 
+def tiny_without_ccc_20_24_fertility(tmp_path):
+    """A copy of the tiny fixture in which CCC, the last country, fails to fit."""
+    data_dir = tmp_path / "tiny"
+    shutil.copytree(TINY, data_dir)
+    rates = data_dir / "rates.csv"
+    rates.write_text("".join(line for line in rates.read_text().splitlines(True)
+                             if not line.startswith("CCC") or ",20-24," not in line))
+    return data_dir
+
+
 class TestWriteFailures:
     """A failed write exits 1 and leaves no output file, dumps included."""
 
@@ -553,14 +565,22 @@ class TestWriteFailures:
     def test_data_error_for_a_later_country_leaves_no_dump(self, tmp_path, jobs):
         """CCC, the last country, has no 20-24 fertility history: the dump rows
         already written for AAA and BBB are removed."""
-        data_dir = tmp_path / "tiny"
-        shutil.copytree(TINY, data_dir)
-        rates = data_dir / "rates.csv"
-        rates.write_text("".join(line for line in rates.read_text().splitlines(True)
-                                 if not line.startswith("CCC") or ",20-24," not in line))
+        data_dir = tiny_without_ccc_20_24_fertility(tmp_path)
         out = tmp_path / "out"
         code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out),
                                    "--jobs", jobs, "--dump-donors", "--dump-ensembles"])
         assert code == 1
         assert stderr == "error: CCC: no usable Fertility history for 20-24\n"
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_data_error_keeps_an_existing_empty_out(self, tmp_path, jobs):
+        """A failed run removes only what it made: an --out that was already
+        there stays, empty."""
+        data_dir = tiny_without_ccc_20_24_fertility(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out),
+                                   "--jobs", jobs, "--dump-donors", "--dump-ensembles"])
+        assert code == 1, stderr
+        assert out.is_dir() and not any(out.iterdir())

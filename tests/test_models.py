@@ -27,6 +27,7 @@ from demotrend.models import (
     akaike_weights,
     fit,
     fit_rows,
+    neg_powers,
     predict,
     predict_rows,
     raw_prediction,
@@ -333,6 +334,27 @@ class TestScreenedSearchMatchesExhaustive:
         if len(set(xs)) > 1:
             assert_matches_exhaustive(form, xs, ys)
 
+    # GDP over 1e2-1e9, the range of a 60-country ladder, where the screens
+    # lose the most precision; every row of a batch must still come out exact.
+    @pytest.mark.parametrize("form", SEARCHED_FORMS)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_batched_rows_over_ladder_gdp(self, form, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(PARAM_COUNT[form] + 2, 80))
+        xs = 10.0 ** rng.uniform(2.0, 9.0, n)
+        if data.draw(st.booleans()):
+            xs = np.repeat(xs[: n // 2 + 1], 2)[:n]  # donor windows repeat GDP values
+        level = 10.0 ** rng.uniform(-4.0, 2.0, (data.draw(st.integers(1, 5)), 1))
+        rows = level * (1.0 + xs ** -rng.uniform(0.05, 1.0, (len(level), 1))
+                        + rng.normal(0.0, 0.05, (len(level), n)))
+        expected = [exhaustive_fit(form, xs, y) for y in rows]
+        if expected[0] is None:
+            with pytest.raises(DegenerateX):
+                fit_rows(form, xs, rows)
+        else:
+            assert fitted_rows(form, xs, rows) == expected
+
 
 def fitted_rows(form, xs, rows):
     """``fit_rows`` as one ``FitResult`` per row, scored as ``fit`` scores."""
@@ -572,6 +594,59 @@ class TestFitContract:
         xs[0] = 0.0
         with pytest.raises(NonPositiveX):
             fit(ModelForm.LINEAR, xs, WIGGLY_Y)
+
+
+def per_row_powers(x, b3s):
+    """``x ** -b3`` with a scalar exponent per row, as the search built its designs."""
+    out = np.empty((len(b3s), np.shape(x)[-1]))
+    for row, xs, b3 in zip(out, np.broadcast_to(x, out.shape), b3s):
+        row[...] = np.power(xs, -float(b3))
+    return out
+
+
+def per_row_neg_power_prediction(coef, x):
+    """The negative-power branch of ``predict_rows`` as a per-row loop, verbatim."""
+    b1, b2, b3, x1 = (coef[:, j, None] for j in range(4))
+    powers = np.empty(np.broadcast_shapes(b1.shape, x.shape))
+    for out, xs, exponent in zip(powers, np.broadcast_to(x, powers.shape),
+                                 coef[:, 2].tolist()):
+        out[...] = xs ** -exponent
+    return b1 + b2 * powers
+
+
+POWER_GRID = (models.POWER_GRID_LO + np.arange(100) * models.POWER_GRID_STEP).tolist()
+EXPONENTS = st.one_of(st.sampled_from(POWER_GRID), st.floats(0.05, 5.0),
+                      st.sampled_from([0.5, 1.0, 2.0]))
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNegPowers:
+    """One ``np.power`` over all exponents keeps the bits of a scalar exponent per row."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_scalar_exponent_per_row(self, data):
+        b3s = np.array(data.draw(st.lists(EXPONENTS, min_size=1, max_size=12)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        size = (len(b3s), data.draw(st.integers(1, 200)))
+        x = 10.0 ** rng.uniform(-3.0, 9.0, size if data.draw(st.booleans()) else size[1])
+        assert bitwise_equal(neg_powers(x, b3s), per_row_powers(x, b3s))
+        coef = np.column_stack([rng.normal(0.0, 1.0, len(b3s)), rng.normal(0.0, 10.0, len(b3s)),
+                                b3s, np.full(len(b3s), np.nan)])
+        assert bitwise_equal(predict_rows(ModelForm.NEG_POWER, coef, x),
+                             per_row_neg_power_prediction(coef, x))
+
+    def test_unit_exponent_rows_are_reciprocals(self):
+        # An array exponent of -1 misses numpy's reciprocal path on these shapes.
+        x = 10.0 ** np.random.default_rng(3).uniform(-3.0, 9.0, (6, 1000))
+        b3s = np.array([1.0, 0.5, 1.0, 2.0, 1.0, 0.05])
+        assert (np.power(x, -b3s[:, None])[0] != 1.0 / x[0]).any()
+        powers = neg_powers(x, b3s)
+        assert bitwise_equal(powers[b3s == 1.0], 1.0 / x[b3s == 1.0])
+        assert bitwise_equal(powers, per_row_powers(x, b3s))
 
 
 class TestPredict:
