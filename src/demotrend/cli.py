@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -133,7 +134,8 @@ def run(config: RunConfig) -> list[Path]:
     scenario_ids = [sid for sid, _ in scenario_list]
     country_totals: dict[str, dict[str, np.ndarray]] = {sid: {} for sid in scenario_ids}
     out = Path(config.out_dir)
-    out_existed = out.exists()
+    # The directories of --out that this run would create, deepest first.
+    made = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
     written: list[Path] = []
     try:
         with contextlib.ExitStack() as stack:
@@ -176,9 +178,9 @@ def run(config: RunConfig) -> list[Path]:
     except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
-        if not out_existed:
+        for path in made:
             with contextlib.suppress(OSError):
-                out.rmdir()  # only if this run made it and left it empty
+                path.rmdir()  # only if the run left it empty
         if isinstance(exc, OSError):
             raise IoFailure(f"failed writing outputs to {out}: {exc}") from exc
         raise

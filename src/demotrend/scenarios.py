@@ -98,16 +98,17 @@ def multiplier_pathway(base: GdpPathway, m: float) -> GdpPathway:
     """
     if m < 0.0:
         raise ValueError(f"growth multiplier must be non-negative, got {m}")
-    values = np.empty_like(base.values)
-    values[0] = base.values[0]
-    for i in range(base.values.size - 1):
-        r = base.values[i + 1] / base.values[i] - 1.0
-        growth = 1.0 + m * r
-        if growth <= 0.0:
+    v = base.values
+    # An overflow to inf is reported by GdpPathway's finite check, not as a warning.
+    with np.errstate(over="ignore"):
+        growth = 1.0 + m * (v[1:] / v[:-1] - 1.0)
+        crash = np.flatnonzero(growth <= 0.0)
+        if crash.size:
             raise NonPositiveResult(
                 f"{base.iso3}: multiplier {m} drives GDP non-positive in year "
-                f"{base.start_year + i + 1}")
-        values[i + 1] = values[i] * growth
+                f"{base.start_year + int(crash[0]) + 1}")
+        # Strictly sequential: each year is the previous year times its growth.
+        values = np.multiply.accumulate(np.concatenate((v[:1], growth)))
     return GdpPathway(iso3=base.iso3, scenario_id=scenario_label(m),
                       start_year=base.start_year, values=values)
 

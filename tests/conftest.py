@@ -107,7 +107,9 @@ def run_cli(args, env_extra=None, cwd=None):
     import os
     import subprocess
 
-    env = dict(os.environ)
+    # This process's import path, absolute, so that a run in another cwd
+    # imports the same package.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "demotrend", *args],

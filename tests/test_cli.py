@@ -233,6 +233,40 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "None"
 
+    def test_entry_point_freezes_the_import_heap(self):
+        """The entry point moves what its import left behind to the permanent
+        generation and leaves the collector running."""
+        script = ("import gc\n"
+                  "import demotrend.__main__\n"
+                  "assert gc.isenabled(), 'gc left disabled'\n"
+                  "assert gc.get_freeze_count() > 0, 'nothing frozen'\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_library_import_leaves_gc_alone(self):
+        script = ("import gc\n"
+                  "import demotrend, demotrend.cli\n"
+                  "from demotrend.data_ingest import load_dataset\n"
+                  f"load_dataset({str(TINY)!r})\n"
+                  "assert gc.isenabled(), 'gc disabled'\n"
+                  "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_entry_point_exit_codes_and_stderr(self, tmp_path):
+        code, stdout, stderr = run_cli(["--data-dir", str(TINY)])
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("usage: demotrend ")
+        assert stderr.endswith("\ndemotrend: error: the following arguments are required: "
+                               "--out\n")
+        code, stdout, stderr = run_cli(["--data-dir", str(tmp_path / "absent"),
+                                        "--out", str(tmp_path / "out")])
+        assert code == 1 and stdout == ""
+        assert stderr == ("error: required input file not found: "
+                          f"{tmp_path / 'absent' / 'countries.csv'}\n")
+
     def test_pinned_thread_count_invisible(self, tmp_path, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         args = ["--data-dir", str(TINY), "--scenario", "sweep:0:2:1",
@@ -324,6 +358,12 @@ class TestScenarioVariants:
         base_pop = [(r["scope"], r["year"], r["population"]) for r in base_rows]
         m1_pop = [(r["scope"], r["year"], r["population"]) for r in m1_rows]
         assert base_pop == m1_pop
+
+    def test_overflowing_multiplier_prints_one_error_line(self, tmp_path):
+        code, _, stderr = run_cli(["--data-dir", str(TINY), "--out", str(tmp_path / "out"),
+                                   "--scenario", "m:1e6"])
+        assert code == 1
+        assert stderr == "error: AAA/m1000000.0: pathway values must be positive and finite\n"
 
     def test_manifest_records_the_raw_token(self, tmp_path):
         """The spec drives the run; the manifest keeps the token as typed."""
@@ -572,6 +612,25 @@ class TestWriteFailures:
         assert code == 1
         assert stderr == "error: CCC: no usable Fertility history for 20-24\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_data_error_removes_every_directory_it_made(self, tmp_path, jobs):
+        data_dir = tiny_without_ccc_20_24_fertility(tmp_path)
+        code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", "nest/a/b",
+                                   "--jobs", jobs, "--dump-donors"], cwd=tmp_path)
+        assert stderr == "error: CCC: no usable Fertility history for 20-24\n"
+        assert code == 1
+        assert not (tmp_path / "nest").exists()
+
+    def test_data_error_keeps_an_existing_ancestor(self, tmp_path):
+        data_dir = tiny_without_ccc_20_24_fertility(tmp_path)
+        (tmp_path / "nest").mkdir()
+        code, _, stderr = run_cli(["--data-dir", str(data_dir),
+                                   "--out", str(tmp_path / "nest" / "a" / "b"),
+                                   "--dump-donors"])
+        assert stderr == "error: CCC: no usable Fertility history for 20-24\n"
+        assert code == 1
+        assert (tmp_path / "nest").is_dir() and not any((tmp_path / "nest").iterdir())
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_data_error_keeps_an_existing_empty_out(self, tmp_path, jobs):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demotrend.errors import NonPositiveGdp, NonPositiveResult, PathwayGap
 from demotrend.scenarios import (
@@ -155,6 +157,66 @@ class TestMultiplierPathway:
                           values=np.array([100.0, 10.0]))
         with pytest.raises(NonPositiveResult):
             multiplier_pathway(base, 2.0)  # growth factor 1 + 2(-0.9) < 0
+
+
+def looped_multiplier_pathway(base, m):
+    """``multiplier_pathway`` as one Python step per year: the oracle for the
+    cumulative product."""
+    if m < 0.0:
+        raise ValueError(f"growth multiplier must be non-negative, got {m}")
+    values = np.empty_like(base.values)
+    values[0] = base.values[0]
+    for i in range(base.values.size - 1):
+        r = base.values[i + 1] / base.values[i] - 1.0
+        growth = 1.0 + m * r
+        if growth <= 0.0:
+            raise NonPositiveResult(
+                f"{base.iso3}: multiplier {m} drives GDP non-positive in year "
+                f"{base.start_year + i + 1}")
+        values[i + 1] = values[i] * growth
+    return GdpPathway(iso3=base.iso3, scenario_id=scenario_label(m),
+                      start_year=base.start_year, values=values)
+
+
+@st.composite
+def random_baselines(draw):
+    """Baselines through random anchors 1-10 years apart, GDP over 50-200,000,
+    whose steep falls drive the growth of many multipliers to or below 0."""
+    end = draw(st.integers(2016, 2100))
+    step = draw(st.integers(1, 10))
+    years = [*range(2015, end, step), end]
+    values = [math.exp(draw(st.floats(math.log(50.0), math.log(2e5)))) for _ in years]
+    return baseline_pathway("AAA", years, values, end=end)
+
+
+class TestMultiplierMatchesLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(base=random_baselines(),
+           m=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 50.0)))
+    def test_same_bits_and_errors(self, base, m):
+        try:
+            expected = looped_multiplier_pathway(base, m)
+        except NonPositiveResult as exc:
+            with pytest.raises(NonPositiveResult) as caught:
+                multiplier_pathway(base, m)
+            assert str(caught.value) == str(exc)
+            return
+        got = multiplier_pathway(base, m)
+        assert got.scenario_id == expected.scenario_id
+        assert got.values.shape == expected.values.shape
+        assert (got.values == expected.values).all()
+
+    def test_exact_zero_growth_is_rejected_at_its_year(self):
+        base = GdpPathway(iso3="AAA", scenario_id="baseline", start_year=2015,
+                          values=np.array([100.0, 110.0, 55.0, 60.0]))
+        with pytest.raises(NonPositiveResult, match="non-positive in year 2017"):
+            multiplier_pathway(base, 2.0)  # growth 1 + 2(-0.5) == 0
+
+    def test_overflow_is_an_error_not_a_warning(self, recwarn):
+        base = geometric_pathway(growth=1.5)
+        with pytest.raises(NonPositiveResult, match="positive and finite"):
+            multiplier_pathway(base, 1e6)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestConvergencePathway:
