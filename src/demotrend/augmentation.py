@@ -9,11 +9,9 @@ points can shape curves but not inflate evidence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Sex, Variable
+from .core import Record, Sex, Variable
 from .data_ingest import Dataset
 from .errors import NoTargetData
 
@@ -22,8 +20,7 @@ TARGET_WINDOW = (1950, 2015)
 DONOR_WINDOW = (1990, 2015)
 
 
-@dataclass(frozen=True)
-class DonorRule:
+class DonorRule(Record, frozen=True):
     """Admission test for donor countries under one scenario.
 
     A candidate qualifies when its minimum GDP per capita inside the
@@ -45,8 +42,7 @@ class DonorRule:
             raise ValueError("pathway maximum cannot undercut the 2015 level")
 
 
-@dataclass(eq=False)
-class AugmentedSeries:
+class AugmentedSeries(Record, eq=False):
     """Fitting sample (target plus donors) and target-only scoring sample."""
 
     fit_gdp: np.ndarray

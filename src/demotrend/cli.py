@@ -14,17 +14,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .augmentation import DonorRule, select_donors
-from .core import AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, SEX_COLUMNS, Sex, Variable
+from .core import (AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, SEX_COLUMNS, Record, Sex,
+                   Variable)
 from .data_ingest import HEADERS, Dataset, load_dataset
 from .demography import pathway_rates, project_totals
-from .errors import DemotrendError, IoFailure, SchemaViolation
+from .errors import DemotrendError, IoFailure, NonFiniteResult, SchemaViolation
 from .models import FORM_ORDER, ModelForm
 from .rate_forecast import CapPolicy, build_country_ensembles
 from .report import RunResult, aggregate, emit_outputs, scopes_for, sensitivity_ratio
@@ -62,8 +62,7 @@ class UsageError(Exception):
     """Bad invocation: flags or scenario token, not data."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record, frozen=True):
     data_dir: str
     out_dir: str
     scenario: str = "baseline"
@@ -77,8 +76,7 @@ class RunConfig:
     out_format: str = "csv+svg"
 
 
-@dataclass(eq=False)
-class _WorkerPayload:
+class _WorkerPayload(Record, eq=False):
     dataset: Dataset
     scenarios: list
     country_order: list[str]
@@ -220,7 +218,12 @@ def _project_one(iso3: str):
             if tuple(donors) not in dumped:
                 dumped[tuple(donors)] = _ensemble_dump_cells(ensembles)
             ensemble_lines.extend(f"{sid},{iso3},{cells}\n" for cells in dumped[tuple(donors)])
-    totals = project_totals(base, asfr, q, p.srb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = project_totals(base, asfr, q, p.srb)
+    bad = np.argwhere(~np.isfinite(totals)).tolist()
+    if bad:
+        raise NonFiniteResult(f"{iso3}/{p.scenarios[bad[0][0]][0]}: projected population "
+                              f"is not finite in {base.year + bad[0][1]}")
     return iso3, totals, "".join(donor_lines), "".join(ensemble_lines)
 
 
@@ -280,24 +283,20 @@ def _write_manifest(config: RunConfig, out: Path) -> Path:
     return path
 
 
-@dataclass(frozen=True)
-class Baseline:
+class Baseline(Record, frozen=True):
     """``baseline``: each country's baseline GDP pathway."""
 
 
-@dataclass(frozen=True)
-class Multiplier:
+class Multiplier(Record, frozen=True):
     """``m:<m>``: baseline growth rates scaled by ``m``."""
     m: float
 
 
-@dataclass(frozen=True)
-class Convergence:
+class Convergence(Record, frozen=True):
     """``convergence``: steady convergence to the target GDP by 2100."""
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(Record, frozen=True):
     """``sweep[:<from>:<to>:<step>]``: one multiplier scenario per step."""
     m_from: float = 0.0
     m_to: float = 2.0

@@ -59,3 +59,59 @@ MALE_COL = 1
 
 BASE_YEAR = 2015
 END_YEAR = 2100
+
+_REQUIRED = object()
+
+
+class Record:
+    """Base of the package's records, in place of ``dataclasses``, which
+    compiles new source for each method of each class at every import.
+
+    A subclass's annotated names are its fields (``_fields``), and a class
+    value is a field's default. ``factories`` maps a field to the function
+    that makes its default; ``hidden`` fields are left out of ``repr``, ``==``
+    and ``hash``. The methods are closures over the field names: ``__init__``
+    (ending in ``__post_init__``), ``__repr__``, value ``__eq__`` and
+    ``__hash__`` unless ``eq=False``, and if ``frozen``, a refusing
+    ``__setattr__`` and ``__delattr__``.
+    """
+
+    def __init_subclass__(cls, frozen=False, eq=True, factories=(), hidden=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        make = {name: lambda value=cls.__dict__.get(name, _REQUIRED): value for name in names}
+        make.update(factories)
+        shown = [name for name in names if name not in hidden]
+
+        def __init__(self, *args, **kwargs):
+            values = dict(zip(names, args))
+            for name in names[len(args):]:
+                values[name] = kwargs.pop(name) if name in kwargs else make[name]()
+            missing = [name for name, value in values.items() if value is _REQUIRED]
+            if missing or kwargs or len(args) > len(names):
+                raise TypeError(f"{cls.__qualname__}(): missing {missing}, unexpected "
+                                f"{[*args[len(names):], *kwargs]}")
+            self.__dict__.update(values)
+            self.__post_init__()
+
+        def __repr__(self):
+            shows = (f"{name}={getattr(self, name)!r}" for name in shown)
+            return f"{type(self).__qualname__}({', '.join(shows)})"
+
+        def key(self):
+            return tuple([getattr(self, name) for name in shown])
+
+        def __eq__(self, other):
+            return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+        def refuse(self, name, value=None):
+            raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+        cls.__init__, cls.__repr__ = __init__, __repr__
+        if eq:
+            cls.__eq__, cls.__hash__ = __eq__, (lambda self: hash(key(self))) if frozen else None
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = refuse
+
+    def __post_init__(self):
+        pass

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
@@ -32,6 +31,7 @@ from .core import (
     BASE_YEAR,
     FERTILE_BANDS,
     IncomeGroup,
+    Record,
     Region,
     Sex,
     SEX_COLUMNS,
@@ -54,16 +54,14 @@ Series = tuple[np.ndarray, np.ndarray]  # (years, values) as float arrays, oldes
 RateRow = namedtuple("RateRow", "iso3 year variable age_group sex rate")
 
 
-@dataclass(frozen=True)
-class CountryRecord:
+class CountryRecord(Record, frozen=True):
     iso3: str
     name: str
     income_group: IncomeGroup
     region: Region
 
 
-@dataclass(eq=False)
-class BasePopulation:
+class BasePopulation(Record, eq=False):
     """Base-year cohort counts, shape (21 age bands, 2 sexes)."""
 
     iso3: str
@@ -71,8 +69,8 @@ class BasePopulation:
     counts: np.ndarray
 
 
-@dataclass(eq=False)
-class Dataset:
+class Dataset(Record, eq=False, factories={"rejections": list, "memo": dict},
+              hidden=("memo",)):
     """The validated inputs. ``rate_index`` is keyed by (iso3, variable, age
     band, sex), the other indexes by iso3; ``memo`` holds what consumers
     derive from the series, once per dataset."""
@@ -82,8 +80,8 @@ class Dataset:
     gdp_hist_index: dict[str, Series]
     gdp_baseline_index: dict[str, Series]
     base_pop_index: dict[str, BasePopulation]
-    rejections: list[UnknownCountry] = field(default_factory=list)
-    memo: dict = field(default_factory=dict, repr=False)
+    rejections: list[UnknownCountry]
+    memo: dict
 
     @cached_property
     def country_map(self) -> dict[str, CountryRecord]:

@@ -9,19 +9,16 @@ There is no migration term.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL
+from .core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL, Record
 from .errors import InvalidRate, NegativeState
 from .rate_forecast import CapPolicy, CountryEnsembles, model_inputs
 
 N_BANDS = len(AGE_BANDS)
 
 
-@dataclass(eq=False)
-class PopulationState:
+class PopulationState(Record, eq=False):
     """Cohort counts for one country-year, shape (21 age bands, 2 sexes)."""
 
     iso3: str
@@ -34,8 +31,7 @@ class PopulationState:
             raise ValueError(f"counts must have shape ({N_BANDS}, 2)")
 
 
-@dataclass(eq=False)
-class VitalRates:
+class VitalRates(Record, eq=False):
     """One year's rates: asfr over the 6 fertile bands, mortality (21, 2)."""
 
     asfr: np.ndarray

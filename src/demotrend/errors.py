@@ -6,9 +6,23 @@ condition applies to the file as a whole rather than a single row.
 """
 from __future__ import annotations
 
+import functools
+
 
 class DemotrendError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    An error keeps the arguments it was made from and pickles (out of a
+    ``--jobs`` worker, say) as a call of its constructor with them.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._remake = functools.partial(cls, *args, **kwargs)
+        return self
+
+    def __reduce__(self):
+        return self._remake, ()
 
 
 class MissingFile(DemotrendError):
@@ -16,19 +30,11 @@ class MissingFile(DemotrendError):
         super().__init__(f"required input file not found: {path}")
         self.path = str(path)
 
-    def __reduce__(self):
-        return (type(self), (self.path,))
-
 
 class SchemaViolation(DemotrendError):
     def __init__(self, file: str, line: int, reason: str):
         super().__init__(f"{file}:{line}: {reason}")
-        self.file = file
-        self.line = line
-        self.reason = reason
-
-    def __reduce__(self):
-        return (type(self), (self.file, self.line, self.reason))
+        self.file, self.line, self.reason = file, line, reason
 
 
 class UnknownCountry(DemotrendError):
@@ -36,12 +42,7 @@ class UnknownCountry(DemotrendError):
 
     def __init__(self, file: str, line: int, iso3: str):
         super().__init__(f"{file}:{line}: unknown country {iso3!r} (row skipped)")
-        self.file = file
-        self.line = line
-        self.iso3 = iso3
-
-    def __reduce__(self):
-        return (type(self), (self.file, self.line, self.iso3))
+        self.file, self.line, self.iso3 = file, line, iso3
 
 
 class NonPositiveGdp(DemotrendError):
@@ -50,22 +51,14 @@ class NonPositiveGdp(DemotrendError):
         if file is not None:
             message = f"{file}:{line}: {message}"
         super().__init__(message)
-        self.file = file
-        self.line = line
-
-    def __reduce__(self):
-        return (type(self), (self.args[0],))
+        self.file, self.line = file, line
 
 
 class InsufficientData(DemotrendError):
     def __init__(self, n: int, k: int):
         super().__init__(f"{n} observations cannot support a {k}-parameter fit "
                          f"(need at least {k + 2})")
-        self.n = n
-        self.k = k
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.k))
+        self.n, self.k = n, k
 
 
 class DegenerateX(DemotrendError):
@@ -80,11 +73,7 @@ class DenominatorZero(DemotrendError):
     def __init__(self, n: int, k: int):
         super().__init__(f"small-sample correction undefined for n={n}, k={k} "
                          f"(requires n > k + 1)")
-        self.n = n
-        self.k = k
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.k))
+        self.n, self.k = n, k
 
 
 class EmptyInput(DemotrendError):
@@ -117,6 +106,10 @@ class PathwayGap(DemotrendError):
 
 class NonPositiveResult(DemotrendError):
     """A scenario transformation produced a non-positive GDP value."""
+
+
+class NonFiniteResult(DemotrendError):
+    """A projection overflowed to an infinite or NaN population."""
 
 
 class EmptyScope(DemotrendError):

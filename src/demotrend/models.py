@@ -10,12 +10,12 @@ every candidate, then an exact re-solve of the near-best ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .core import Record
 from .errors import (
     DegenerateX,
     DenominatorZero,
@@ -73,8 +73,7 @@ _TRANSFORMS = {
 }
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record, frozen=True):
     """One estimated curve plus its score: the one-row view of a fit.
 
     ``beta1``/``beta2`` are intercept and slope-or-scale, ``beta3`` is the

@@ -10,13 +10,12 @@ level beyond which fertility is treated as decoupled from further growth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .augmentation import build_augmented_series
-from .core import AGE_BANDS, FERTILE_BANDS, SEX_COLUMNS, Sex, Variable
+from .core import AGE_BANDS, FERTILE_BANDS, SEX_COLUMNS, Record, Sex, Variable
 from .data_ingest import Dataset
 from .errors import DegenerateX, InsufficientData, NonPositiveGdp, NoWeightData
 from .models import (
@@ -33,8 +32,7 @@ from .models import (
 )
 
 
-@dataclass(frozen=True)
-class CapPolicy:
+class CapPolicy(Record, frozen=True):
     """GDP ceiling applied to fertility model inputs; mortality is uncapped."""
 
     fertility_cap_gdp: float = 30000.0
@@ -44,8 +42,7 @@ class CapPolicy:
             raise ValueError("fertility cap must be positive and finite")
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleTable:
+class EnsembleTable(Record, frozen=True, eq=False):
     """The ensembles of S rate series, one column per form of ``FORM_ORDER``.
 
     ``member`` (S, 8) marks the forms in each ensemble. ``coef`` (S, 8, 4)
@@ -73,11 +70,11 @@ class EnsembleTable:
 
     @classmethod
     def concat(cls, tables) -> EnsembleTable:
-        return cls(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)))
+        return cls(*(np.concatenate([getattr(t, name) for t in tables]) for name in cls._fields))
 
     def ensemble(self, row: int) -> RateEnsemble:
         """The one-series view of ``row``."""
-        one = EnsembleTable(*(getattr(self, f.name)[row:row + 1] for f in fields(self)))
+        one = EnsembleTable(*(getattr(self, name)[row:row + 1] for name in self._fields))
         cols = np.flatnonzero(one.member[0]).tolist()
         return RateEnsemble(
             members=tuple(fit_result(FORM_ORDER[j], one.coef[0, j], one.sigma[0, j].item(),
@@ -101,18 +98,16 @@ class EnsembleTable:
         return total
 
 
-@dataclass(frozen=True)
-class RateEnsemble:
+class RateEnsemble(Record, frozen=True, hidden=("table",)):
     """One series' ensemble as read from a table row: its members in
     ``FORM_ORDER``, their evidence weights, and that one-row table."""
 
     members: tuple[FitResult, ...]
     weights: tuple[float, ...]
-    table: EnsembleTable = field(compare=False, repr=False)
+    table: EnsembleTable
 
 
-@dataclass(frozen=True, eq=False)
-class CountryEnsembles:
+class CountryEnsembles(Record, frozen=True, eq=False):
     """Fitted ensembles for one country: 6 fertility bands, 21x2 mortality.
 
     ``table`` has one row per fitted series. ``fertility_rows`` (6,) and

@@ -9,11 +9,11 @@ self-contained SVG with no external renderer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .core import Record
 from .data_ingest import CountryRecord, Dataset
 from .errors import EmptyScope, IoFailure, ZeroBaseline
 
@@ -41,8 +41,7 @@ REGION_ORDER = ("LatinAmericaCaribbean", "SouthAsia", "SubSaharanAfrica",
 SUMMARY_YEARS = (2015, 2050, 2100)
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(Record, frozen=True):
     """What to sum over: the world, an income group, a region, or a country."""
 
     kind: str
@@ -71,8 +70,7 @@ class Scope:
 WORLD = Scope("world")
 
 
-@dataclass(eq=False)
-class AggregateSeries:
+class AggregateSeries(Record, eq=False):
     scope: Scope
     scenario_id: str
     start_year: int
@@ -83,8 +81,7 @@ class AggregateSeries:
         return idx if 0 <= idx < self.values.size else None
 
 
-@dataclass(frozen=True)
-class PeakSummary:
+class PeakSummary(Record, frozen=True):
     scope: Scope
     scenario_id: str
     peak_population: float
@@ -136,8 +133,7 @@ def sensitivity_ratio(pop_m0_2050: float, pop_m2_2050: float,
     return abs(pop_m0_2050 - pop_m2_2050) / pop_baseline_2050
 
 
-@dataclass(eq=False)
-class RunResult:
+class RunResult(Record, eq=False):
     """Everything emit_outputs needs, already in presentation order."""
 
     start_year: int

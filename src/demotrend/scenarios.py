@@ -8,11 +8,9 @@ with steady convergence toward $30,000 per capita by 2100.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import BASE_YEAR, END_YEAR
+from .core import BASE_YEAR, END_YEAR, Record
 from .data_ingest import Dataset
 from .errors import NonPositiveGdp, NonPositiveResult, PathwayGap
 
@@ -21,8 +19,7 @@ MAX_ANCHOR_GAP = 10  # years; anchors must be at least decadal
 MAX_SWEEP_SCENARIOS = 1000  # bounds the memory and run time of one sweep
 
 
-@dataclass(eq=False)
-class GdpPathway:
+class GdpPathway(Record, eq=False):
     """Annual GDP per capita for one country under one scenario."""
 
     iso3: str

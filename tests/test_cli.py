@@ -222,6 +222,23 @@ class TestDeterminism:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == expected
 
+    def test_import_compiles_no_generated_methods(self):
+        """Records are built without ``dataclasses``, whose every generated method
+        is compiled from source at each import. The one compile left is the
+        ``data_ingest.RateRow`` namedtuple, which only ``Dataset.rates`` uses."""
+        script = ("import sys\n"
+                  "import numpy\n"
+                  "compiled = []\n"
+                  "sys.addaudithook(lambda event, args: compiled.append(args[0])\n"
+                  "                 if event == 'compile' and args[1] == '<string>' else None)\n"
+                  "import demotrend.cli\n"
+                  "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
+                  "assert len(compiled) == 1, compiled\n"
+                  "assert compiled[0].startswith(b'lambda _cls, iso3, year,'), compiled\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+
     def test_library_import_leaves_openblas_threads_unset(self):
         script = ("import os\n"
                   "import demotrend, demotrend.cli\n"
@@ -563,6 +580,30 @@ class TestDataErrors:
                                    "--out", str(tmp_path / "out")])
         assert code == 1, stderr
         assert "gdp_hist.csv:" in stderr and "year must lie in 1000-9999" in stderr
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("out_format", ["csv", "csv+svg"])
+    @pytest.mark.parametrize("flag,value,year", [("--srb", "1e308", 2016),
+                                                 ("--fertility-cap", "1e-300", 2020)])
+    def test_overflowing_projection_is_a_data_error(self, tmp_path, flag, value, year,
+                                                    out_format, jobs):
+        """A population that overflows is reported once, at its first year, with
+        no numpy warning and no file left; from a worker too."""
+        out = tmp_path / "nest" / "out"
+        code, stdout, stderr = run_cli(["--data-dir", str(TINY), "--out", str(out), flag, value,
+                                        "--format", out_format, "--jobs", jobs,
+                                        "--dump-donors", "--dump-ensembles"])
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: AAA/baseline: projected population is not finite in {year}\n"
+        assert not (tmp_path / "nest").exists()
+
+    def test_large_finite_flags_still_run(self, tmp_path):
+        code, _, stderr = run_cli(["--data-dir", str(TINY), "--out", str(tmp_path / "out"),
+                                   "--srb", "1e100", "--fertility-cap", "1e-3",
+                                   "--format", "csv"])
+        assert (code, stderr) == (0, "")
+        rows = read_csv(tmp_path / "out" / "trajectories.csv")
+        assert rows and all(math.isfinite(float(row["population"])) for row in rows)
 
     def test_unknown_country_rows_warn_but_run(self, tmp_path):
         rows = minimal_rows()
