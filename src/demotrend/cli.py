@@ -8,12 +8,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import itertools
 import json
 import math
 import os
+import pickle
+import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +28,7 @@ from .core import (AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, SEX_COLUMNS, R
                    Variable)
 from .data_ingest import HEADERS, Dataset, load_dataset
 from .demography import pathway_rates, project_totals
-from .errors import DemotrendError, IoFailure, NonFiniteResult, SchemaViolation
+from .errors import DemotrendError, IoFailure, SchemaViolation
 from .models import FORM_ORDER, ModelForm
 from .rate_forecast import CapPolicy, build_country_ensembles
 from .report import RunResult, aggregate, emit_outputs, scopes_for, sensitivity_ratio
@@ -44,6 +48,12 @@ _DUMPS = (("donors.csv", "scenario_id,target_iso3,donor_iso3"),
           ("ensembles.csv", "scenario_id,iso3,variable,age_group,sex,form,weight,"
                             "beta1,beta2,beta3,x1,sigma,aicc"))
 SENSITIVITY_YEAR = 2050
+# What a --jobs worker reads from the task pipe (a country's index), and what
+# it announces on the result pipe: that index, the worker's number, and the
+# offset and size of the pickled result in the worker's spool file.
+_TASK = struct.Struct("=I")
+_RESULT = struct.Struct("=IIQQ")
+_SIGKILL = 9  # signal.SIGKILL on every POSIX system; importing signal takes about 1 ms
 
 # Per form, which of the weight, beta1, beta2, beta3, x1, sigma and aicc
 # columns of ensembles.csv it fills from its table entries.
@@ -85,9 +95,6 @@ class _WorkerPayload(Record, eq=False):
     horizon: int
     dump_donors: bool
     dump_ensembles: bool
-
-
-_WORKER: dict = {}
 
 
 def main(argv=None) -> int:
@@ -146,15 +153,11 @@ def run(config: RunConfig) -> list[Path]:
                     dumps[-1].write(f"{header}\n")
                 else:
                     dumps.append(None)
-            if config.jobs > 1 and len(countries) > 1:
-                import concurrent.futures  # only worker pools need it: keeps start-up short
-
-                per_country = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(config.jobs, len(countries)),
-                    initializer=_init_worker, initargs=(payload,))).map(_project_one, countries)
+            if config.jobs > 1 and len(countries) > 1 and hasattr(os, "fork"):
+                per_country = stack.enter_context(contextlib.closing(
+                    _forked_map(payload, countries, min(config.jobs, len(countries)))))
             else:
-                _init_worker(payload)
-                per_country = map(_project_one, countries)
+                per_country = map(_project_one, itertools.repeat(payload), countries)
             for iso3, totals, *texts in per_country:
                 for sid, series in zip(scenario_ids, totals):
                     country_totals[sid][iso3] = series
@@ -185,14 +188,114 @@ def run(config: RunConfig) -> list[Path]:
     return written
 
 
-def _init_worker(payload: _WorkerPayload) -> None:
-    _WORKER["payload"] = payload
+def _forked_map(payload: _WorkerPayload, countries: list[str], jobs: int):
+    """``_project_one(payload, iso3)`` for each country, yielded in country
+    order, computed by ``jobs`` forked workers that inherit ``payload``.
+
+    The country indices go into one task pipe, before the first fork as far
+    as one atomic write holds them, and a free worker reads the next one. A worker pickles each result, or
+    exception, into its own unlinked spool file and announces it in one
+    atomic write on the shared result pipe, so it never waits for the
+    parent. Every way out of this generator kills and reaps the workers and
+    closes the pipes and spools.
+    """
+    pids: list[int] = []
+    try:
+        with contextlib.ExitStack() as stack:
+            tasks_r, tasks_w, results_r, results_w = (
+                stack.enter_context(open(fd, mode, buffering=0))
+                for fd, mode in zip((*os.pipe(), *os.pipe()), ("rb", "wb") * 2))
+            spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(jobs)]
+            order = b"".join(map(_TASK.pack, range(len(countries))))
+            # A write of at most PIPE_BUF bytes is atomic and fits an empty pipe;
+            # indices past it (1,024 countries on Linux) go in once workers read.
+            chunk = os.fpathconf(tasks_w.fileno(), "PC_PIPE_BUF")
+            tasks_w.write(order[:chunk])
+            # Workers then share the parent's heap without copying it: collections
+            # in a worker skip frozen objects. Thawing would also thaw the heap
+            # that the entry point froze, so only a heap frozen here is thawed.
+            thaw = not gc.get_freeze_count()
+            gc.freeze()
+            try:
+                for worker, spool in enumerate(spools):
+                    pid = os.fork()
+                    if pid == 0:
+                        code = 1
+                        try:
+                            tasks_w.close()
+                            results_r.close()
+                            _work(payload, countries, tasks_r, results_w, spool, worker)
+                            code = 0
+                        finally:
+                            os._exit(code)
+                    pids.append(pid)
+            finally:
+                if thaw:
+                    gc.unfreeze()
+            tasks_r.close()
+            results_w.close()  # results_r reads end of file once every worker is gone
+            with contextlib.suppress(BrokenPipeError):  # every worker is gone: reported below
+                for start in range(chunk, len(order), chunk):
+                    tasks_w.write(order[start:start + chunk])
+            tasks_w.close()
+            ready: dict[int, list[int]] = {}  # index: worker, offset, size
+            for index, iso3 in enumerate(countries):
+                while index not in ready:
+                    record = results_r.read(_RESULT.size)
+                    if len(record) < _RESULT.size:
+                        raise RuntimeError(f"a --jobs worker exited without a result for {iso3}")
+                    done, *where = _RESULT.unpack(record)
+                    ready[done] = where
+                worker, offset, size = ready.pop(index)
+                value, failure = pickle.loads(os.pread(spools[worker].fileno(), size, offset))
+                if failure is not None:
+                    remote = RuntimeError(f"{iso3} failed in a --jobs worker:\n{failure}")
+                    if value is None:
+                        raise remote
+                    raise value from remote
+                yield value
+    finally:
+        for pid in pids:
+            os.kill(pid, _SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
-def _project_one(iso3: str):
+def _work(payload: _WorkerPayload, countries: list[str], tasks, results, spool,
+          worker: int) -> None:
+    """A forked worker: project the country of each index read from ``tasks``
+    until the pipe is empty and closed, spooling and announcing each result."""
+    offset = 0
+    while task := tasks.read(_TASK.size):
+        index, = _TASK.unpack(task)
+        try:
+            blob = pickle.dumps((_project_one(payload, countries[index]), None),
+                                pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            blob = _pickled_failure(exc)
+        spool.write(blob)
+        spool.flush()
+        results.write(_RESULT.pack(index, worker, offset, len(blob)))
+        offset += len(blob)
+
+
+def _pickled_failure(exc: BaseException) -> bytes:
+    """``(exc, its traceback text)`` pickled, or ``(None, the text)`` when
+    ``exc`` does not come back from pickling."""
+    import traceback  # only a failing country needs it: keeps start-up short
+
+    text = "".join(traceback.format_exception(exc))
+    try:
+        blob = pickle.dumps((exc, text), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(blob)
+        return blob
+    except Exception:
+        return pickle.dumps((None, text), pickle.HIGHEST_PROTOCOL)
+
+
+def _project_one(p: _WorkerPayload, iso3: str):
     """All scenarios for one country: the (S, T+1) totals, then the
     ``donors.csv`` and ``ensembles.csv`` text (empty unless dumped)."""
-    p: _WorkerPayload = _WORKER["payload"]
     dataset = p.dataset
     base = dataset.base_population(iso3)  # iso3, year and counts, as a PopulationState
     # select_donors skips a country without GDP rows in its window.
@@ -218,12 +321,7 @@ def _project_one(iso3: str):
             if tuple(donors) not in dumped:
                 dumped[tuple(donors)] = _ensemble_dump_cells(ensembles)
             ensemble_lines.extend(f"{sid},{iso3},{cells}\n" for cells in dumped[tuple(donors)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = project_totals(base, asfr, q, p.srb)
-    bad = np.argwhere(~np.isfinite(totals)).tolist()
-    if bad:
-        raise NonFiniteResult(f"{iso3}/{p.scenarios[bad[0][0]][0]}: projected population "
-                              f"is not finite in {base.year + bad[0][1]}")
+    totals = project_totals(base, asfr, q, p.srb, [sid for sid, _ in p.scenarios])
     return iso3, totals, "".join(donor_lines), "".join(ensemble_lines)
 
 
@@ -401,8 +499,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     if not args.data_dir:
         raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
-    if args.jobs == "auto":
-        jobs = os.cpu_count() or 1
+    if args.jobs == "auto":  # the CPUs this process may run on, where the OS tells
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     else:
         try:
             jobs = int(args.jobs)

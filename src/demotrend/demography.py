@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL, Record
-from .errors import InvalidRate, NegativeState
+from .errors import InvalidRate, NegativeState, NonFiniteResult
 from .rate_forecast import CapPolicy, CountryEnsembles, model_inputs
 
 N_BANDS = len(AGE_BANDS)
@@ -45,23 +45,38 @@ def step_year(state: PopulationState, rates: VitalRates, srb: float = 1.05) -> P
     a woman contributes through the band she occupied during the year.
     """
     asfr, q = _checked(state, rates.asfr, rates.mortality, 2)
-    counts = _step(state.counts[None], asfr[0], q[0], srb)[0]
-    return PopulationState(iso3=state.iso3, year=state.year + 1, counts=counts)
+    counts, _ = _project(state, asfr, q, srb)
+    return PopulationState(iso3=state.iso3, year=state.year + 1, counts=counts[0])
 
 
-def project_totals(base: PopulationState, asfr, q, srb: float = 1.05) -> np.ndarray:
+def project_totals(base: PopulationState, asfr, q, srb: float = 1.05,
+                   scenario_ids=None) -> np.ndarray:
     """Totals (S, T+1), base year first, of ``base`` stepped through S
     scenarios at once: asfr (S, T, 6), q (S, T, 21, 2). Equal bit for bit to
     T ``step_year`` calls per scenario, and a bad input raises what the first
-    failing call would; only the current (S, 21, 2) state is kept."""
-    asfr, q = _checked(base, asfr, q, 0)
+    failing call would; only the current (S, 21, 2) state is kept.
+    ``scenario_ids`` names the scenarios in a ``NonFiniteResult``."""
+    return _project(base, *_checked(base, asfr, q, 0), srb, scenario_ids)[1]
+
+
+def _project(base: PopulationState, asfr: np.ndarray, q: np.ndarray, srb: float,
+             scenario_ids=None) -> tuple[np.ndarray, np.ndarray]:
+    """The final (S, 21, 2) counts and the (S, T+1) totals of checked rates.
+    The first total that is not finite, in the order of S one-scenario runs,
+    raises ``NonFiniteResult``, with no numpy warning."""
     counts = np.repeat(base.counts[None], len(q), axis=0)
     totals = np.empty((len(q), q.shape[1] + 1))
     totals[:, 0] = counts.reshape(len(q), -1).sum(axis=1)
-    for t in range(q.shape[1]):
-        counts = _step(counts, asfr[:, t], q[:, t], srb)
-        totals[:, t + 1] = counts.reshape(len(q), -1).sum(axis=1)
-    return totals
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(q.shape[1]):
+            counts = _step(counts, asfr[:, t], q[:, t], srb)
+            totals[:, t + 1] = counts.reshape(len(q), -1).sum(axis=1)
+    bad = np.argwhere(~np.isfinite(totals)).tolist()
+    if bad:
+        scenario, step = bad[0]
+        where = base.iso3 if scenario_ids is None else f"{base.iso3}/{scenario_ids[scenario]}"
+        raise NonFiniteResult.at(where, base.year + step)
+    return counts, totals
 
 
 def _checked(base: PopulationState, asfr, q, lead: int) -> tuple[np.ndarray, np.ndarray]:

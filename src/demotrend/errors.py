@@ -111,6 +111,10 @@ class NonPositiveResult(DemotrendError):
 class NonFiniteResult(DemotrendError):
     """A projection overflowed to an infinite or NaN population."""
 
+    @classmethod
+    def at(cls, where: str, year: int) -> NonFiniteResult:
+        return cls(f"{where}: projected population is not finite in {year}")
+
 
 class EmptyScope(DemotrendError):
     """An aggregation scope matches no countries."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Record
 from .data_ingest import CountryRecord, Dataset
-from .errors import EmptyScope, IoFailure, ZeroBaseline
+from .errors import EmptyScope, IoFailure, NonFiniteResult, ZeroBaseline
 
 INCOME_LABELS = {
     "High": "High income",
@@ -149,11 +149,18 @@ def fmt_millions(persons: float) -> str:
 def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> list[Path]:
     """Write trajectories, summary, optional sensitivity, and figures.
 
-    Returns the written paths. On any write failure the files written so
-    far are removed before the error propagates.
+    A series that is not finite raises ``NonFiniteResult`` before any file
+    is written. Returns the written paths. On any write failure the files
+    written so far are removed before the error propagates.
     """
     if not result.scenario_ids:
         raise EmptyScope("no scenarios to report")
+    for sid in result.scenario_ids:
+        for series in result.aggregates[sid]:
+            bad = np.flatnonzero(~np.isfinite(series.values))
+            if bad.size:
+                raise NonFiniteResult.at(f"{series.scope.label}/{sid}",
+                                         series.start_year + int(bad[0]))
     out = Path(out_dir)
     written: list[Path] = []
     try:

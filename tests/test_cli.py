@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
 import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -617,13 +620,13 @@ class TestDataErrors:
         assert (tmp_path / "out" / "summary.csv").exists()
 
 
-def tiny_without_ccc_20_24_fertility(tmp_path):
-    """A copy of the tiny fixture in which CCC, the last country, fails to fit."""
+def tiny_without_20_24_fertility(tmp_path, *countries):
+    """A copy of the tiny fixture in which each of ``countries`` fails to fit."""
     data_dir = tmp_path / "tiny"
     shutil.copytree(TINY, data_dir)
     rates = data_dir / "rates.csv"
     rates.write_text("".join(line for line in rates.read_text().splitlines(True)
-                             if not line.startswith("CCC") or ",20-24," not in line))
+                             if line[:3] not in countries or ",20-24," not in line))
     return data_dir
 
 
@@ -646,7 +649,7 @@ class TestWriteFailures:
     def test_data_error_for_a_later_country_leaves_no_dump(self, tmp_path, jobs):
         """CCC, the last country, has no 20-24 fertility history: the dump rows
         already written for AAA and BBB are removed."""
-        data_dir = tiny_without_ccc_20_24_fertility(tmp_path)
+        data_dir = tiny_without_20_24_fertility(tmp_path, "CCC")
         out = tmp_path / "out"
         code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out),
                                    "--jobs", jobs, "--dump-donors", "--dump-ensembles"])
@@ -656,7 +659,7 @@ class TestWriteFailures:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_data_error_removes_every_directory_it_made(self, tmp_path, jobs):
-        data_dir = tiny_without_ccc_20_24_fertility(tmp_path)
+        data_dir = tiny_without_20_24_fertility(tmp_path, "CCC")
         code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", "nest/a/b",
                                    "--jobs", jobs, "--dump-donors"], cwd=tmp_path)
         assert stderr == "error: CCC: no usable Fertility history for 20-24\n"
@@ -664,7 +667,7 @@ class TestWriteFailures:
         assert not (tmp_path / "nest").exists()
 
     def test_data_error_keeps_an_existing_ancestor(self, tmp_path):
-        data_dir = tiny_without_ccc_20_24_fertility(tmp_path)
+        data_dir = tiny_without_20_24_fertility(tmp_path, "CCC")
         (tmp_path / "nest").mkdir()
         code, _, stderr = run_cli(["--data-dir", str(data_dir),
                                    "--out", str(tmp_path / "nest" / "a" / "b"),
@@ -677,10 +680,233 @@ class TestWriteFailures:
     def test_data_error_keeps_an_existing_empty_out(self, tmp_path, jobs):
         """A failed run removes only what it made: an --out that was already
         there stays, empty."""
-        data_dir = tiny_without_ccc_20_24_fertility(tmp_path)
+        data_dir = tiny_without_20_24_fertility(tmp_path, "CCC")
         out = tmp_path / "out"
         out.mkdir()
         code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out),
                                    "--jobs", jobs, "--dump-donors", "--dump-ensembles"])
         assert code == 1, stderr
         assert out.is_dir() and not any(out.iterdir())
+
+
+def tiny_config(out, jobs, **overrides):
+    from demotrend.cli import RunConfig
+
+    return RunConfig(**{"data_dir": str(TINY), "out_dir": str(out), "scenario": "sweep:0:2:1",
+                        "dump_donors": True, "dump_ensembles": True, "jobs": jobs,
+                        **overrides})
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` in the block after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class Unrebuildable(Exception):
+    """An error that pickles but cannot be rebuilt from its pickle."""
+
+    def __init__(self, country, why):
+        super().__init__(f"{country}: {why}")
+
+
+class Unpicklable(Exception):
+    """An error that holds a lambda, which pickle refuses."""
+
+    def __init__(self, country, why):
+        super().__init__(country, why)
+        self.hook = lambda: None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs forks its workers")
+class TestForkedWorkers:
+    """``--jobs`` above 1 forks workers: results come back in country order
+    through spool files, and no worker, pipe or spool outlives a run."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    def test_first_failing_country_in_order_is_reported(self, tmp_path, jobs):
+        data_dir = tiny_without_20_24_fertility(tmp_path, "BBB", "CCC")
+        code, stdout, stderr = run_cli(["--data-dir", str(data_dir),
+                                        "--out", str(tmp_path / "out"), "--jobs", jobs])
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: BBB: no usable Fertility history for 20-24\n"
+
+    # --jobs 2 and 3 are compared with 1 in TestRandomDatasetProperties and TestDeterminism.
+    @pytest.mark.parametrize("jobs", ["8", "auto"])
+    def test_more_workers_write_the_same_bytes(self, tmp_path, jobs):
+        """More workers than countries, and as many as the CPUs."""
+        args = ["--data-dir", str(TINY), "--scenario", "sweep:0:2:1",
+                "--aggregate", "world,country", "--dump-donors", "--dump-ensembles"]
+        runs = {name: run_cli([*args, "--out", str(tmp_path / name), "--jobs", name])
+                for name in ("1", jobs)}
+        assert all(code == 0 for code, _, _ in runs.values()), runs
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / jobs).iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / jobs / name).read_bytes(), name
+
+    def test_jobs_run_imports_no_pool_modules(self, tmp_path):
+        script = ("import sys\n"
+                  "from demotrend.cli import main\n"
+                  f"code = main(['--data-dir', {str(TINY)!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}, '--jobs', '2'])\n"
+                  "assert code == 0, code\n"
+                  "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+                  "assert not loaded, loaded\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "summary.csv").is_file()
+
+    def test_in_process_run_leaves_no_child_and_no_descriptor(self, tmp_path):
+        from demotrend import cli
+
+        before = open_fds()
+        written = cli.run(tiny_config(tmp_path / "ok", 2))
+        assert {p.name for p in written} >= {"donors.csv", "ensembles.csv", "summary.csv"}
+        assert_no_child()
+        assert open_fds() == before
+
+        config = tiny_config(tmp_path / "bad", 3, data_dir=str(
+            tiny_without_20_24_fertility(tmp_path, "BBB")))
+        with pytest.raises(cli.DemotrendError, match="^BBB: no usable Fertility history"):
+            cli.run(config)
+        assert_no_child()
+        assert open_fds() == before
+        assert not (tmp_path / "bad").exists()
+
+    def test_killed_worker_is_an_internal_error(self, tmp_path, monkeypatch):
+        """Workers inherit the patched ``_project_one``: the one that takes BBB
+        kills itself, and the run fails once the others have run out of work."""
+        from demotrend import cli
+
+        project_one = cli._project_one
+
+        def dies_on_bbb(payload, iso3):
+            if iso3 == "BBB":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return project_one(payload, iso3)
+
+        monkeypatch.setattr(cli, "_project_one", dies_on_bbb)
+        before = open_fds()
+        with deadline(30), pytest.raises(RuntimeError, match="^a --jobs worker exited "
+                                                             "without a result for BBB$"):
+            cli.run(tiny_config(tmp_path / "out", 2))
+        assert not (tmp_path / "out").exists()
+        assert_no_child()
+        assert open_fds() == before
+
+    def test_first_failure_kills_busy_workers(self, tmp_path, monkeypatch):
+        """AAA fails at once while the other workers are busy for 90 s: the
+        run raises without waiting for them."""
+        from demotrend import cli
+
+        def aaa_fails_bbb_hangs(payload, iso3):
+            if iso3 == "AAA":
+                raise cli.SchemaViolation("rates.csv", 0, "AAA fails")
+            time.sleep(90)
+
+        monkeypatch.setattr(cli, "_project_one", aaa_fails_bbb_hangs)
+        with deadline(30), pytest.raises(cli.SchemaViolation, match="AAA fails"):
+            cli.run(tiny_config(tmp_path / "out", 3))
+        assert not (tmp_path / "out").exists()
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [ValueError, Unrebuildable, Unpicklable])
+    def test_worker_exception_is_exit_3_with_its_traceback(self, tmp_path, monkeypatch,
+                                                          capsys, error):
+        from demotrend import cli
+
+        project_one = cli._project_one
+
+        def fails_on_ccc(payload, iso3):
+            if iso3 == "CCC":
+                raise error("CCC", "raised in the worker")
+            return project_one(payload, iso3)
+
+        monkeypatch.setattr(cli, "_project_one", fails_on_ccc)
+        code = cli.main(["--data-dir", str(TINY), "--out", str(tmp_path / "out"),
+                         "--jobs", "2", "--dump-donors"])
+        stderr = capsys.readouterr().err
+        assert code == 3
+        assert "CCC failed in a --jobs worker:" in stderr
+        assert "in fails_on_ccc" in stderr and "raised in the worker" in stderr
+        assert not (tmp_path / "out").exists()
+        assert_no_child()
+
+    def test_tasks_beyond_one_atomic_write_are_sent_after_forking(self, tmp_path,
+                                                                   monkeypatch):
+        """With room for one index before the fork, the parent writes the rest
+        once workers read; the outputs do not change."""
+        from demotrend import cli
+
+        expected = {p.name: p.read_bytes() for p in cli.run(tiny_config(tmp_path / "j1", 1))}
+        monkeypatch.setattr(cli.os, "fpathconf", lambda fd, name: cli._TASK.size)
+        written = cli.run(tiny_config(tmp_path / "j2", 2))
+        assert {p.name: p.read_bytes() for p in written} == expected
+        assert_no_child()
+
+    def test_runs_serially_without_fork(self, tmp_path, monkeypatch):
+        from demotrend import cli
+
+        expected = {p.name: p.read_bytes() for p in cli.run(tiny_config(tmp_path / "j1", 1))}
+        monkeypatch.delattr(os, "fork")
+        written = cli.run(tiny_config(tmp_path / "j2", 2))
+        assert {p.name: p.read_bytes() for p in written} == expected
+
+    def test_caller_gc_state_is_kept(self, tmp_path):
+        """A library caller's collector is as it was after the run; a heap the
+        caller froze stays frozen."""
+        import gc
+
+        from demotrend import cli
+
+        assert gc.get_freeze_count() == 0
+        cli.run(tiny_config(tmp_path / "thawed", 2))
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            cli.run(tiny_config(tmp_path / "frozen", 2))
+            assert gc.get_freeze_count() >= frozen
+        finally:
+            gc.unfreeze()
+
+
+class TestJobsAuto:
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        from demotrend import cli
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        args = cli._build_parser().parse_args(["--data-dir", "d", "--out", "o",
+                                               "--jobs", "auto"])
+        assert cli._config_from_args(args).jobs == 1
+
+    def test_auto_falls_back_to_the_cpu_count(self, monkeypatch):
+        from demotrend import cli
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        args = cli._build_parser().parse_args(["--data-dir", "d", "--out", "o",
+                                               "--jobs", "auto"])
+        assert cli._config_from_args(args).jobs == 3

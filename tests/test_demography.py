@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from demotrend.demography import (
     step_year,
     total_population,
 )
-from demotrend.errors import InvalidRate, NegativeState, PathwayGap
+from demotrend.errors import InvalidRate, NegativeState, NonFiniteResult, PathwayGap
 from demotrend.rate_forecast import (
     CapPolicy,
     CountryEnsembles,
@@ -582,3 +584,46 @@ class TestProjectTotals:
                         (np.zeros((3, 6)), np.zeros((3, N, 2)))]:
             with pytest.raises(InvalidRate, match="wrong shape"):
                 project_totals(base, asfr, q)
+
+
+class TestNonFiniteProjection:
+    """Every projection entry point raises ``NonFiniteResult`` at the first
+    total that is not finite, and numpy warns about nothing."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_step_year_overflow(self):
+        rates = zero_rates(asfr=np.full(6, 0.1))
+        with pytest.raises(NonFiniteResult,
+                           match="^AAA: projected population is not finite in 2016$"):
+            step_year(flat_state(1000.0, 1000.0), rates, srb=1e308)
+
+    def test_step_year_nan_state(self):
+        state = flat_state()
+        state.counts[3, 0] = np.nan
+        with pytest.raises(NonFiniteResult, match="not finite in 2015$"):
+            step_year(state, zero_rates())
+
+    def test_project_country_stops_at_the_first_bad_year(self, projection_setup):
+        built, pathway, base = projection_setup
+        with pytest.raises(NonFiniteResult, match="not finite in 2016$"):
+            project_country(base, built, pathway, CapPolicy(), srb=1e308)
+
+    def test_project_totals_names_the_first_bad_scenario(self):
+        asfr, q = np.full((3, 4, 6), 0.1), np.full((3, 4, N, 2), 0.01)
+        asfr[2, 0] = 1e308  # overflows in 2016
+        asfr[1, 2] = 1e308  # overflows in 2018, but scenario 1 runs first
+        with pytest.raises(NonFiniteResult,
+                           match="^AAA/m1: projected population is not finite in 2018$"):
+            project_totals(flat_state(1e6, 1e6), asfr, q, 1.05, ["m0", "m1", "m2"])
+        with pytest.raises(NonFiniteResult, match="^AAA: .* in 2018$"):
+            project_totals(flat_state(1e6, 1e6), asfr, q)
+
+    def test_finite_flags_still_project(self):
+        totals = project_totals(flat_state(), np.full((1, 3, 6), 0.1),
+                                np.full((1, 3, N, 2), 0.01), srb=1e100)
+        assert np.isfinite(totals).all()

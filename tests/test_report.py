@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demotrend import report
-from demotrend.errors import EmptyScope, ZeroBaseline
+from demotrend.errors import EmptyScope, NonFiniteResult, ZeroBaseline
 from demotrend.report import (
     SUMMARY_YEARS,
     AggregateSeries,
@@ -236,6 +236,17 @@ class TestEmitOutputs:
         result = RunResult(start_year=2015, scenario_ids=[], aggregates={})
         with pytest.raises(EmptyScope):
             emit_outputs(result, tmp_path / "out")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("out_format", ["csv", "csv+svg"])
+    def test_non_finite_series_rejected_before_writing(self, tiny_dataset, tmp_path, bad,
+                                                       out_format):
+        result = toy_result(tiny_dataset)
+        result.aggregates["baseline"][2].values[3:] = bad
+        with pytest.raises(NonFiniteResult, match="^Low income/baseline: projected "
+                                            "population is not finite in 2018$"):
+            emit_outputs(result, tmp_path / "out", out_format)
+        assert not (tmp_path / "out").exists()
 
     def test_failure_removes_partial_outputs(self, tiny_dataset, tmp_path, monkeypatch):
         import demotrend.report as report_mod
