@@ -33,13 +33,11 @@ from .models import FORM_ORDER, ModelForm
 from .rate_forecast import CapPolicy, build_country_ensembles
 from .report import RunResult, aggregate, emit_outputs, scopes_for, sensitivity_ratio
 from .scenarios import (
-    MAX_SWEEP_SCENARIOS,
     build_baselines,
     convergence_pathway,
     multiplier_pathway,
     scenario_label,
-    sweep,
-    sweep_count,
+    sweep_multipliers,
 )
 
 AGGREGATE_KINDS = ("world", "income", "region", "country")
@@ -89,12 +87,7 @@ class RunConfig(Record, frozen=True):
 class _WorkerPayload(Record, eq=False):
     dataset: Dataset
     scenarios: list
-    country_order: list[str]
-    cap: CapPolicy
-    srb: float
-    horizon: int
-    dump_donors: bool
-    dump_ensembles: bool
+    config: RunConfig
 
 
 def main(argv=None) -> int:
@@ -118,24 +111,19 @@ def main(argv=None) -> int:
 
 def run(config: RunConfig) -> list[Path]:
     """Execute one full projection run; returns the written paths."""
-    spec = _validate_scenario_token(config.scenario)
+    plan = _scenario_plan(config.scenario)
     dataset = load_dataset(config.data_dir)
     for rejection in dataset.rejections:
         print(f"warning: {rejection}", file=sys.stderr)
-    scenario_list = _build_scenarios(dataset, spec, config.horizon)
-    if not scenario_list:
-        raise UsageError(f"scenario {config.scenario!r} produced no scenarios")
+    baselines = build_baselines(dataset, BASE_YEAR, config.horizon)
+    scenario_list = [(sid, _pathways(baselines, sid, m, config.horizon)) for sid, m in plan]
     countries = sorted(c.iso3 for c in dataset.countries)
     missing = [iso3 for iso3 in countries if dataset.base_population(iso3) is None]
     if missing:
         raise SchemaViolation("base_pop.csv", 0,
                               f"no base population for {', '.join(missing)}")
 
-    payload = _WorkerPayload(dataset=dataset, scenarios=scenario_list,
-                             country_order=countries, cap=CapPolicy(config.fertility_cap),
-                             srb=config.srb, horizon=config.horizon,
-                             dump_donors=config.dump_donors,
-                             dump_ensembles=config.dump_ensembles)
+    payload = _WorkerPayload(dataset=dataset, scenarios=scenario_list, config=config)
     scenario_ids = [sid for sid, _ in scenario_list]
     country_totals: dict[str, dict[str, np.ndarray]] = {sid: {} for sid in scenario_ids}
     out = Path(config.out_dir)
@@ -193,45 +181,49 @@ def _forked_map(payload: _WorkerPayload, countries: list[str], jobs: int):
     order, computed by ``jobs`` forked workers that inherit ``payload``.
 
     The country indices go into one task pipe, before the first fork as far
-    as one atomic write holds them, and a free worker reads the next one. A worker pickles each result, or
-    exception, into its own unlinked spool file and announces it in one
-    atomic write on the shared result pipe, so it never waits for the
-    parent. Every way out of this generator kills and reaps the workers and
-    closes the pipes and spools.
+    as one atomic write holds them, and a free worker reads the next one. A
+    worker pickles each result, or exception, into its own unlinked spool
+    file and announces it in one atomic write on the shared result pipe, so
+    it never waits for the parent. An ``OSError`` while making the pipes,
+    spools or workers is a ``RuntimeError``. Every way out of this generator
+    kills and reaps the workers and closes the pipes and spools.
     """
     pids: list[int] = []
     try:
         with contextlib.ExitStack() as stack:
-            tasks_r, tasks_w, results_r, results_w = (
-                stack.enter_context(open(fd, mode, buffering=0))
-                for fd, mode in zip((*os.pipe(), *os.pipe()), ("rb", "wb") * 2))
-            spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(jobs)]
-            order = b"".join(map(_TASK.pack, range(len(countries))))
-            # A write of at most PIPE_BUF bytes is atomic and fits an empty pipe;
-            # indices past it (1,024 countries on Linux) go in once workers read.
-            chunk = os.fpathconf(tasks_w.fileno(), "PC_PIPE_BUF")
-            tasks_w.write(order[:chunk])
-            # Workers then share the parent's heap without copying it: collections
-            # in a worker skip frozen objects. Thawing would also thaw the heap
-            # that the entry point froze, so only a heap frozen here is thawed.
-            thaw = not gc.get_freeze_count()
-            gc.freeze()
             try:
-                for worker, spool in enumerate(spools):
-                    pid = os.fork()
-                    if pid == 0:
-                        code = 1
-                        try:
-                            tasks_w.close()
-                            results_r.close()
-                            _work(payload, countries, tasks_r, results_w, spool, worker)
-                            code = 0
-                        finally:
-                            os._exit(code)
-                    pids.append(pid)
-            finally:
-                if thaw:
-                    gc.unfreeze()
+                tasks_r, tasks_w, results_r, results_w = (
+                    stack.enter_context(open(fd, mode, buffering=0))
+                    for _ in range(2) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+                spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(jobs)]
+                order = b"".join(map(_TASK.pack, range(len(countries))))
+                # A write of at most PIPE_BUF bytes is atomic and fits an empty pipe;
+                # indices past it (1,024 countries on Linux) go in once workers read.
+                chunk = os.fpathconf(tasks_w.fileno(), "PC_PIPE_BUF")
+                tasks_w.write(order[:chunk])
+                # Workers then share the parent's heap without copying it: collections
+                # in a worker skip frozen objects. Thawing would also thaw the heap
+                # that the entry point froze, so only a heap frozen here is thawed.
+                thaw = not gc.get_freeze_count()
+                gc.freeze()
+                try:
+                    for worker, spool in enumerate(spools):
+                        pid = os.fork()
+                        if pid == 0:
+                            code = 1
+                            try:
+                                tasks_w.close()
+                                results_r.close()
+                                _work(payload, countries, tasks_r, results_w, spool, worker)
+                                code = 0
+                            finally:
+                                os._exit(code)
+                        pids.append(pid)
+                finally:
+                    if thaw:
+                        gc.unfreeze()
+            except OSError as exc:
+                raise RuntimeError(f"could not start --jobs workers: {exc}") from exc
             tasks_r.close()
             results_w.close()  # results_r reads end of file once every worker is gone
             with contextlib.suppress(BrokenPipeError):  # every worker is gone: reported below
@@ -296,14 +288,15 @@ def _pickled_failure(exc: BaseException) -> bytes:
 def _project_one(p: _WorkerPayload, iso3: str):
     """All scenarios for one country: the (S, T+1) totals, then the
     ``donors.csv`` and ``ensembles.csv`` text (empty unless dumped)."""
-    dataset = p.dataset
-    base = dataset.base_population(iso3)  # iso3, year and counts, as a PopulationState
+    dataset, config = p.dataset, p.config
+    base = dataset.base_population(iso3)
+    cap = CapPolicy(config.fertility_cap)
     # select_donors skips a country without GDP rows in its window.
     candidates = {other: dataset.gdp_hist_series(other)
-                  for other in p.country_order if other != iso3}
+                  for other in sorted(dataset.country_map) if other != iso3}
     cache: dict = {}
     dumped: dict[tuple, list[str]] = {}  # ensembles.csv cells per donor set
-    steps = p.horizon - base.year
+    steps = config.horizon - base.year
     asfr = np.empty((len(p.scenarios), steps, len(FERTILE_BANDS)))
     q = np.empty((len(p.scenarios), steps, len(AGE_BANDS), 2))
     donor_lines: list[str] = []
@@ -314,14 +307,14 @@ def _project_one(p: _WorkerPayload, iso3: str):
                          target_pathway_max=pathway.max_gdp())
         donors = select_donors(rule, candidates)
         ensembles = build_country_ensembles(dataset, iso3, donors, cache)
-        asfr[i], q[i] = pathway_rates(base, ensembles, pathway, p.cap, p.horizon)
-        if p.dump_donors:
+        asfr[i], q[i] = pathway_rates(base, ensembles, pathway, cap, config.horizon)
+        if config.dump_donors:
             donor_lines.extend(f"{sid},{iso3},{donor}\n" for donor in donors)
-        if p.dump_ensembles:
+        if config.dump_ensembles:
             if tuple(donors) not in dumped:
                 dumped[tuple(donors)] = _ensemble_dump_cells(ensembles)
             ensemble_lines.extend(f"{sid},{iso3},{cells}\n" for cells in dumped[tuple(donors)])
-    totals = project_totals(base, asfr, q, p.srb, [sid for sid, _ in p.scenarios])
+    totals = project_totals(base, asfr, q, config.srb, [sid for sid, _ in p.scenarios])
     return iso3, totals, "".join(donor_lines), "".join(ensemble_lines)
 
 
@@ -381,52 +374,37 @@ def _write_manifest(config: RunConfig, out: Path) -> Path:
     return path
 
 
-class Baseline(Record, frozen=True):
-    """``baseline``: each country's baseline GDP pathway."""
-
-
-class Multiplier(Record, frozen=True):
-    """``m:<m>``: baseline growth rates scaled by ``m``."""
-    m: float
-
-
-class Convergence(Record, frozen=True):
-    """``convergence``: steady convergence to the target GDP by 2100."""
-
-
-class Sweep(Record, frozen=True):
-    """``sweep[:<from>:<to>:<step>]``: one multiplier scenario per step."""
-    m_from: float = 0.0
-    m_to: float = 2.0
-    step: float = 0.1
-
-
-def _validate_scenario_token(token: str) -> Baseline | Multiplier | Convergence | Sweep:
-    """The ``--scenario`` token parsed into its spec; a bad token is a ``UsageError``."""
-    named = {"baseline": Baseline(), "convergence": Convergence(), "sweep": Sweep()}
-    if token in named:
-        return named[token]
+def _scenario_plan(token: str) -> list[tuple[str, float | None]]:
+    """The (scenario id, growth multiplier or None) of each scenario that the
+    ``--scenario`` token runs; a bad token, or one that runs no scenario, is a
+    ``UsageError``."""
+    if token in ("baseline", "convergence"):
+        return [(token, None)]
     if token.startswith("m:"):
         value = _parse_float_token(token[2:], "multiplier")
         if value < 0.0:
             raise UsageError(f"multiplier must be non-negative, got {value}")
-        return Multiplier(value)
-    if token.startswith("sweep:"):
+        return [(scenario_label(value), value)]
+    if token == "sweep":
+        multipliers = sweep_multipliers()
+    elif token.startswith("sweep:"):
         parts = token.split(":")
         if len(parts) != 4:
             raise UsageError("sweep takes exactly sweep:<from>:<to>:<step>")
-        spec = Sweep(_parse_float_token(parts[1], "sweep start"),
-                     _parse_float_token(parts[2], "sweep end"),
-                     _parse_float_token(parts[3], "sweep step"))
-        if spec.m_from < 0.0:
+        m_from, m_to, step = (_parse_float_token(text, f"sweep {label}")
+                              for text, label in zip(parts[1:], ("start", "end", "step")))
+        if m_from < 0.0:
             raise UsageError("sweep start must be non-negative")
-        if spec.step <= 0.0:
-            raise UsageError("sweep step must be positive")
-        if sweep_count(spec.m_from, spec.m_to, spec.step) > MAX_SWEEP_SCENARIOS:
-            raise UsageError(f"sweep would run more than {MAX_SWEEP_SCENARIOS} scenarios")
-        return spec
-    raise UsageError(f"unrecognized scenario {token!r}; expected baseline, "
-                     f"m:<value>, convergence, or sweep[:<from>:<to>:<step>]")
+        try:
+            multipliers = sweep_multipliers(m_from, m_to, step)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    else:
+        raise UsageError(f"unrecognized scenario {token!r}; expected baseline, "
+                         f"m:<value>, convergence, or sweep[:<from>:<to>:<step>]")
+    if not multipliers:
+        raise UsageError(f"scenario {token!r} produced no scenarios")
+    return [(scenario_label(m), m) for m in multipliers]
 
 
 def _parse_float_token(text: str, label: str) -> float:
@@ -447,20 +425,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _build_scenarios(dataset: Dataset, spec, horizon: int):
-    """(scenario id, pathways by iso3) for each scenario of ``spec``."""
-    start, end = BASE_YEAR, horizon
-    if isinstance(spec, Sweep):
-        return sweep(dataset, spec.m_from, spec.m_to, spec.step, start=start, end=end)
-    baselines = build_baselines(dataset, start, end)
-    if isinstance(spec, Baseline):
-        return [("baseline", baselines)]
-    if isinstance(spec, Convergence):
-        return [("convergence", {iso3: convergence_pathway(iso3, base.gdp(start),
-                                                           start=start, end=end)
-                                 for iso3, base in baselines.items()})]
-    return [(scenario_label(spec.m),
-             {iso3: multiplier_pathway(base, spec.m) for iso3, base in baselines.items()})]
+def _pathways(baselines: dict, scenario_id: str, m: float | None, horizon: int) -> dict:
+    """Pathways by iso3 of one scenario of ``_scenario_plan``."""
+    if m is not None:
+        return {iso3: multiplier_pathway(base, m) for iso3, base in baselines.items()}
+    if scenario_id == "baseline":
+        return baselines
+    return {iso3: convergence_pathway(iso3, base.gdp(BASE_YEAR), start=BASE_YEAR, end=horizon)
+            for iso3, base in baselines.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -61,12 +61,17 @@ class CountryRecord(Record, frozen=True):
     region: Region
 
 
-class BasePopulation(Record, eq=False):
-    """Base-year cohort counts, shape (21 age bands, 2 sexes)."""
+class PopulationState(Record, eq=False):
+    """Cohort counts for one country-year, shape (21 age bands, 2 sexes)."""
 
     iso3: str
     year: int
     counts: np.ndarray
+
+    def __post_init__(self):
+        self.counts = np.asarray(self.counts, dtype=float)
+        if self.counts.shape != (len(AGE_BANDS), 2):
+            raise ValueError(f"counts must have shape ({len(AGE_BANDS)}, 2)")
 
 
 class Dataset(Record, eq=False, factories={"rejections": list, "memo": dict},
@@ -79,7 +84,7 @@ class Dataset(Record, eq=False, factories={"rejections": list, "memo": dict},
     rate_index: dict[tuple, Series]
     gdp_hist_index: dict[str, Series]
     gdp_baseline_index: dict[str, Series]
-    base_pop_index: dict[str, BasePopulation]
+    base_pop_index: dict[str, PopulationState]
     rejections: list[UnknownCountry]
     memo: dict
 
@@ -129,7 +134,7 @@ class Dataset(Record, eq=False, factories={"rejections": list, "memo": dict},
     def gdp_baseline_series(self, iso3: str) -> Series:
         return self.gdp_baseline_index.get(iso3, _EMPTY_SERIES)
 
-    def base_population(self, iso3: str) -> BasePopulation | None:
+    def base_population(self, iso3: str) -> PopulationState | None:
         return self.base_pop_index.get(iso3)
 
 
@@ -314,7 +319,7 @@ def _load_gdp(rows: _Rows) -> dict[str, Series]:
     return _series(iso3, np.array(years, dtype=float), gdp)
 
 
-def _load_base_pop(rows: _Rows) -> dict[str, BasePopulation]:
+def _load_base_pop(rows: _Rows) -> dict[str, PopulationState]:
     iso3, _, band, sex, _ = rows.columns
     years = rows.parsed(1, int, "an integer")
     rows.check([year != BASE_YEAR for year in years], f"base year must be {BASE_YEAR}, got {{}}",
@@ -337,5 +342,5 @@ def _load_base_pop(rows: _Rows) -> dict[str, BasePopulation]:
             raise SchemaViolation(rows.name, 0,
                                   f"{code}: missing cohort cells {missing[:4]}"
                                   f"{' ...' if len(missing) > 4 else ''}")
-    return {code: BasePopulation(iso3=code, year=BASE_YEAR, counts=grid)
+    return {code: PopulationState(iso3=code, year=BASE_YEAR, counts=grid)
             for code, grid in zip(names, counts)}

@@ -12,23 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL, Record
+from .data_ingest import PopulationState
 from .errors import InvalidRate, NegativeState, NonFiniteResult
 from .rate_forecast import CapPolicy, CountryEnsembles, model_inputs
 
 N_BANDS = len(AGE_BANDS)
-
-
-class PopulationState(Record, eq=False):
-    """Cohort counts for one country-year, shape (21 age bands, 2 sexes)."""
-
-    iso3: str
-    year: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (N_BANDS, 2):
-            raise ValueError(f"counts must have shape ({N_BANDS}, 2)")
 
 
 class VitalRates(Record, eq=False):

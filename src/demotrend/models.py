@@ -221,36 +221,22 @@ def predict(fit_result: FitResult, x: float) -> float:
 
 
 def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:
-    """Unclamped model values of one fit; the one-row oracle of ``predict_rows``."""
+    """Unclamped model values of one fit at the GDP values ``xs`` (1-d): the
+    fit's coefficient row through ``predict_rows``."""
     x = np.asarray(xs, dtype=float)
     f = fit_result
-    if f.form is ModelForm.NULL:
-        return np.full_like(x, f.ybar)
-    if f.form is ModelForm.LINEAR:
-        return f.beta1 + f.beta2 * x
-    if f.form is ModelForm.DIVISION:
-        return f.beta1 + f.beta2 / x
-    if f.form is ModelForm.NEG_LOG:
-        return f.beta1 + f.beta2 * np.log(x)
-    if f.form is ModelForm.NEG_POWER:
-        return f.beta1 + f.beta2 * x ** (-f.beta3)
-    c = f.breakpoint_x1
-    if f.form is ModelForm.LINEAR_SPLINE:
-        return (f.beta1 + f.beta2 * np.minimum(x, c)
-                + f.slope_right * np.maximum(x - c, 0.0))
-    if f.form is ModelForm.RIGHT_HINGE:
-        return f.beta1 + f.beta2 * np.minimum(x, c)
-    if f.form is ModelForm.LEFT_HINGE:
-        return f.beta1 + f.beta2 * np.maximum(x, c)
-    raise ValueError(f"unknown form {f.form}")
+    b1 = f.ybar if f.form is ModelForm.NULL else f.beta1
+    b3 = f.slope_right if f.form is ModelForm.LINEAR_SPLINE else f.beta3
+    coef = np.array([[b1, f.beta2, b3, f.breakpoint_x1]], dtype=float)
+    return np.broadcast_to(predict_rows(f.form, coef, x), (1, x.size))[0].copy()
 
 
 def predict_rows(form: ModelForm, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Unclamped values, broadcastable to ``(S, T)``, of each coefficient row
     ``coef[s]`` of one form at GDP values ``x``, ``(T,)`` or ``(S, T)``.
 
-    Each value takes the elementwise operations of ``raw_prediction``; the
-    negative-power form takes every row's power in one ``neg_powers`` call.
+    The negative-power form takes every row's power in one ``neg_powers``
+    call, with the bits of ``x ** -b3`` for a scalar exponent.
     """
     b1, b2, b3, x1 = (coef[:, j, None] for j in range(4))
     if form is ModelForm.NULL:

@@ -150,8 +150,9 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
     """Write trajectories, summary, optional sensitivity, and figures.
 
     A series that is not finite raises ``NonFiniteResult`` before any file
-    is written. Returns the written paths. On any write failure the files
-    written so far are removed before the error propagates.
+    is written. Returns the written paths. On any failure, an interrupt
+    included, the files written so far are removed before the error
+    propagates; an ``OSError`` propagates as ``IoFailure``.
     """
     if not result.scenario_ids:
         raise EmptyScope("no scenarios to report")
@@ -172,13 +173,11 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
         if out_format == "csv+svg":
             written.extend(_write_figures(result, out))
         return written
-    except OSError as exc:
+    except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
-        raise IoFailure(f"failed writing outputs to {out}: {exc}") from exc
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise IoFailure(f"failed writing outputs to {out}: {exc}") from exc
         raise
 
 

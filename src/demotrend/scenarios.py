@@ -149,24 +149,30 @@ def build_baselines(dataset: Dataset, start: int = BASE_YEAR,
 
 def sweep(dataset: Dataset, m_from: float = 0.0, m_to: float = 2.0, step: float = 0.1,
           start: int = BASE_YEAR, end: int = END_YEAR) -> list[tuple[str, dict[str, GdpPathway]]]:
-    """Multiplier scenarios from ``m_from`` to ``m_to`` inclusive.
+    """Multiplier scenarios of ``sweep_multipliers(m_from, m_to, step)``."""
+    multipliers = sweep_multipliers(m_from, m_to, step)
+    if not multipliers:
+        return []
+    baselines = build_baselines(dataset, start=start, end=end)
+    return [(scenario_label(m), {iso3: multiplier_pathway(base, m)
+                                 for iso3, base in baselines.items()})
+            for m in multipliers]
 
-    More than ``MAX_SWEEP_SCENARIOS`` scenarios is a ``ValueError``.
+
+def sweep_multipliers(m_from: float = 0.0, m_to: float = 2.0,
+                      step: float = 0.1) -> list[float]:
+    """Multipliers from ``m_from`` to ``m_to`` inclusive, ``step`` apart and
+    rounded to 10 decimals; none when ``m_to < m_from``.
+
+    A step that is not positive, or more than ``MAX_SWEEP_SCENARIOS``
+    multipliers, is a ``ValueError``.
     """
     if step <= 0.0:
         raise ValueError("sweep step must be positive")
     count = sweep_count(m_from, m_to, step)
     if count > MAX_SWEEP_SCENARIOS:
         raise ValueError(f"sweep would run more than {MAX_SWEEP_SCENARIOS} scenarios")
-    if count == 0:
-        return []
-    baselines = build_baselines(dataset, start=start, end=end)
-    out = []
-    for i in range(count):
-        m = round(m_from + i * step, 10)
-        pathways = {iso3: multiplier_pathway(base, m) for iso3, base in baselines.items()}
-        out.append((scenario_label(m), pathways))
-    return out
+    return [round(m_from + i * step, 10) for i in range(count)]
 
 
 def sweep_count(m_from: float, m_to: float, step: float) -> int:

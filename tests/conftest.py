@@ -2,9 +2,11 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from demotrend.data_ingest import load_dataset
+from demotrend.models import FitResult, ModelForm
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -83,20 +85,43 @@ def write_rows(tmp_path: Path, rows: dict[str, list[str]]) -> Path:
     return data_dir
 
 
+def oracle_prediction(fit_result: FitResult, xs) -> np.ndarray:
+    """Unclamped model values of one fit; the one-row oracle of ``predict_rows``."""
+    x = np.asarray(xs, dtype=float)
+    f = fit_result
+    if f.form is ModelForm.NULL:
+        return np.full_like(x, f.ybar)
+    if f.form is ModelForm.LINEAR:
+        return f.beta1 + f.beta2 * x
+    if f.form is ModelForm.DIVISION:
+        return f.beta1 + f.beta2 / x
+    if f.form is ModelForm.NEG_LOG:
+        return f.beta1 + f.beta2 * np.log(x)
+    if f.form is ModelForm.NEG_POWER:
+        return f.beta1 + f.beta2 * x ** (-f.beta3)
+    c = f.breakpoint_x1
+    if f.form is ModelForm.LINEAR_SPLINE:
+        return (f.beta1 + f.beta2 * np.minimum(x, c)
+                + f.slope_right * np.maximum(x - c, 0.0))
+    if f.form is ModelForm.RIGHT_HINGE:
+        return f.beta1 + f.beta2 * np.minimum(x, c)
+    if f.form is ModelForm.LEFT_HINGE:
+        return f.beta1 + f.beta2 * np.maximum(x, c)
+    raise ValueError(f"unknown form {f.form}")
+
+
 def scalar_forecast(ensemble, gdp, fertility, cap_gdp):
     """Oracle for the pathway forecast: one GDP value at a time, in Python floats.
 
     Each member's raw prediction at the (capped, for fertility) GDP value is
     clamped at zero and the weighted values are summed in member order.
     """
-    from demotrend.models import raw_prediction
-
     out = []
     for g in gdp:
         x = min(float(g), cap_gdp) if fertility else float(g)
         total = 0.0
         for member, weight in zip(ensemble.members, ensemble.weights):
-            value = float(raw_prediction(member, [x])[0])
+            value = float(oracle_prediction(member, [x])[0])
             total += weight * (value if value > 0.0 else 0.0)
         out.append(total)
     return out

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -14,14 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demotrend.cli import (
-    Baseline,
-    Convergence,
-    Multiplier,
-    Sweep,
-    UsageError,
-    _validate_scenario_token,
-)
+from demotrend.cli import UsageError, _scenario_plan
 
 from conftest import TINY, minimal_rows, run_cli, write_rows
 
@@ -490,28 +484,44 @@ class TestUsageErrors:
     def test_oversized_sweep_rejected_at_parse(self, token):
         """Only the token is parsed: no scenario is built."""
         with pytest.raises(UsageError, match="1000 scenarios"):
-            _validate_scenario_token(token)
+            _scenario_plan(token)
 
     def test_largest_sweep_accepted_at_parse(self):
-        _validate_scenario_token("sweep:0:999:1")
+        plan = _scenario_plan("sweep:0:999:1")
+        assert len(plan) == 1000 and plan[-1] == ("m999.0", 999.0)
 
     @pytest.mark.parametrize("token,spec", [
-        ("baseline", Baseline()),
-        ("convergence", Convergence()),
-        ("sweep", Sweep(0.0, 2.0, 0.1)),
-        ("sweep:0:2:0.5", Sweep(0.0, 2.0, 0.5)),
-        ("sweep:0.5:0.25:1", Sweep(0.5, 0.25, 1.0)),
-        ("m:1.5", Multiplier(1.5)),
-        ("m:0", Multiplier(0.0)),
+        ("baseline", [("baseline", None)]),
+        ("convergence", [("convergence", None)]),
+        ("sweep", list(zip(["m0.0", "m0.1", "m0.2", "m0.3", "m0.4", "m0.5", "m0.6", "m0.7",
+                            "m0.8", "m0.9", "m1.0", "m1.1", "m1.2", "m1.3", "m1.4", "m1.5",
+                            "m1.6", "m1.7", "m1.8", "m1.9", "m2.0"],
+                           [i / 10 for i in range(21)]))),
+        ("sweep:0:2:0.5", [("m0.0", 0.0), ("m0.5", 0.5), ("m1.0", 1.0), ("m1.5", 1.5),
+                           ("m2.0", 2.0)]),
+        # 3 * 0.1 is 0.30000000000000004: each multiplier is rounded to 10 decimals.
+        ("sweep:0:0.3:0.1", [("m0.0", 0.0), ("m0.1", 0.1), ("m0.2", 0.2), ("m0.3", 0.3)]),
+        ("m:1.5", [("m1.5", 1.5)]),
+        ("m:0", [("m0.0", 0.0)]),
     ])
     def test_token_parses_to_spec(self, token, spec):
-        assert _validate_scenario_token(token) == spec
+        """Each token parses to the (scenario id, multiplier or None) it runs."""
+        assert _scenario_plan(token) == spec
 
     def test_bad_token_rejected_before_reading_data(self, tmp_path):
         code, _, stderr = run_cli(["--data-dir", str(tmp_path / "absent"),
                                    "--out", str(tmp_path / "x"), "--scenario", "m:abc"])
         assert code == 2
         assert "multiplier must be numeric" in stderr
+
+    def test_empty_sweep_rejected_before_reading_data(self, tmp_path):
+        with pytest.raises(UsageError, match="^scenario 'sweep:0.5:0.25:1' produced no "):
+            _scenario_plan("sweep:0.5:0.25:1")
+        code, _, stderr = run_cli(["--data-dir", str(tmp_path / "absent"),
+                                   "--out", str(tmp_path / "x"), "--scenario", "sweep:0.5:0.25:1"])
+        assert code == 2
+        assert stderr == "error: scenario 'sweep:0.5:0.25:1' produced no scenarios\n"
+        assert not (tmp_path / "x").exists()
 
     def test_empty_sweep_is_a_usage_error(self, tmp_path):
         code, _, stderr = run_cli(["--data-dir", str(TINY), "--out", str(tmp_path / "x"),
@@ -864,6 +874,34 @@ class TestForkedWorkers:
         written = cli.run(tiny_config(tmp_path / "j2", 2))
         assert {p.name: p.read_bytes() for p in written} == expected
         assert_no_child()
+
+    @pytest.mark.parametrize("started", [0, 1])
+    def test_failed_worker_start_is_an_internal_error(self, tmp_path, monkeypatch, capsys,
+                                                      started):
+        """``os.fork`` fails after ``started`` workers: exit 3, not a write
+        failure, and the started worker, pipes and spools are gone."""
+        from demotrend import cli
+
+        fork, calls = os.fork, []
+
+        def fork_fails():
+            calls.append(None)
+            if len(calls) > started:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        before = open_fds()
+        code = cli.main(["--data-dir", str(TINY), "--out", str(tmp_path / "out"),
+                         "--jobs", "3", "--dump-donors"])
+        stderr = capsys.readouterr().err
+        assert code == 3
+        assert (f"RuntimeError: could not start --jobs workers: [Errno {errno.EAGAIN}] "
+                f"{os.strerror(errno.EAGAIN)}\n") in stderr
+        assert "failed writing outputs" not in stderr
+        assert not (tmp_path / "out").exists()
+        assert_no_child()
+        assert open_fds() == before
 
     def test_runs_serially_without_fork(self, tmp_path, monkeypatch):
         from demotrend import cli

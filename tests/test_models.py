@@ -36,6 +36,8 @@ from demotrend.models import (
 )
 from demotrend.rate_forecast import EnsembleTable
 
+from conftest import oracle_prediction
+
 # Deterministic wiggly fixture: strictly positive x, no candidate form exact.
 WIGGLY_X = np.array([1.0, 2.0, 3.5, 5.0, 7.0, 9.5, 12.0, 15.0, 19.0, 24.0, 30.0, 37.0])
 WIGGLY_Y = np.array([5.1, 4.2, 3.6, 3.35, 2.9, 2.75, 2.5, 2.45, 2.3, 2.28, 2.15, 2.2])
@@ -131,7 +133,7 @@ class TestLinearFamilies:
         result = fit(ModelForm.NEG_LOG, WIGGLY_X, WIGGLY_Y)
         b1, b2 = closed_form_line(np.log10(WIGGLY_X), WIGGLY_Y)
         base10 = b1 + b2 * np.log10(WIGGLY_X)
-        assert np.allclose(raw_prediction(result, WIGGLY_X), base10, atol=1e-9)
+        assert np.allclose(oracle_prediction(result, WIGGLY_X), base10, atol=1e-9)
 
     def test_null_is_sample_mean(self):
         result = fit(ModelForm.NULL, WIGGLY_X, WIGGLY_Y)
@@ -157,7 +159,7 @@ class TestNegPower:
             b1, b2 = closed_form_line(t, WIGGLY_Y)
             rss = float(np.square(WIGGLY_Y - b1 - b2 * t).sum())
             best = min(best, rss)
-        mine = float(np.square(WIGGLY_Y - raw_prediction(result, WIGGLY_X)).sum())
+        mine = float(np.square(WIGGLY_Y - oracle_prediction(result, WIGGLY_X)).sum())
         assert mine == pytest.approx(best, rel=1e-6)
 
     def test_exponent_stays_in_grid_range(self):
@@ -394,7 +396,7 @@ class TestFitRows:
         x = np.array([0.5, 2.2, 5.1, 15.3, 40.0])
         got = np.broadcast_to(predict_rows(form, coef, x), (len(self.ROWS), x.size))
         for row, result in zip(got, fitted_rows(form, WIGGLY_X, self.ROWS)):
-            assert np.array_equal(row, raw_prediction(result, x))
+            assert np.array_equal(row, oracle_prediction(result, x))
 
     @pytest.mark.parametrize("row", [0, 2])
     def test_non_finite_row_rejected(self, row):
@@ -503,7 +505,7 @@ class TestBreakpointForms:
                                       ModelForm.LEFT_HINGE])
     def test_matches_exhaustive_oracle(self, form):
         result = fit(form, WIGGLY_X, WIGGLY_Y)
-        mine = float(np.square(WIGGLY_Y - raw_prediction(result, WIGGLY_X)).sum())
+        mine = float(np.square(WIGGLY_Y - oracle_prediction(result, WIGGLY_X)).sum())
         assert mine == pytest.approx(oracle_breakpoint(form, WIGGLY_X, WIGGLY_Y),
                                      rel=1e-6)
 
@@ -519,8 +521,8 @@ class TestBreakpointForms:
     def test_continuous_at_breakpoint(self, form):
         result = fit(form, WIGGLY_X, WIGGLY_Y)
         x1 = result.breakpoint_x1
-        left = float(raw_prediction(result, np.array([x1 * (1 - 1e-9)]))[0])
-        right = float(raw_prediction(result, np.array([x1 * (1 + 1e-9)]))[0])
+        left = float(oracle_prediction(result, np.array([x1 * (1 - 1e-9)]))[0])
+        right = float(oracle_prediction(result, np.array([x1 * (1 + 1e-9)]))[0])
         assert left == pytest.approx(right, rel=1e-6)
 
     def test_right_hinge_flat_above_breakpoint(self):
@@ -528,14 +530,14 @@ class TestBreakpointForms:
         x1 = result.breakpoint_x1
         plateau = result.beta1 + result.beta2 * x1
         assert result.ybar == pytest.approx(plateau, abs=1e-12)
-        far = float(raw_prediction(result, np.array([x1 + 100.0]))[0])
+        far = float(oracle_prediction(result, np.array([x1 + 100.0]))[0])
         assert far == pytest.approx(plateau, abs=1e-9)
 
     def test_left_hinge_flat_below_breakpoint(self):
         result = fit(ModelForm.LEFT_HINGE, WIGGLY_X, WIGGLY_Y)
         x1 = result.breakpoint_x1
         plateau = result.beta1 + result.beta2 * x1
-        near_zero = float(raw_prediction(result, np.array([1e-6]))[0])
+        near_zero = float(oracle_prediction(result, np.array([1e-6]))[0])
         assert near_zero == pytest.approx(plateau, rel=1e-9)
 
     def test_spline_recovers_exact_vee(self):
@@ -552,7 +554,7 @@ class TestFitContract:
     def test_never_worse_than_null(self, form):
         null_rss = float(np.square(WIGGLY_Y - WIGGLY_Y.mean()).sum())
         result = fit(form, WIGGLY_X, WIGGLY_Y)
-        rss = float(np.square(WIGGLY_Y - raw_prediction(result, WIGGLY_X)).sum())
+        rss = float(np.square(WIGGLY_Y - oracle_prediction(result, WIGGLY_X)).sum())
         assert rss <= null_rss * (1.0 + 1e-9) + 1e-12
 
     @pytest.mark.parametrize("form", FORM_ORDER)
@@ -654,7 +656,7 @@ class TestPredict:
         result = fit(ModelForm.LINEAR, WIGGLY_X, WIGGLY_Y)
         for x in (1.0, 5.0, 40.0):
             assert predict(result, x) == pytest.approx(
-                float(raw_prediction(result, np.array([x]))[0]))
+                float(oracle_prediction(result, np.array([x]))[0]))
 
     def test_clamped_at_zero(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -668,6 +670,28 @@ class TestPredict:
             predict(result, 0.0)
         with pytest.raises(NonPositiveX):
             predict(result, -3.0)
+
+
+class TestRawPredictionView:
+    """``raw_prediction``, a fit's coefficient row through ``predict_rows``,
+    equals the one-row oracle in values and shape."""
+
+    X = np.concatenate([WIGGLY_X, [1e-6, 0.5, 40.0, 1e9],
+                        10.0 ** np.random.default_rng(5).uniform(-3.0, 9.0, 40)])
+
+    @pytest.mark.parametrize("form", FORM_ORDER)
+    @pytest.mark.parametrize("b3", [1.0, 0.5, 2.0, 0.37])
+    def test_equals_the_oracle(self, form, b3):
+        rng = np.random.default_rng(int(b3 * 100))
+        results = [fit(form, WIGGLY_X, WIGGLY_Y)] + [
+            models.fit_result(form, [b1, b2, b3, x1], 0.1, 0.0, 12)
+            for b1, b2, x1 in zip(rng.normal(0.0, 5.0, 8), rng.normal(0.0, 5.0, 8),
+                                  10.0 ** rng.uniform(-1.0, 2.0, 8))]
+        for result in results:
+            for xs in (self.X, self.X.tolist(), [float(self.X[3])]):
+                got, want = raw_prediction(result, xs), oracle_prediction(result, xs)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert (got == want).all() and bitwise_equal(got, want)
 
 
 class TestRateEnsembleType:

@@ -12,7 +12,7 @@ from demotrend.core import FERTILE_BANDS, AGE_BANDS, SEX_COLUMNS, Sex, Variable
 from demotrend.data_ingest import load_dataset
 from demotrend.demography import forecast_rates
 from demotrend.errors import NonPositiveGdp, NoWeightData
-from demotrend.models import FORM_ORDER, ModelForm, PARAM_COUNT, aicc, raw_prediction
+from demotrend.models import FORM_ORDER, ModelForm, PARAM_COUNT, aicc
 from demotrend.rate_forecast import (
     CapPolicy,
     EnsembleTable,
@@ -22,7 +22,7 @@ from demotrend.rate_forecast import (
     forecast_rate,
 )
 
-from conftest import TINY, scalar_forecast
+from conftest import TINY, oracle_prediction, scalar_forecast
 
 # Long wiggly sample: every candidate form is admissible (n = 14 > 5 + 1).
 GDP = np.array([400.0, 550.0, 700.0, 900.0, 1150.0, 1400.0, 1700.0, 2100.0,
@@ -62,7 +62,7 @@ class TestBuildEnsemble:
         ensemble = build_ensemble(fit_points, POINTS)
         n_w = POINTS.shape[0]
         for member in ensemble.members:
-            resid = RATE - raw_prediction(member, GDP)
+            resid = RATE - oracle_prediction(member, GDP)
             rss = float(resid @ resid)
             assert member.aicc == pytest.approx(
                 aicc(rss, n_w, member.k_params), rel=1e-12)
@@ -174,7 +174,7 @@ class TestForecastPathway:
     def test_pathway_covers_cap_and_negative_members(self, countries):
         cap = CapPolicy().fertility_cap_gdp
         assert self.GDP.min() < cap < self.GDP.max()
-        assert any((raw_prediction(m, self.GDP) < 0.0).any()
+        assert any((oracle_prediction(m, self.GDP) < 0.0).any()
                    for built in countries
                    for ensemble in [*built.fertility.values(), *built.mortality.values()]
                    for m in ensemble.members)
@@ -225,7 +225,7 @@ class TestTableForecast:
 
     def test_unit_exponent_equals_scalar_forecast(self):
         # At these x, x ** -1.0 with an array exponent differs in the last
-        # bit from the scalar exponent that raw_prediction uses.
+        # bit from the scalar exponent that oracle_prediction uses.
         x = np.array([2.2, 5.1, 15.3])
         table = table_of([ModelForm.NEG_POWER] * 3, [[0.0, 1.0, 1.0, math.nan],
                                                      [2.0, 7.0, 1.0, math.nan],

@@ -17,14 +17,7 @@ import pytest
 
 from demotrend import errors
 from demotrend.augmentation import DONOR_WINDOW, AugmentedSeries, DonorRule
-from demotrend.cli import (
-    Baseline,
-    Convergence,
-    Multiplier,
-    RunConfig,
-    Sweep,
-    _WorkerPayload,
-)
+from demotrend.cli import RunConfig, _WorkerPayload
 from demotrend.core import (
     AGE_BANDS,
     END_YEAR,
@@ -34,7 +27,7 @@ from demotrend.core import (
     Region,
     Sex,
 )
-from demotrend.data_ingest import BasePopulation, CountryRecord, Dataset, load_dataset
+from demotrend.data_ingest import CountryRecord, Dataset, load_dataset
 from demotrend.demography import PopulationState, VitalRates
 from demotrend.errors import NonPositiveResult, UnknownCountry
 from demotrend.models import FORM_ORDER, FitResult, ModelForm, fit_result
@@ -74,32 +67,7 @@ class Twin:
     class _WorkerPayload:
         dataset: Dataset
         scenarios: list
-        country_order: list[str]
-        cap: CapPolicy
-        srb: float
-        horizon: int
-        dump_donors: bool
-        dump_ensembles: bool
-
-    @dataclass(frozen=True)
-    class Baseline:
-        """``baseline``: each country's baseline GDP pathway."""
-
-    @dataclass(frozen=True)
-    class Multiplier:
-        """``m:<m>``: baseline growth rates scaled by ``m``."""
-        m: float
-
-    @dataclass(frozen=True)
-    class Convergence:
-        """``convergence``: steady convergence to the target GDP by 2100."""
-
-    @dataclass(frozen=True)
-    class Sweep:
-        """``sweep[:<from>:<to>:<step>]``: one multiplier scenario per step."""
-        m_from: float = 0.0
-        m_to: float = 2.0
-        step: float = 0.1
+        config: RunConfig
 
     @dataclass(eq=False)
     class GdpPathway:
@@ -230,12 +198,6 @@ class Twin:
         region: Region
 
     @dataclass(eq=False)
-    class BasePopulation:
-        iso3: str
-        year: int
-        counts: np.ndarray
-
-    @dataclass(eq=False)
     class Dataset:
         countries: list[CountryRecord]
         rate_index: dict
@@ -301,14 +263,8 @@ RECORD = CountryRecord("AAA", "Aleph", IncomeGroup.LOW, Region.SOUTH_ASIA)
 CASES = {
     RunConfig: (("d", "o", "sweep", 2.0, 1.1, 2050, ("world",), True, False, 2, "csv"),
                 {"out_dir": "o", "data_dir": "d", "jobs": 3}, []),
-    _WorkerPayload: (("dataset", ["s"], ["AAA"], "cap", 1.05, 2100, False, True),
-                     {"dataset": None, "scenarios": [], "country_order": [], "cap": None,
-                      "srb": 1.0, "horizon": 2030, "dump_donors": True,
-                      "dump_ensembles": False}, []),
-    Baseline: ((), {}, []),
-    Multiplier: ((1.5,), {"m": 0.0}, []),
-    Convergence: ((), {}, []),
-    Sweep: ((0.0, 2.0, 0.5), {"step": 1.0}, []),
+    _WorkerPayload: (("dataset", ["s"], RunConfig("d", "o")),
+                     {"dataset": None, "scenarios": [], "config": None}, []),
     GdpPathway: (("AAA", "baseline", 2015, [900.0, 950.0]),
                  {"iso3": "BBB", "scenario_id": "m1.0", "start_year": 2015,
                   "values": np.array([1.0])},
@@ -338,8 +294,6 @@ CASES = {
     CountryRecord: (("AAA", "Aleph", IncomeGroup.LOW, Region.SOUTH_ASIA),
                     {"region": Region.NORTH_AMERICA, "income_group": IncomeGroup.HIGH,
                      "name": "Bet", "iso3": "BBB"}, []),
-    BasePopulation: (("AAA", 2015, np.ones((21, 2))),
-                     {"iso3": "AAA", "year": 2015, "counts": np.zeros((21, 2))}, []),
     Dataset: (([RECORD], {}, {}, {}, {}, [], {"k": 1}),
               {"countries": [], "rate_index": {}, "gdp_hist_index": {},
                "gdp_baseline_index": {}, "base_pop_index": {}}, []),
@@ -384,7 +338,7 @@ def outcome(call):
 
 
 def test_every_record_has_a_twin():
-    assert len(CASES) == 23
+    assert len(CASES) == 18
     for record, twin in PAIRS:
         assert field_names(record) == field_names(twin), record.__name__
 
