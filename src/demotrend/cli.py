@@ -46,6 +46,7 @@ _DUMPS = (("donors.csv", "scenario_id,target_iso3,donor_iso3"),
           ("ensembles.csv", "scenario_id,iso3,variable,age_group,sex,form,weight,"
                             "beta1,beta2,beta3,x1,sigma,aicc"))
 SENSITIVITY_YEAR = 2050
+CGROUP_DIR = Path("/sys/fs/cgroup")  # where --jobs auto looks for a CPU quota
 # What a --jobs worker reads from the task pipe (a country's index), and what
 # it announces on the result pipe: that index, the worker's number, and the
 # offset and size of the pickled result in the worker's spool file.
@@ -468,12 +469,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _auto_jobs() -> int:
+    """The CPUs this process may run on, where the OS tells, or fewer if a
+    cgroup CPU quota gives less time: v2 ``cpu.max``, else v1
+    ``cpu.cfs_quota_us`` over ``cpu.cfs_period_us``, rounded up."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            quota, period = map(int, " ".join((CGROUP_DIR / name).read_text()
+                                              for name in names).split())
+        except (OSError, ValueError):  # no such file, or "max": no quota
+            continue
+        if quota > 0 and period > 0:  # a quota of -1 is none
+            return min(cpus, -(-quota // period))
+    return cpus
+
+
 def _config_from_args(args) -> RunConfig:
     if not args.data_dir:
         raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
-    if args.jobs == "auto":  # the CPUs this process may run on, where the OS tells
-        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
+    if args.jobs == "auto":
+        jobs = _auto_jobs()
     else:
         try:
             jobs = int(args.jobs)

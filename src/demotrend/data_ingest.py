@@ -10,9 +10,12 @@ Input directory layout::
 
 Loading is strict about schema and value ranges but tolerant of rows whose
 iso3 code is not in the country register: those rows are dropped and
-reported as diagnostics rather than aborting the load. Each file is checked
-a whole column at a time, and the error on its earliest bad line is
-reported. Observation series are stored raw, as (years, values) arrays;
+reported as diagnostics rather than aborting the load. Each file is read
+CHUNK_ROWS rows at a time into column arrays: a text column as integer
+codes into one str per distinct value, a numeric column as int64 or
+float64, so no Python object per cell outlives its chunk. Each file is
+checked a whole column at a time, and the error on its earliest bad line
+is reported. Observation series are stored raw, as (years, values) arrays;
 interpolation between observed years is the consumer's job.
 """
 from __future__ import annotations
@@ -20,14 +23,13 @@ from __future__ import annotations
 import csv
 from collections import namedtuple
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
     AGE_BANDS,
-    AGE_INDEX,
     BASE_YEAR,
     FERTILE_BANDS,
     IncomeGroup,
@@ -140,18 +142,82 @@ class Dataset(Record, eq=False, factories={"rejections": list, "memo": dict},
 
 _EMPTY_SERIES = (np.array([], dtype=float), np.array([], dtype=float))
 _MEMBER = {e.value: e for e in (*Variable, *Sex)}  # enum member by cell text
-_SEX_COLUMN = {sex.value: col for col, sex in enumerate(SEX_COLUMNS)}
+
+CHUNK_ROWS = 256  # data rows held as Python lists at once while a file is read
+_NUMERIC = {"year": int, "rate": float, "gdp_pc": float, "count": float}
+_ALLOWED = {"variable": [v.value for v in Variable], "age_group": AGE_BANDS,
+            "sex": [s.value for s in Sex], "income_group": [g.value for g in IncomeGroup],
+            "region": [r.value for r in Region]}
 
 
 def load_dataset(data_dir) -> Dataset:
     """Read, validate, and cross-reference the five input files, in that order."""
     root = Path(data_dir)
     countries = _load_countries(_Rows(root, "countries.csv"))
-    known, rejections = {c.iso3 for c in countries}, []
+    known, rejections = [c.iso3 for c in countries], []
     indexes = [load(_Rows(root, name, known, rejections)) for load, name in (
         (_load_rates, "rates.csv"), (_load_gdp, "gdp_hist.csv"),
         (_load_gdp, "gdp_baseline.csv"), (_load_base_pop, "base_pop.csv"))]
     return Dataset(countries, *indexes, rejections=rejections)
+
+
+class _Text:
+    """A text column as one code per row (``codes``); ``texts[code]`` is the
+    column's one str of each distinct cell. The ``allowed`` values take the
+    first codes, so a code past them flags a cell outside them."""
+
+    def __init__(self, allowed=()):
+        self.index = {text: code for code, text in enumerate(allowed)}
+        self.allowed = len(self.index)
+        self.codes = bytearray()
+
+    def extend(self, cells: tuple[str, ...], start: int) -> None:
+        index = self.index
+        for text in dict.fromkeys(cells):
+            index.setdefault(text, len(index))
+        self.codes += np.fromiter(map(index.__getitem__, cells), "i", len(cells)).tobytes()
+
+    def finish(self) -> None:
+        self.codes, self.texts = np.frombuffer(self.codes, dtype="i"), list(self.index)
+
+    def __getitem__(self, i: int) -> str:
+        return self.texts[self.codes[i]]
+
+    def isin(self, texts) -> np.ndarray:
+        hit = np.zeros(len(self.texts), dtype=bool)
+        hit[[self.index[text] for text in texts if text in self.index]] = True
+        return hit[self.codes]
+
+
+class _Numbers:
+    """A numeric column parsed with ``convert`` a chunk at a time into
+    ``values``. ``odd`` keeps by row the text of each cell that does not
+    parse or does not fit int64 (both read as 0) or is not finite."""
+
+    def __init__(self, convert):
+        self.convert, self.odd, self.values = convert, {}, bytearray()
+        self.dtype = "q" if convert is int else "d"
+
+    def extend(self, cells: tuple[str, ...], start: int) -> None:
+        try:
+            values = np.array(list(map(self.convert, cells)), dtype=self.dtype)
+        except (ValueError, OverflowError):
+            values = [_converted(self.convert, text) for text in cells]
+            for k, value in enumerate(values):
+                if value is None or self.dtype == "q" and abs(value) >= 2 ** 63:
+                    values[k], self.odd[start + k] = 0, cells[k]
+            values = np.array(values, dtype=self.dtype)
+        self.odd.update((start + k, cells[k])
+                        for k in np.flatnonzero(~np.isfinite(values)).tolist())
+        self.values += values.tobytes()
+
+    def finish(self) -> None:
+        self.values = np.frombuffer(self.values, dtype=self.dtype)
+
+    def __getitem__(self, i: int):
+        """Row i as the Python number its cell parses to."""
+        text = self.odd.get(i)
+        return self.values[i].item() if text is None else _converted(self.convert, text)
 
 
 class _Rows:
@@ -161,18 +227,14 @@ class _Rows:
     the earliest row, and on that row the failure of the first check made.
     """
 
-    def __init__(self, root: Path, name: str, known: set[str] | None = None,
+    def __init__(self, root: Path, name: str, known: list[str] | None = None,
                  rejections: list[UnknownCountry] | None = None):
         self.name = name
-        lines, rows = _read(root, name)
-        if known is not None:
-            keep = [row[0] in known for row in rows]
-            if not all(keep):
-                rejections.extend(UnknownCountry(name, line, row[0])
-                                  for line, row, kept in zip(lines, rows, keep) if not kept)
-                lines, rows = list(compress(lines, keep)), list(compress(rows, keep))
-        self.lines = lines
-        self.columns = list(zip(*rows)) if rows else [()] * len(HEADERS[name])
+        self.columns = [_Numbers(_NUMERIC[header]) if header in _NUMERIC else
+                        _Text(known if header == "iso3" and known is not None else
+                              _ALLOWED.get(header, ()))
+                        for header in HEADERS[name]]
+        self.lines = _read(root, name, self.columns, known, rejections)
         self._first = None  # (row, exception) of the earliest failure
 
     def check(self, bad, reason: str, *cells, error=SchemaViolation) -> None:
@@ -183,42 +245,40 @@ class _Rows:
         if hits.size and (self._first is None or hits[0] < self._first[0]):
             i = int(hits[0])
             values = [cell(i) if callable(cell) else cell[i] for cell in cells]
-            self._first = (i, error(self.name, self.lines[i], reason.format(*values)))
+            self._first = (i, error(self.name, self.lines[i].item(), reason.format(*values)))
 
     def raise_first(self) -> None:
         if self._first is not None:
             raise self._first[1]
 
-    def parsed(self, j: int, convert, wanted: str) -> list:
-        """Column ``j`` converted cell by cell; a cell that fails reads as 0."""
+    def parsed(self, j: int, wanted: str) -> np.ndarray:
+        """Column ``j``'s values, after flagging the cells that do not parse."""
         column = self.columns[j]
-        try:
-            return list(map(convert, column))
-        except ValueError:
-            values = [_converted(convert, text) for text in column]
-            self.check([v is None for v in values],
-                       f"{HEADERS[self.name][j]} must be {wanted}, got {{!r}}", column)
-            return [0 if v is None else v for v in values]
+        failed = np.zeros(column.values.size, dtype=bool)
+        failed[[i for i in column.odd if column[i] is None]] = True
+        self.check(failed, f"{HEADERS[self.name][j]} must be {wanted}, got {{!r}}", column.odd)
+        return column.values
 
     def floats(self, j: int) -> np.ndarray:
-        values = np.array(self.parsed(j, float, "numeric"), dtype=float)
+        values = self.parsed(j, "numeric")
         self.check(~np.isfinite(values), f"{HEADERS[self.name][j]} must be finite, got {{!r}}",
-                   self.columns[j])
+                   self.columns[j].odd)
         return values
 
-    def member(self, j: int, allowed, reason: str) -> None:
-        """Check that column ``j`` holds only ``allowed`` values."""
-        if not set(self.columns[j]).issubset(allowed):
-            self.check([text not in allowed for text in self.columns[j]], reason, self.columns[j])
+    def member(self, j: int, reason: str) -> None:
+        """Check that column ``j`` holds only its allowed values."""
+        column = self.columns[j]
+        self.check(column.codes >= column.allowed, reason, column)
 
-    def enum(self, j: int, enum_cls) -> None:
-        values = [e.value for e in enum_cls]
-        self.member(j, values, f"{HEADERS[self.name][j]} must be one of {', '.join(values)}, "
-                               "got {!r}")
+    def enum(self, j: int) -> None:
+        allowed = ", ".join(self.columns[j].texts[:self.columns[j].allowed])
+        self.member(j, f"{HEADERS[self.name][j]} must be one of {allowed}, got {{!r}}")
 
 
-def _read(root: Path, name: str) -> tuple[list[int], list[list[str]]]:
-    """The non-blank data rows of one file and the physical line each ends on."""
+def _read(root: Path, name: str, columns: list, known: list[str] | None,
+          rejections: list[UnknownCountry] | None) -> np.ndarray:
+    """Fill ``columns`` from the non-blank data rows of one file, CHUNK_ROWS
+    rows at a time, and return the physical line each row ends on."""
     path = root / name
     if not path.is_file():
         raise MissingFile(path)
@@ -232,18 +292,32 @@ def _read(root: Path, name: str) -> tuple[list[int], list[list[str]]]:
             raise SchemaViolation(name, 1,
                                   f"expected header {','.join(HEADERS[name])!r}, "
                                   f"got {','.join(header)!r}")
-        lines, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaViolation(name, reader.line_num,
-                                      f"expected {len(header)} fields, got {len(row)}")
-            lines.append(reader.line_num)
-            rows.append(row)
-    if not rows:
+        numbered = ((reader.line_num, row) for row in reader if row)
+        known_set, unknown = set(known or ()), {}
+        lines, empty = bytearray(), True
+        while chunk := list(islice(numbered, CHUNK_ROWS)):
+            empty = False
+            line_of, rows = zip(*chunk)
+            del chunk
+            if set(map(len, rows)) != {len(header)}:
+                line, row = next((line, row) for line, row in zip(line_of, rows)
+                                 if len(row) != len(header))
+                raise SchemaViolation(name, line, f"expected {len(header)} fields, got {len(row)}")
+            if known is not None:
+                keep = [row[0] in known_set for row in rows]
+                if not all(keep):
+                    rejections.extend(UnknownCountry(name, line, unknown.setdefault(row[0], row[0]))
+                                      for line, row, kept in zip(line_of, rows, keep) if not kept)
+                    line_of, rows = list(compress(line_of, keep)), list(compress(rows, keep))
+            for column, cells in zip(columns, zip(*rows)):
+                column.extend(cells, len(lines) // 8)
+            lines += np.array(line_of, dtype="q").tobytes()
+            del line_of, rows
+    if empty:
         raise SchemaViolation(name, 0, "file contains no data rows")
-    return lines, rows
+    for column in columns:
+        column.finish()
+    return np.frombuffer(lines, dtype="q")
 
 
 def _converted(convert, text):
@@ -253,89 +327,110 @@ def _converted(convert, text):
         return None
 
 
-def _repeats(keys) -> np.ndarray:
+def _first_rows(*columns: np.ndarray) -> np.ndarray:
+    """Per row, the earliest row whose cells in ``columns`` equal its own."""
+    order = np.lexsort(columns)  # stable: a key's rows keep file order
+    starts = np.ones(order.size, dtype=bool)  # where a key begins, in sorted order
+    starts[1:] = False
+    for column in columns:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _repeats(*columns: np.ndarray) -> np.ndarray:
     """Mask of the rows whose key already occurred on an earlier row."""
-    first: dict = {}
-    seen = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.int64)
-    return seen != np.arange(seen.size)
+    return _first_rows(*columns) != np.arange(columns[0].size)
 
 
-def _series(keys, years: np.ndarray, values: np.ndarray) -> dict[tuple, Series]:
-    """(years, values) per key, oldest first; keys in order of first appearance."""
-    ids: dict = {}
-    sid = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.int64)
+def _series(first: np.ndarray, years: np.ndarray, values: np.ndarray) -> dict[int, Series]:
+    """(years, values) per key, oldest first, by the row where the key first
+    occurs (see ``_first_rows``); keys in order of first appearance."""
+    heads = np.flatnonzero(first == np.arange(first.size))
+    sid = np.searchsorted(heads, first)
     order = np.lexsort((years, sid))
     years, values = years[order], values[order]
-    ends = np.cumsum(np.bincount(sid, minlength=len(ids))).tolist()
-    return {key: (years[a:b], values[a:b]) for key, a, b in zip(ids, [0, *ends], ends)}
+    ends = np.cumsum(np.bincount(sid, minlength=heads.size)).tolist()
+    return {head: (years[a:b], values[a:b])
+            for head, a, b in zip(heads.tolist(), [0, *ends], ends)}
 
 
 def _load_countries(rows: _Rows) -> list[CountryRecord]:
     iso3, names, income, region = rows.columns
-    rows.check([not code for code in iso3], "iso3 must be non-empty")
-    rows.check(_repeats(iso3), "duplicate iso3 {!r}", iso3)
-    rows.enum(2, IncomeGroup)
-    rows.enum(3, Region)
+    rows.check(iso3.isin([""]), "iso3 must be non-empty")
+    rows.check(_repeats(iso3.codes), "duplicate iso3 {!r}", iso3)
+    rows.enum(2)
+    rows.enum(3)
     rows.raise_first()
-    return [CountryRecord(iso3=code, name=name, income_group=IncomeGroup(group),
-                          region=Region(area))
-            for code, name, group, area in zip(iso3, names, income, region)]
+    groups, areas = list(IncomeGroup), list(Region)  # in code order
+    return [CountryRecord(iso3=iso3.texts[code], name=names.texts[name],
+                          income_group=groups[group], region=areas[area])
+            for code, name, group, area in zip(iso3.codes.tolist(), names.codes.tolist(),
+                                               income.codes.tolist(), region.codes.tolist())]
 
 
 def _load_rates(rows: _Rows) -> dict[tuple, Series]:
-    iso3, _, variable, band, sex, _ = rows.columns
-    years = rows.parsed(1, int, "an integer")
-    rows.check([not RATE_YEAR_MIN <= year <= RATE_YEAR_MAX for year in years],
+    iso3, years, variable, band, sex, rate = rows.columns
+    year = rows.parsed(1, "an integer")
+    rows.check((year < RATE_YEAR_MIN) | (year > RATE_YEAR_MAX),
                f"year must lie in {RATE_YEAR_MIN}-{RATE_YEAR_MAX}, got {{}}", years)
-    rows.enum(2, Variable)
-    rows.enum(4, Sex)
-    rows.member(3, AGE_INDEX, "unknown age_group {!r}")
-    rate = rows.floats(5)
-    rows.check(rate < 0.0, "rate must be non-negative, got {}", rate.item)
-    fertility = np.array([text == "Fertility" for text in variable], dtype=bool)
-    rows.check(~fertility & (rate > 1.0),
-               "mortality rate is a probability in [0, 1], got {}", rate.item)
-    rows.check(fertility & np.array([text not in FERTILE_BANDS for text in band], dtype=bool),
+    rows.enum(2)
+    rows.enum(4)
+    rows.member(3, "unknown age_group {!r}")
+    value = rows.floats(5)
+    rows.check(value < 0.0, "rate must be non-negative, got {}", rate)
+    fertility = variable.isin(["Fertility"])
+    rows.check(~fertility & (value > 1.0),
+               "mortality rate is a probability in [0, 1], got {}", rate)
+    rows.check(fertility & ~band.isin(FERTILE_BANDS),
                "fertility age_group must lie in 15-44, got {!r}", band)
-    rows.check(fertility & np.array([text != "Female" for text in sex], dtype=bool),
-               "fertility rows must have sex=Female")
-    rows.check(_repeats(zip(iso3, years, variable, band, sex)), "duplicate observation {}",
+    rows.check(fertility & ~sex.isin(["Female"]), "fertility rows must have sex=Female")
+    rows.check(_repeats(iso3.codes, year, variable.codes, band.codes, sex.codes),
+               "duplicate observation {}",
                lambda i: (iso3[i], years[i], _MEMBER[variable[i]], band[i], _MEMBER[sex[i]]))
     rows.raise_first()
-    series = _series(zip(iso3, variable, band, sex), np.array(years, dtype=float), rate)
-    return {(code, _MEMBER[v], b, _MEMBER[s]): pair for (code, v, b, s), pair in series.items()}
+    series = _series(_first_rows(iso3.codes, variable.codes, band.codes, sex.codes),
+                     year.astype(float), value)
+    return {(iso3[i], _MEMBER[variable[i]], band[i], _MEMBER[sex[i]]): pair
+            for i, pair in series.items()}
 
 
 def _load_gdp(rows: _Rows) -> dict[str, Series]:
-    iso3 = rows.columns[0]
-    years = rows.parsed(1, int, "an integer")
-    rows.check([not 1000 <= year <= 9999 for year in years],  # four digits
+    iso3, years, gdp = rows.columns
+    year = rows.parsed(1, "an integer")
+    rows.check((year < 1000) | (year > 9999),  # four digits
                "year must lie in 1000-9999, got {}", years)
-    gdp = rows.floats(2)
-    rows.check(gdp <= 0.0, "gdp_pc must be positive, got {}", gdp.item,
+    value = rows.floats(2)
+    rows.check(value <= 0.0, "gdp_pc must be positive, got {}", gdp,
                error=lambda file, line, reason: NonPositiveGdp(reason, file=file, line=line))
-    rows.check(_repeats(zip(iso3, years)), "duplicate observation ({}, {})", iso3, years)
+    rows.check(_repeats(iso3.codes, year), "duplicate observation ({}, {})", iso3, years)
     rows.raise_first()
-    return _series(iso3, np.array(years, dtype=float), gdp)
+    series = _series(_first_rows(iso3.codes), year.astype(float), value)
+    return {iso3[i]: pair for i, pair in series.items()}
 
 
 def _load_base_pop(rows: _Rows) -> dict[str, PopulationState]:
-    iso3, _, band, sex, _ = rows.columns
-    years = rows.parsed(1, int, "an integer")
-    rows.check([year != BASE_YEAR for year in years], f"base year must be {BASE_YEAR}, got {{}}",
-               years)
-    rows.member(2, AGE_INDEX, "unknown age_group {!r}")
-    rows.enum(3, Sex)
-    rows.check([text == "Both" for text in sex], "base population rows must be sex-specific")
-    count = rows.floats(4)
-    rows.check(count < 0.0, "count must be non-negative, got {}", count.item)
-    rows.check(_repeats(zip(iso3, band, sex)), "duplicate cell {}/{}/{}", iso3, band, sex)
+    iso3, years, band, sex, count = rows.columns
+    rows.check(rows.parsed(1, "an integer") != BASE_YEAR,
+               f"base year must be {BASE_YEAR}, got {{}}", years)
+    rows.member(2, "unknown age_group {!r}")
+    rows.enum(3)
+    rows.check(sex.isin(["Both"]), "base population rows must be sex-specific")
+    value = rows.floats(4)
+    rows.check(value < 0.0, "count must be non-negative, got {}", count)
+    rows.check(_repeats(iso3.codes, band.codes, sex.codes), "duplicate cell {}/{}/{}",
+               iso3, band, sex)
     rows.raise_first()
 
-    names = sorted(set(iso3))
-    counts = np.full((len(names), len(AGE_BANDS), 2), np.nan)  # NaN marks a missing cell
-    counts[np.searchsorted(names, iso3), [AGE_INDEX[b] for b in band],
-           [_SEX_COLUMN[s] for s in sex]] = count
+    codes = sorted(np.flatnonzero(np.bincount(iso3.codes)).tolist(), key=iso3.texts.__getitem__)
+    slot = np.zeros(len(iso3.texts), dtype=np.intp)
+    slot[codes] = np.arange(len(codes))
+    counts = np.full((len(codes), len(AGE_BANDS), 2), np.nan)  # NaN marks a missing cell
+    # band codes are AGE_INDEX positions; Female and Male codes are SEX_COLUMNS columns
+    counts[slot[iso3.codes], band.codes, sex.codes] = value
+    names = [iso3.texts[code] for code in codes]
     for code, grid in zip(names, counts):
         missing = [(AGE_BANDS[b], SEX_COLUMNS[s].value) for b, s in np.argwhere(np.isnan(grid))]
         if missing:

@@ -931,20 +931,51 @@ class TestForkedWorkers:
 
 
 class TestJobsAuto:
-    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch, tmp_path):
         from demotrend import cli
 
+        monkeypatch.setattr(cli, "CGROUP_DIR", tmp_path)  # no quota files
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         args = cli._build_parser().parse_args(["--data-dir", "d", "--out", "o",
                                                "--jobs", "auto"])
         assert cli._config_from_args(args).jobs == 1
 
-    def test_auto_falls_back_to_the_cpu_count(self, monkeypatch):
+    def test_auto_falls_back_to_the_cpu_count(self, monkeypatch, tmp_path):
         from demotrend import cli
 
+        monkeypatch.setattr(cli, "CGROUP_DIR", tmp_path)  # no quota files
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         args = cli._build_parser().parse_args(["--data-dir", "d", "--out", "o",
                                                "--jobs", "auto"])
         assert cli._config_from_args(args).jobs == 3
+
+
+class TestJobsAutoQuota:
+    """``--jobs auto`` takes the smaller of the affinity count and a cgroup
+    CPU quota, read from fake cgroup files here."""
+
+    @pytest.mark.parametrize("files,expected", [
+        ({}, 4),
+        ({"cpu.max": "max 100000\n"}, 4),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "100000 100000\n"}, 1),
+        ({"cpu.max": "1000 100000\n"}, 1),
+        ({"cpu.max": "900000 100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "50000\n"}, 4),
+    ])
+    def test_quota_caps_the_affinity_count(self, tmp_path, monkeypatch, files, expected):
+        from demotrend import cli
+
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(cli, "CGROUP_DIR", tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        args = cli._build_parser().parse_args(["--data-dir", "d", "--out", "o",
+                                               "--jobs", "auto"])
+        assert cli._config_from_args(args).jobs == expected

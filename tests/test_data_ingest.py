@@ -1,4 +1,6 @@
+import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demotrend.augmentation import DONOR_WINDOW, TARGET_WINDOW, build_augmented_series
-from demotrend.core import AGE_BANDS, FERTILE_BANDS, IncomeGroup, Region, Sex, Variable
-from demotrend.data_ingest import load_dataset
-from demotrend.errors import MissingFile, NonPositiveGdp, SchemaViolation
+from demotrend.core import AGE_BANDS, AGE_INDEX, FERTILE_BANDS, IncomeGroup, Region, Sex, Variable
+from demotrend.data_ingest import CHUNK_ROWS, load_dataset
+from demotrend.errors import DemotrendError, MissingFile, NonPositiveGdp, SchemaViolation
 
-from conftest import minimal_rows, write_rows
+import ingest_oracle
+from conftest import TINY, minimal_rows, write_rows
 
 
 def load_mutated(tmp_path, mutate):
@@ -589,6 +592,7 @@ class TestColumnarSeries:
             for name, (lines, _) in files.items():
                 (data / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
             ds = load_dataset(data)
+            same_dataset(ds, ingest_oracle.load_dataset(data))
         rates, gdp, base, rejections = plain_oracle(files)
         known = [iso3 for iso3, _, _ in files["countries.csv"][1]]
 
@@ -638,3 +642,170 @@ class TestColumnarSeries:
                     assert series.weight_gdp.flags.writeable
         cached = [array for pairs in ds.memo.values() if pairs is not None for array in pairs]
         assert all(not array.flags.writeable for array in cached)
+
+
+def same_dataset(got, expected):
+    """Field by field: the records, every index's key order, each array's
+    dtype and bits, and the rejections."""
+    assert got.countries == expected.countries
+    for name in ("rate_index", "gdp_hist_index", "gdp_baseline_index"):
+        got_index, expected_index = getattr(got, name), getattr(expected, name)
+        assert list(got_index) == list(expected_index)
+        for key, (years, values) in expected_index.items():
+            assert same_array(got_index[key][0], years)
+            assert same_array(got_index[key][1], values)
+    assert list(got.base_pop_index) == list(expected.base_pop_index)
+    for iso3, state in expected.base_pop_index.items():
+        assert (got.base_pop_index[iso3].iso3, got.base_pop_index[iso3].year) == (
+            state.iso3, state.year)
+        assert same_array(got.base_pop_index[iso3].counts, state.counts)
+    assert [(type(r), r.file, r.line, r.iso3, str(r)) for r in got.rejections] == [
+        (type(r), r.file, r.line, r.iso3, str(r)) for r in expected.rejections]
+
+
+GENERATED = ("GAA", "GAB", "GAC", "GAD", "GAE", "GAF")  # the first three have sexed mortality
+
+
+def generated_rows() -> dict[str, list[list[str]]]:
+    """A valid set whose rates.csv spans many CHUNK_ROWS-row chunks: annual
+    rows 1950-2015 for six countries, shuffled, with years and numbers
+    written in several forms that ``int`` and ``float`` read."""
+    rng = random.Random(0)
+    rows = {name: [] for name in HEADER_LINES}
+    for k, iso3 in enumerate(GENERATED):
+        name = f'"Country\n{iso3}"' if k == 1 else f'"Country, {iso3}"'
+        rows["countries.csv"].append([iso3, name, "Low", "SouthAsia"])
+        sexes = ("Female", "Male") if k < 3 else ("Both",)
+        for year in range(1950, 2016):
+            text = rng.choice((str(year), f"+{year}", f" {year}", f"0{year}"))
+            rows["gdp_hist.csv"].append([iso3, text, repr(rng.uniform(300.0, 9e4))])
+            for band in FERTILE_BANDS:
+                rows["rates.csv"].append([iso3, text, "Fertility", band, "Female",
+                                          f"{rng.uniform(0.0, 0.3):.6f}"])
+            for band in AGE_BANDS:
+                for sex in sexes:
+                    rate = rng.uniform(0.0, 0.7)
+                    rows["rates.csv"].append([iso3, text, "Mortality", band, sex,
+                                              rng.choice((repr(rate), f"{rate:.4e}"))])
+        for year in range(2015, 2101, 5):
+            rows["gdp_baseline.csv"].append([iso3, str(year), f"{rng.uniform(500.0, 1e5):.2f}"])
+        for band in AGE_BANDS:
+            for sex in ("Female", "Male"):
+                rows["base_pop.csv"].append([iso3, "2015", band, sex, str(rng.randrange(10**6))])
+    for name in rows:
+        if name != "countries.csv":
+            rng.shuffle(rows[name])
+    return rows
+
+
+def write_generated(data: Path, rows: dict[str, list[list[str]]]) -> Path:
+    """Write ``rows`` with blank lines and rows of unknown countries mixed in,
+    one of them with a quoted iso3 that spans two lines."""
+    rng = random.Random(1)
+    data.mkdir(parents=True, exist_ok=True)
+    for name, cells in rows.items():
+        lines = [HEADER_LINES[name]]
+        width = HEADER_LINES[name].count(",") + 1
+        for k, row in enumerate(cells):
+            if name != "countries.csv" and k % 97 == 50:
+                iso3 = '"X\nX"' if k == 50 else rng.choice(("XXX", "YYY"))
+                lines.append(",".join([iso3] + ["?"] * (width - 1)))
+            if k % 31 == 7:
+                lines.append("")
+            lines.append(",".join(row))
+        (data / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data
+
+
+@pytest.fixture(scope="module")
+def generated_dir(tmp_path_factory):
+    return write_generated(tmp_path_factory.mktemp("generated"), generated_rows())
+
+
+def ingest_error(load, data):
+    with pytest.raises(DemotrendError) as err:
+        load(data)
+    return err.value
+
+
+class TestAgainstRowLoader:
+    """The columnar loader against the row-list loader it replaced
+    (``ingest_oracle``): the same datasets and the same errors."""
+
+    def test_generated_set_spans_chunks(self):
+        assert len(generated_rows()["rates.csv"]) > 3 * CHUNK_ROWS
+
+    @pytest.mark.parametrize("which", ["tiny", "generated"])
+    def test_same_dataset(self, which, generated_dir):
+        data = TINY if which == "tiny" else generated_dir
+        ds = load_dataset(data)
+        same_dataset(ds, ingest_oracle.load_dataset(data))
+        if which == "generated":
+            assert len(ds.rejections) > 3
+            assert ds.countries[1].name == "Country\n" + GENERATED[1]
+
+    FAULTS = {
+        "non-numeric rate": [(5, "high")],
+        "nan rate": [(5, "nan")],
+        "inf rate": [(5, "-inf")],
+        "negative rate": [(5, "-0.5")],
+        "rate above one": [(2, "Mortality"), (5, "1.5")],
+        "bad year": [(1, "19x0")],
+        "year out of range": [(1, "1949")],
+        "huge year": [(1, "1" + "0" * 400)],
+        "unknown band": [(3, "0-3")],
+        "unknown variable": [(2, "Births")],
+        "fertility band": [(2, "Fertility"), (3, "50-54")],
+        "fertility sex": [(2, "Fertility"), (3, "20-24"), (4, "Male")],
+        "two faults": [(1, "1949"), (2, "Births")],
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_same_error_past_the_first_chunk(self, tmp_path, fault):
+        rows = generated_rows()
+        for at in (2 * CHUNK_ROWS + 11, CHUNK_ROWS + 3):  # the earlier one is reported
+            for column, text in self.FAULTS[fault]:
+                rows["rates.csv"][at][column] = text
+        data = write_generated(tmp_path, rows)
+        error = ingest_error(load_dataset, data)
+        expected = ingest_error(ingest_oracle.load_dataset, data)
+        assert (type(error), str(error)) == (type(expected), str(expected))
+        assert error.line > CHUNK_ROWS
+
+    def test_same_duplicate_error_across_chunks(self, tmp_path):
+        """A repeat in the third chunk of a row of the first."""
+        rows = generated_rows()
+        rows["rates.csv"].insert(2 * CHUNK_ROWS + 5, list(rows["rates.csv"][3]))
+        data = write_generated(tmp_path, rows)
+        error = ingest_error(load_dataset, data)
+        expected = ingest_error(ingest_oracle.load_dataset, data)
+        assert (type(error), str(error)) == (type(expected), str(expected))
+        assert str(error).split(": ")[1].startswith("duplicate observation")
+        assert error.line > 2 * CHUNK_ROWS
+
+
+class TestIngestMemory:
+    def test_traced_peak_per_row(self, generated_dir):
+        """Parsed cells live one chunk at a time, so the traced peak per
+        rates.csv row is at most half the row-list loader's (632 B on a
+        world-like 180-country set)."""
+        rows = len(generated_rows()["rates.csv"])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            load_dataset(generated_dir)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / rows <= 316
+
+    def test_keys_hold_canonical_strings(self, generated_dir):
+        ds = load_dataset(generated_dir)
+        iso3_of = {c.iso3: c.iso3 for c in ds.countries}
+        for iso3, _, band, _ in ds.rate_index:
+            assert iso3 is iso3_of[iso3]
+            assert band is AGE_BANDS[AGE_INDEX[band]]
+        for index in (ds.gdp_hist_index, ds.gdp_baseline_index, ds.base_pop_index):
+            assert all(iso3 is iso3_of[iso3] for iso3 in index)
+        assert all(state.iso3 is iso3_of[state.iso3] for state in ds.base_pop_index.values())
