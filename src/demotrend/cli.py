@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import hashlib
 import itertools
 import json
 import math
@@ -39,6 +38,17 @@ from .scenarios import (
     scenario_label,
     sweep_multipliers,
 )
+
+# CPython's own SHA-256, not hashlib's: importing hashlib maps OpenSSL's
+# libcrypto (3.6 MiB of RSS) into the run and every --jobs worker. Both give
+# standard SHA-256; hashlib is only for builds without the built-in module.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 AGGREGATE_KINDS = ("world", "income", "region", "country")
 # Name and header of donors.csv and ensembles.csv.
@@ -114,6 +124,7 @@ def run(config: RunConfig) -> list[Path]:
     """Execute one full projection run; returns the written paths."""
     plan = _scenario_plan(config.scenario)
     dataset = load_dataset(config.data_dir)
+    digests = _input_digests(config.data_dir)  # of the bytes just read, not a later rewrite
     for rejection in dataset.rejections:
         print(f"warning: {rejection}", file=sys.stderr)
     baselines = build_baselines(dataset, BASE_YEAR, config.horizon)
@@ -164,7 +175,7 @@ def run(config: RunConfig) -> list[Path]:
         result = RunResult(start_year=BASE_YEAR, scenario_ids=scenario_ids,
                            aggregates=aggregates, sensitivity=sensitivity)
         written[:0] = emit_outputs(result, out, config.out_format)
-        written.append(_write_manifest(config, out))
+        written.append(_write_manifest(config, digests, out))
     except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
@@ -347,12 +358,19 @@ def _sensitivity_rows(scenario_ids, country_totals, horizon):
             for iso3 in sorted(reference)]
 
 
-def _write_manifest(config: RunConfig, out: Path) -> Path:
+def _input_digests(data_dir: str) -> dict[str, str]:
+    """The hex SHA-256 of each input file, read 64 KiB at a time."""
     digests = {}
     for name in sorted(HEADERS):
-        digest = hashlib.sha256()
-        digest.update((Path(config.data_dir) / name).read_bytes())
+        digest = sha256()
+        with open(Path(data_dir) / name, "rb") as handle:
+            while block := handle.read(1 << 16):
+                digest.update(block)
         digests[name] = digest.hexdigest()
+    return digests
+
+
+def _write_manifest(config: RunConfig, digests: dict[str, str], out: Path) -> Path:
     # jobs and out_dir are omitted: they cannot change the results.
     manifest = {
         "config": {

@@ -124,8 +124,45 @@ class TestManifest:
         assert sorted(manifest["inputs"]) == [
             "base_pop.csv", "countries.csv", "gdp_baseline.csv",
             "gdp_hist.csv", "rates.csv"]
-        actual = hashlib.sha256((TINY / "countries.csv").read_bytes()).hexdigest()
-        assert manifest["inputs"]["countries.csv"] == actual
+        for name, digest in manifest["inputs"].items():
+            assert digest == hashlib.sha256((TINY / name).read_bytes()).hexdigest(), name
+
+    def test_hashlib_fallback_writes_the_same_manifest(self, baseline_run, tmp_path):
+        """An interpreter without the built-in SHA-256 module hashes through
+        hashlib, to the same bytes."""
+        script = ("import sys\n"
+                  "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                  "from demotrend import cli\n"
+                  "import hashlib\n"
+                  "assert cli.sha256 is hashlib.sha256, cli.sha256\n"
+                  f"code = cli.main(['--data-dir', {str(TINY)!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}, '--dump-donors', '--dump-ensembles'])\n"
+                  "assert code == 0, code\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "run_manifest.json").read_bytes() == \
+            (baseline_run / "run_manifest.json").read_bytes()
+
+    def test_digests_are_of_the_bytes_loaded(self, tmp_path, monkeypatch):
+        """An input rewritten after ingest does not change the manifest."""
+        from demotrend import cli
+
+        data_dir = tmp_path / "data"
+        shutil.copytree(TINY, data_dir)
+        rates = data_dir / "rates.csv"
+        loaded = hashlib.sha256(rates.read_bytes()).hexdigest()
+        build_baselines = cli.build_baselines
+
+        def rewrite_then_build(*args):
+            rates.write_text("rewritten during the run\n")
+            return build_baselines(*args)
+
+        monkeypatch.setattr(cli, "build_baselines", rewrite_then_build)
+        cli.run(cli.RunConfig(data_dir=str(data_dir), out_dir=str(tmp_path / "out")))
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert rates.read_text() == "rewritten during the run\n"
+        assert manifest["inputs"]["rates.csv"] == loaded
 
     def test_version_matches_package(self, baseline_run):
         import demotrend
@@ -199,7 +236,9 @@ class TestDeterminism:
         script = ("import sys\n"
                   "import demotrend.cli\n"
                   "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
-                  "assert 'traceback' not in sys.modules, 'traceback was imported'\n")
+                  "assert 'traceback' not in sys.modules, 'traceback was imported'\n"
+                  "loaded = {'_hashlib', 'ssl'} & set(sys.modules)\n"
+                  "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
@@ -780,12 +819,43 @@ class TestForkedWorkers:
                   f"code = main(['--data-dir', {str(TINY)!r}, '--out', "
                   f"{str(tmp_path / 'out')!r}, '--jobs', '2'])\n"
                   "assert code == 0, code\n"
-                  "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+                  "loaded = {'concurrent.futures', 'multiprocessing', '_hashlib', 'ssl'}"
+                  " & set(sys.modules)\n"
                   "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "summary.csv").is_file()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_run_maps_no_openssl(self, tmp_path, jobs):
+        """``python -m demotrend`` hashes its inputs without OpenSSL: neither
+        the run nor a worker imports ``_hashlib`` or ``ssl``, and libcrypto
+        is not mapped."""
+        script = ("import runpy, sys\n"
+                  "from pathlib import Path\n"
+                  "from demotrend import cli\n"
+                  "project = cli._project_one\n"
+                  "def checked(payload, iso3):\n"
+                  "    result = project(payload, iso3)\n"
+                  "    loaded = {'_hashlib', 'ssl'} & set(sys.modules)\n"
+                  "    assert not loaded, (iso3, loaded)\n"
+                  "    return result\n"
+                  "cli._project_one = checked\n"
+                  f"sys.argv = ['demotrend', '--data-dir', {str(TINY)!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}, '--dump-ensembles', '--jobs', {jobs!r}]\n"
+                  "try:\n"
+                  "    runpy.run_module('demotrend', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    assert exc.code == 0, exc.code\n"
+                  "loaded = {'_hashlib', 'ssl'} & set(sys.modules)\n"
+                  "assert not loaded, loaded\n"
+                  "maps = Path('/proc/self/maps')\n"
+                  "assert not maps.exists() or 'libcrypto' not in maps.read_text()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "run_manifest.json").is_file()
 
     def test_in_process_run_leaves_no_child_and_no_descriptor(self, tmp_path):
         from demotrend import cli
