@@ -30,7 +30,8 @@ from .demography import pathway_rates, project_totals
 from .errors import DemotrendError, IoFailure, SchemaViolation
 from .models import FORM_ORDER, ModelForm
 from .rate_forecast import CapPolicy, build_country_ensembles
-from .report import RunResult, aggregate, emit_outputs, scopes_for, sensitivity_ratio
+from .report import (RunResult, _write_lines, aggregate, emit_outputs, scopes_for,
+                     sensitivity_ratio)
 from .scenarios import (
     build_baselines,
     convergence_pathway,
@@ -387,10 +388,8 @@ def _write_manifest(config: RunConfig, digests: dict[str, str], out: Path) -> Pa
         "inputs": digests,
         "version": __version__,
     }
-    path = out / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    return _write_lines(out / "run_manifest.json",
+                        [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _scenario_plan(token: str) -> list[tuple[str, float | None]]:

@@ -150,9 +150,9 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
     """Write trajectories, summary, optional sensitivity, and figures.
 
     A series that is not finite raises ``NonFiniteResult`` before any file
-    is written. Returns the written paths. On any failure, an interrupt
-    included, the files written so far are removed before the error
-    propagates; an ``OSError`` propagates as ``IoFailure``.
+    is written. Files are written series by series. Returns the written
+    paths. On any failure, an interrupt included, the files written so far,
+    a partial one too, are removed; an ``OSError`` propagates as ``IoFailure``.
     """
     if not result.scenario_ids:
         raise EmptyScope("no scenarios to report")
@@ -182,40 +182,46 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
 
 
 def _write_lines(path: Path, lines) -> Path:
-    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    handle = open(path, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.writelines(f"{line}\n" for line in lines)
+    except BaseException:  # a partly written file goes too
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
 def _write_trajectories(result: RunResult, out: Path) -> Path:
-    lines = ["scope,scenario_id,year,population"]
-    for sid in result.scenario_ids:
-        for series in result.aggregates[sid]:
-            prefix = f"{series.scope.label},{sid}"
-            lines.extend(f"{prefix},{year},{millions:.6g}" for year, millions in enumerate(
-                (series.values / 1e6).tolist(), series.start_year))
-    return _write_lines(out / "trajectories.csv", lines)
+    def blocks():  # one write per series, of its at most 86 lines
+        yield "scope,scenario_id,year,population"
+        for sid in result.scenario_ids:
+            for series in result.aggregates[sid]:
+                prefix = f"{series.scope.label},{sid}"
+                yield "\n".join(f"{prefix},{year},{millions:.6g}" for year, millions in
+                                 enumerate((series.values / 1e6).tolist(), series.start_year))
+    return _write_lines(out / "trajectories.csv", blocks())
 
 
 def _write_summary(result: RunResult, out: Path) -> Path:
-    lines = ["scenario_id,scope,pop2015,pop2050,pop2100,peak_pop,peak_year"]
-    for sid in result.scenario_ids:
-        for series in result.aggregates[sid]:
-            cells = [sid, series.scope.label]
-            for year in SUMMARY_YEARS:
-                idx = series.year_index(year)
-                cells.append("" if idx is None else fmt_millions(series.values[idx]))
-            peak = find_peak(series)
-            cells.append(fmt_millions(peak.peak_population))
-            cells.append(str(peak.peak_year))
-            lines.append(",".join(cells))
-    return _write_lines(out / "summary.csv", lines)
+    def lines():
+        yield "scenario_id,scope,pop2015,pop2050,pop2100,peak_pop,peak_year"
+        for sid in result.scenario_ids:
+            for series in result.aggregates[sid]:
+                cells = [sid, series.scope.label]
+                for year in SUMMARY_YEARS:
+                    idx = series.year_index(year)
+                    cells.append("" if idx is None else fmt_millions(series.values[idx]))
+                peak = find_peak(series)
+                cells.append(fmt_millions(peak.peak_population))
+                cells.append(str(peak.peak_year))
+                yield ",".join(cells)
+    return _write_lines(out / "summary.csv", lines())
 
 
 def _write_sensitivity(result: RunResult, out: Path) -> Path:
-    lines = ["iso3,ratio"]
-    for iso3, ratio in result.sensitivity:
-        lines.append(f"{iso3},{ratio:.6g}")
-    return _write_lines(out / "sensitivity.csv", lines)
+    return _write_lines(out / "sensitivity.csv", ["iso3,ratio", *(
+        f"{iso3},{ratio:.6g}" for iso3, ratio in result.sensitivity)])
 
 
 def _write_figures(result: RunResult, out: Path) -> list[Path]:

@@ -1,6 +1,8 @@
+import builtins
 import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -736,6 +738,87 @@ class TestWriteFailures:
                                    "--jobs", jobs, "--dump-donors", "--dump-ensembles"])
         assert code == 1, stderr
         assert out.is_dir() and not any(out.iterdir())
+
+    @pytest.mark.parametrize("name, room", [("trajectories.csv", 1000),
+                                            ("run_manifest.json", 100)])
+    def test_disk_full_partway_leaves_nothing(self, tmp_path, monkeypatch, capsys, name,
+                                              room):
+        from demotrend import cli
+
+        out = tmp_path / "out"
+        failed = fill_disk_after(monkeypatch, name, room)
+        code = cli.main(["--data-dir", str(TINY), "--out", str(out),
+                         "--scenario", "sweep:0:2:1"])
+        stderr = capsys.readouterr().err
+        assert failed == [str(out / name)]
+        assert code == 1, stderr
+        assert stderr == (f"error: failed writing outputs to {out}: "
+                          f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert not out.exists()
+
+    def test_failure_between_series_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        """The second series' label raises once the first series is in
+        trajectories.csv."""
+        from demotrend import cli, report
+
+        label, calls = report.Scope.label, []
+
+        def fails_second(scope):
+            calls.append(scope)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return label.fget(scope)
+
+        monkeypatch.setattr(report.Scope, "label", property(fails_second))
+        out = tmp_path / "out"
+        code = cli.main(["--data-dir", str(TINY), "--out", str(out),
+                         "--scenario", "sweep:0:2:1", "--dump-donors"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: failed writing outputs to {out}:")
+        assert len(calls) == 2
+        assert not out.exists()
+
+
+def fill_disk_after(monkeypatch, name, room):
+    """Files named ``name`` opened for writing take ``room`` characters; then
+    their writes fail with ENOSPC, as on a full disk. Returns the paths that
+    failed."""
+    real_open, failed = io.open, []
+
+    class Filling:
+        def __init__(self, handle):
+            self.handle, self.room = handle, room
+
+        def write(self, text):
+            self.handle.write(text[:self.room])
+            if len(text) > self.room:
+                self.room = 0
+                failed.append(self.handle.name)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.room -= len(text)
+            return len(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def __getattr__(self, attr):
+            return getattr(self.handle, attr)
+
+    def opener(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        named = isinstance(file, (str, os.PathLike)) and os.path.basename(file) == name
+        return Filling(handle) if named and "w" in mode else handle
+
+    monkeypatch.setattr(builtins, "open", opener)
+    monkeypatch.setattr(io, "open", opener)  # what pathlib opens with
+    return failed
 
 
 def tiny_config(out, jobs, **overrides):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,20 @@ def per_value_write_summary(result, out):
     return _write_lines(out / "summary.csv", lines)
 
 
+# The sensitivity and line writers that built whole files, verbatim: the
+# oracles for the streaming ones.
+def per_value_write_sensitivity(result, out):
+    lines = ["iso3,ratio"]
+    for iso3, ratio in result.sensitivity:
+        lines.append(f"{iso3},{ratio:.6g}")
+    return _write_lines(out / "sensitivity.csv", lines)
+
+
+def whole_file_write_lines(path, lines):
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return path
+
+
 def per_value_svg_chart(title, panels):
     """Multi-panel line chart; one legend shared by all panels."""
     panel_w, panel_h = 430, 290
@@ -438,15 +453,65 @@ class TestWholeArrayWriters:
             result = RunResult(start_year=2015, scenario_ids=["m1.0"], aggregates=aggregates)
             assert_per_value_bytes(result, tmp_path_factory)
 
+    def test_many_scenarios_over_every_scope_kind(self, tmp_path_factory):
+        """60 scenarios of full-length series over world, income, region and
+        country scopes: many series blocks per file, and many lines per chart."""
+        rng = np.random.default_rng(23)
+        scenario_ids = [f"m{i / 20:g}" for i in range(60)]
+        aggregates = {sid: [] for sid in scenario_ids}
+        for scope in EDGE_SCOPES:
+            peak = 10.0 ** rng.uniform(4.0, 10.0)
+            for sid in scenario_ids:
+                values = edge_values(rng, 86, peak)
+                values[rng.integers(values.size)] = peak
+                aggregates[sid].append(AggregateSeries(scope, sid, 2015, values))
+        sensitivity = [(f"C{i:02d}", ratio) for i, ratio in enumerate(rng.uniform(0, 2, 40))]
+        result = RunResult(start_year=2015, scenario_ids=scenario_ids, aggregates=aggregates,
+                           sensitivity=sensitivity)
+        assert_per_value_bytes(result, tmp_path_factory)
+
 
 def assert_per_value_bytes(result, tmp_path_factory):
     written = emit_outputs(result, tmp_path_factory.mktemp("whole"))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "_write_trajectories", per_value_write_trajectories)
         patch.setattr(report, "_write_summary", per_value_write_summary)
+        patch.setattr(report, "_write_sensitivity", per_value_write_sensitivity)
         patch.setattr(report, "_svg_chart", per_value_svg_chart)
+        patch.setattr(report, "_write_lines", whole_file_write_lines)
+        patch.setitem(globals(), "_write_lines", whole_file_write_lines)  # the oracles' writer
         expected = emit_outputs(result, tmp_path_factory.mktemp("per_value"))
     assert [p.name for p in written] == [p.name for p in expected]
     for got, want in zip(written, expected):
         assert got.read_bytes() == want.read_bytes(), got.name
 
+
+class TestEmitMemory:
+    """The report files are written series by series, so the memory that
+    emit_outputs takes does not grow with scenarios x scopes x years."""
+
+    def traced_peak(self, tmp_path, scenarios):
+        rng = np.random.default_rng(scenarios)
+        scopes = [WORLD, Scope("income", "Low"), Scope("region", "SouthAsia"),
+                  Scope("country", "AAA")]
+        scenario_ids = [f"m{i / 100:g}" for i in range(scenarios)]
+        aggregates = {sid: [AggregateSeries(scope, sid, 2015, rng.uniform(1e6, 1e10, 86))
+                            for scope in scopes] for sid in scenario_ids}
+        result = RunResult(start_year=2015, scenario_ids=scenario_ids, aggregates=aggregates,
+                           sensitivity=[("AAA", 0.25), ("BBB", 0.125)])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            emit_outputs(result, tmp_path / f"s{scenarios}", out_format="csv")
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_traced_peak_does_not_grow_with_scenarios(self, tmp_path):
+        """1,000 scenarios write a 9.2 MB trajectories.csv. The writers that
+        joined whole files peaked at 64 MiB on it, ten times their peak at 100
+        scenarios; the streaming ones take about 40 KiB at both sizes."""
+        small, large = (self.traced_peak(tmp_path, n) for n in (100, 1000))
+        assert large < 1 << 20
+        assert large <= 1.5 * small
