@@ -30,8 +30,8 @@ from .demography import pathway_rates, project_totals
 from .errors import DemotrendError, IoFailure, SchemaViolation
 from .models import FORM_ORDER, ModelForm
 from .rate_forecast import CapPolicy, build_country_ensembles
-from .report import (RunResult, _write_lines, aggregate, emit_outputs, scopes_for,
-                     sensitivity_ratio)
+from .report import (SCOPE_KINDS, RunResult, _write_lines, aggregate, emit_outputs,
+                     scopes_for, sensitivity_ratio)
 from .scenarios import (
     build_baselines,
     convergence_pathway,
@@ -51,7 +51,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-AGGREGATE_KINDS = ("world", "income", "region", "country")
 # Name and header of donors.csv and ensembles.csv.
 _DUMPS = (("donors.csv", "scenario_id,target_iso3,donor_iso3"),
           ("ensembles.csv", "scenario_id,iso3,variable,age_group,sex,form,weight,"
@@ -351,10 +350,11 @@ def _ensemble_dump_cells(ensembles) -> list[str]:
 
 def _sensitivity_rows(scenario_ids, country_totals, horizon):
     """Per-country sensitivity at 2050, with m1.0 as the reference."""
-    if horizon < SENSITIVITY_YEAR or not {"m0.0", "m1.0", "m2.0"} <= set(scenario_ids):
+    ids = [scenario_label(m) for m in (0.0, 1.0, 2.0)]
+    if horizon < SENSITIVITY_YEAR or not set(ids) <= set(scenario_ids):
         return None
     idx = SENSITIVITY_YEAR - BASE_YEAR
-    low, reference, high = (country_totals[sid] for sid in ("m0.0", "m1.0", "m2.0"))
+    low, reference, high = (country_totals[sid] for sid in ids)
     return [(iso3, sensitivity_ratio(low[iso3][idx], high[iso3][idx], reference[iso3][idx]))
             for iso3 in sorted(reference)]
 
@@ -394,8 +394,8 @@ def _write_manifest(config: RunConfig, digests: dict[str, str], out: Path) -> Pa
 
 def _scenario_plan(token: str) -> list[tuple[str, float | None]]:
     """The (scenario id, growth multiplier or None) of each scenario that the
-    ``--scenario`` token runs; a bad token, or one that runs no scenario, is a
-    ``UsageError``."""
+    ``--scenario`` token runs; a bad token, or one that runs no scenario or
+    two under one id, is a ``UsageError``."""
     if token in ("baseline", "convergence"):
         return [(token, None)]
     if token.startswith("m:"):
@@ -422,7 +422,12 @@ def _scenario_plan(token: str) -> list[tuple[str, float | None]]:
                          f"m:<value>, convergence, or sweep[:<from>:<to>:<step>]")
     if not multipliers:
         raise UsageError(f"scenario {token!r} produced no scenarios")
-    return [(scenario_label(m), m) for m in multipliers]
+    plan = [(scenario_label(m), m) for m in multipliers]
+    ids = sorted(sid for sid, _ in plan)
+    for sid, next_sid in zip(ids, ids[1:]):
+        if sid == next_sid:
+            raise UsageError(f"scenario {token!r} gives two scenarios the id {sid!r}")
+    return plan
 
 
 def _parse_float_token(text: str, label: str) -> float:
@@ -463,26 +468,27 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory with the five input CSVs "
                              "(default: $DEMOTREND_DATA_DIR)")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--scenario", default="baseline",
+    parser.add_argument("--scenario", default=RunConfig.scenario,
                         help="baseline | m:<value> | convergence | "
-                             "sweep[:<from>:<to>:<step>] (default: baseline)")
-    parser.add_argument("--fertility-cap", type=_finite_float, default=30000.0,
+                             "sweep[:<from>:<to>:<step>] (default: %(default)s)")
+    parser.add_argument("--fertility-cap", type=_finite_float, default=RunConfig.fertility_cap,
                         help="GDP per capita cap for fertility inputs "
-                             "(default: 30000)")
-    parser.add_argument("--srb", type=_finite_float, default=1.05,
-                        help="sex ratio at birth, males per female (default: 1.05)")
-    parser.add_argument("--horizon", type=int, default=END_YEAR,
-                        help=f"final projected year (default: {END_YEAR})")
-    parser.add_argument("--aggregate", default="world,income,region",
-                        help="comma-separated scopes: world,income,region,country")
+                             "(default: %(default)g)")
+    parser.add_argument("--srb", type=_finite_float, default=RunConfig.srb,
+                        help="sex ratio at birth, males per female (default: %(default)g)")
+    parser.add_argument("--horizon", type=int, default=RunConfig.horizon,
+                        help="final projected year (default: %(default)s)")
+    parser.add_argument("--aggregate", default=",".join(RunConfig.aggregate),
+                        help=f"comma-separated scopes: {','.join(SCOPE_KINDS)} "
+                             "(default: %(default)s)")
     parser.add_argument("--dump-donors", action="store_true",
                         help="also write donors.csv")
     parser.add_argument("--dump-ensembles", action="store_true",
                         help="also write ensembles.csv")
-    parser.add_argument("--jobs", default="1",
-                        help="worker processes, or 'auto' (default: 1)")
+    parser.add_argument("--jobs", default=RunConfig.jobs,
+                        help="worker processes, or 'auto' (default: %(default)s)")
     parser.add_argument("--format", dest="out_format",
-                        choices=["csv", "csv+svg"], default="csv+svg")
+                        choices=["csv", "csv+svg"], default=RunConfig.out_format)
     return parser
 
 
@@ -522,8 +528,8 @@ def _config_from_args(args) -> RunConfig:
     if args.srb <= 0.0:
         raise UsageError("--srb must be positive")
     kinds = tuple(k for k in args.aggregate.split(",") if k)
-    if not kinds or any(k not in AGGREGATE_KINDS for k in kinds):
-        raise UsageError(f"--aggregate accepts {', '.join(AGGREGATE_KINDS)}")
+    if not kinds or any(k not in SCOPE_KINDS for k in kinds):
+        raise UsageError(f"--aggregate accepts {', '.join(SCOPE_KINDS)}")
     return RunConfig(data_dir=args.data_dir, out_dir=args.out, scenario=args.scenario,
                      fertility_cap=args.fertility_cap, srb=args.srb,
                      horizon=args.horizon, aggregate=kinds,

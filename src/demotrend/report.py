@@ -17,26 +17,30 @@ from .core import Record
 from .data_ingest import CountryRecord, Dataset
 from .errors import EmptyScope, IoFailure, NonFiniteResult, ZeroBaseline
 
-INCOME_LABELS = {
-    "High": "High income",
-    "Low": "Low income",
-    "LowerMiddle": "Lower-middle income",
-    "UpperMiddle": "Upper-middle income",
+# Per grouped scope kind: the CountryRecord field it groups by, and each
+# group's label, listed in presentation order (summary rows and figure panels).
+GROUPINGS = {
+    "income": ("income_group", {
+        "High": "High income",
+        "Low": "Low income",
+        "LowerMiddle": "Lower-middle income",
+        "UpperMiddle": "Upper-middle income",
+    }),
+    "region": ("region", {
+        "LatinAmericaCaribbean": "Latin America and Caribbean",
+        "SouthAsia": "South Asia",
+        "SubSaharanAfrica": "Sub-Saharan Africa",
+        "EuropeCentralAsia": "Europe and Central Asia",
+        "MiddleEastNorthAfrica": "Middle East and North Africa",
+        "EastAsiaPacific": "East Asia and Pacific",
+        "NorthAmerica": "North America",
+    }),
 }
-REGION_LABELS = {
-    "LatinAmericaCaribbean": "Latin America and Caribbean",
-    "SouthAsia": "South Asia",
-    "SubSaharanAfrica": "Sub-Saharan Africa",
-    "EuropeCentralAsia": "Europe and Central Asia",
-    "MiddleEastNorthAfrica": "Middle East and North Africa",
-    "EastAsiaPacific": "East Asia and Pacific",
-    "NorthAmerica": "North America",
-}
-# Presentation order for summary rows and figure panels.
-INCOME_ORDER = ("High", "Low", "LowerMiddle", "UpperMiddle")
-REGION_ORDER = ("LatinAmericaCaribbean", "SouthAsia", "SubSaharanAfrica",
-                "EuropeCentralAsia", "MiddleEastNorthAfrica", "EastAsiaPacific",
-                "NorthAmerica")
+SCOPE_KINDS = ("world", *GROUPINGS, "country")  # in presentation order
+# The kind, file name and title of each figure.
+FIGURES = (("world", "figure_world.svg", "World population by scenario"),
+           ("income", "figure_income_groups.svg", "Population by income group"),
+           ("region", "figure_regions.svg", "Population by region"))
 
 SUMMARY_YEARS = (2015, 2050, 2100)
 
@@ -49,22 +53,14 @@ class Scope(Record, frozen=True):
 
     @property
     def label(self) -> str:
-        if self.kind == "world":
-            return "World"
-        if self.kind == "income":
-            return INCOME_LABELS[self.key]
-        if self.kind == "region":
-            return REGION_LABELS[self.key]
-        return self.key
+        if self.kind in GROUPINGS:
+            return GROUPINGS[self.kind][1][self.key]
+        return "World" if self.kind == "world" else self.key
 
     def matches(self, record: CountryRecord) -> bool:
-        if self.kind == "world":
-            return True
-        if self.kind == "income":
-            return record.income_group.value == self.key
-        if self.kind == "region":
-            return record.region.value == self.key
-        return record.iso3 == self.key
+        if self.kind in GROUPINGS:
+            return getattr(record, GROUPINGS[self.kind][0]).value == self.key
+        return self.kind == "world" or record.iso3 == self.key
 
 
 WORLD = Scope("world")
@@ -91,15 +87,11 @@ class PeakSummary(Record, frozen=True):
 def scopes_for(kinds, dataset: Dataset) -> list[Scope]:
     """Ordered scope list for the requested kinds, non-empty scopes only."""
     records = list(dataset.countries)
-    present_incomes = {c.income_group.value for c in records}
-    present_regions = {c.region.value for c in records}
-    scopes: list[Scope] = []
-    if "world" in kinds and records:
-        scopes.append(WORLD)
-    if "income" in kinds:
-        scopes.extend(Scope("income", g) for g in INCOME_ORDER if g in present_incomes)
-    if "region" in kinds:
-        scopes.extend(Scope("region", r) for r in REGION_ORDER if r in present_regions)
+    scopes = [WORLD] if "world" in kinds and records else []
+    for kind, (field, labels) in GROUPINGS.items():
+        if kind in kinds:
+            present = {getattr(c, field).value for c in records}
+            scopes.extend(Scope(kind, key) for key in labels if key in present)
     if "country" in kinds:
         scopes.extend(Scope("country", c.iso3)
                       for c in sorted(records, key=lambda c: c.iso3))
@@ -225,33 +217,17 @@ def _write_sensitivity(result: RunResult, out: Path) -> Path:
 
 
 def _write_figures(result: RunResult, out: Path) -> list[Path]:
-    paths = []
-    by_scope: dict[tuple[str, str | None], list[AggregateSeries]] = {}
+    by_scope: dict[Scope, list[tuple[str, int, np.ndarray]]] = {}
     for sid in result.scenario_ids:
-        for series in result.aggregates[sid]:
-            by_scope.setdefault((series.scope.kind, series.scope.key), []).append(series)
-
-    def panel(scope_kind, scope_key):
-        series_list = by_scope.get((scope_kind, scope_key))
-        if not series_list:
-            return None
-        label = series_list[0].scope.label
-        return (label, [(s.scenario_id, s.start_year, s.values) for s in series_list])
-
-    world_panel = panel("world", None)
-    if world_panel is not None:
-        paths.append(_write_lines(out / "figure_world.svg",
-                                  [_svg_chart("World population by scenario",
-                                              [world_panel])]))
-    income_panels = [p for p in (panel("income", g) for g in INCOME_ORDER) if p]
-    if income_panels:
-        paths.append(_write_lines(out / "figure_income_groups.svg",
-                                  [_svg_chart("Population by income group",
-                                              income_panels)]))
-    region_panels = [p for p in (panel("region", r) for r in REGION_ORDER) if p]
-    if region_panels:
-        paths.append(_write_lines(out / "figure_regions.svg",
-                                  [_svg_chart("Population by region", region_panels)]))
+        for s in result.aggregates[sid]:
+            by_scope.setdefault(s.scope, []).append((s.scenario_id, s.start_year, s.values))
+    paths = []
+    for kind, name, title in FIGURES:
+        keys = GROUPINGS[kind][1] if kind in GROUPINGS else [None]
+        panels = [(scope.label, by_scope[scope])
+                  for scope in (Scope(kind, key) for key in keys) if scope in by_scope]
+        if panels:
+            paths.append(_write_lines(out / name, [_svg_chart(title, panels)]))
     return paths
 
 

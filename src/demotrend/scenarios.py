@@ -131,6 +131,7 @@ def convergence_pathway(iso3: str, gdp_2015: float, target: float = CONVERGENCE_
 
 def scenario_label(m: float) -> str:
     """Stable file-naming label for a growth multiplier."""
+    m += 0.0  # -0.0 becomes 0.0
     if round(m, 1) == m:
         return f"m{m:.1f}"
     return f"m{m:g}"
@@ -145,18 +146,6 @@ def build_baselines(dataset: Dataset, start: int = BASE_YEAR,
         baselines[record.iso3] = baseline_pathway(record.iso3, years, values,
                                                   start=start, end=end)
     return baselines
-
-
-def sweep(dataset: Dataset, m_from: float = 0.0, m_to: float = 2.0, step: float = 0.1,
-          start: int = BASE_YEAR, end: int = END_YEAR) -> list[tuple[str, dict[str, GdpPathway]]]:
-    """Multiplier scenarios of ``sweep_multipliers(m_from, m_to, step)``."""
-    multipliers = sweep_multipliers(m_from, m_to, step)
-    if not multipliers:
-        return []
-    baselines = build_baselines(dataset, start=start, end=end)
-    return [(scenario_label(m), {iso3: multiplier_pathway(base, m)
-                                 for iso3, base in baselines.items()})
-            for m in multipliers]
 
 
 def sweep_multipliers(m_from: float = 0.0, m_to: float = 2.0,

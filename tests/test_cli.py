@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demotrend.cli import UsageError, _scenario_plan
+from demotrend.cli import RunConfig, UsageError, _build_parser, _config_from_args, _scenario_plan
+from demotrend.report import SCOPE_KINDS
 
 from conftest import TINY, minimal_rows, run_cli, write_rows
 
@@ -430,6 +431,17 @@ class TestScenarioVariants:
         rows = read_csv(tmp_path / "m" / "trajectories.csv")
         assert {r["scenario_id"] for r in rows} == {"m1.0"}
 
+    def test_negative_zero_multiplier_runs_as_m0(self, tmp_path):
+        for token in ("m:0", "m:-0"):
+            code, _, stderr = run_cli(["--data-dir", str(TINY), "--out", str(tmp_path / token),
+                                       "--scenario", token, "--format", "csv"])
+            assert code == 0, stderr
+        for name in ("trajectories.csv", "summary.csv"):
+            assert ((tmp_path / "m:-0" / name).read_bytes()
+                    == (tmp_path / "m:0" / name).read_bytes())
+        rows = read_csv(tmp_path / "m:-0" / "summary.csv")
+        assert {r["scenario_id"] for r in rows} == {"m0.0"}
+
     def test_convergence_runs(self, tmp_path):
         code, _, stderr = run_cli(["--data-dir", str(TINY),
                                    "--out", str(tmp_path / "conv"),
@@ -544,6 +556,7 @@ class TestUsageErrors:
         ("sweep:0:0.3:0.1", [("m0.0", 0.0), ("m0.1", 0.1), ("m0.2", 0.2), ("m0.3", 0.3)]),
         ("m:1.5", [("m1.5", 1.5)]),
         ("m:0", [("m0.0", 0.0)]),
+        ("m:-0", [("m0.0", 0.0)]),
     ])
     def test_token_parses_to_spec(self, token, spec):
         """Each token parses to the (scenario id, multiplier or None) it runs."""
@@ -564,17 +577,58 @@ class TestUsageErrors:
         assert stderr == "error: scenario 'sweep:0.5:0.25:1' produced no scenarios\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("token,sid", [
+        ("sweep:1:1.000001:0.0000005", "m1"),  # 1.0000005 and 1.000001 both read m1
+        ("sweep:0:1e-12:1e-13", "m0.0"),  # eleven multipliers round to 0.0
+    ])
+    def test_repeated_scenario_id_rejected_before_reading_data(self, tmp_path, token, sid):
+        message = f"scenario {token!r} gives two scenarios the id {sid!r}"
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            _scenario_plan(token)
+        code, _, stderr = run_cli(["--data-dir", str(tmp_path / "absent"),
+                                   "--out", str(tmp_path / "x"), "--scenario", token])
+        assert code == 2
+        assert stderr == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_empty_sweep_is_a_usage_error(self, tmp_path):
         code, _, stderr = run_cli(["--data-dir", str(TINY), "--out", str(tmp_path / "x"),
                                    "--scenario", "sweep:0.5:0.25:1"])
         assert code == 2
         assert "produced no scenarios" in stderr
 
+    def test_aggregate_accepts_exactly_the_scope_kinds(self):
+        for kind in SCOPE_KINDS:
+            assert parsed_config("--aggregate", kind).aggregate == (kind,)
+        assert parsed_config("--aggregate", ",".join(SCOPE_KINDS)).aggregate == SCOPE_KINDS
+        for bad in ("planet", "World", "countries", "income,regions"):
+            with pytest.raises(UsageError, match="^--aggregate accepts world, income, "
+                                                 "region, country$"):
+                parsed_config("--aggregate", bad)
+
     def test_missing_data_dir_flag(self, tmp_path):
         code, _, stderr = run_cli(["--out", str(tmp_path / "x")],
                                   env_extra={"DEMOTREND_DATA_DIR": ""})
         assert code == 2
         assert "data-dir" in stderr
+
+
+def parsed_config(*flags):
+    """The RunConfig of ``--data-dir D --out O`` and ``flags``."""
+    return _config_from_args(_build_parser().parse_args(["--data-dir", "D", "--out", "O",
+                                                         *flags]))
+
+
+class TestFlagDefaults:
+    def test_defaults_are_the_run_config_defaults(self):
+        assert parsed_config() == RunConfig(data_dir="D", out_dir="O")
+
+    def test_help_shows_the_run_config_defaults(self):
+        text = " ".join(_build_parser().format_help().split())
+        for flag_help in ("(default: baseline)", "(default: 30000)", "(default: 1.05)",
+                          "(default: 2100)", "(default: world,income,region)",
+                          "'auto' (default: 1)"):
+            assert flag_help in text
 
 
 class TestDataErrors:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demotrend import report
+from demotrend.core import IncomeGroup, Region
 from demotrend.errors import EmptyScope, NonFiniteResult, ZeroBaseline
 from demotrend.report import (
+    GROUPINGS,
+    SCOPE_KINDS,
     SUMMARY_YEARS,
     AggregateSeries,
     RunResult,
@@ -54,6 +58,22 @@ class TestScope:
         assert Scope("region", "NorthAmerica").matches(records["CCC"])
         assert Scope("country", "BBB").matches(records["BBB"])
         assert not Scope("country", "BBB").matches(records["AAA"])
+
+
+class TestScopeTable:
+    @pytest.mark.parametrize("kind,groups", [("income", IncomeGroup), ("region", Region)])
+    def test_every_group_has_one_label(self, tiny_dataset, kind, groups):
+        field, labels = GROUPINGS[kind]
+        assert sorted(labels) == sorted(group.value for group in groups)
+        assert len(set(labels.values())) == len(labels)
+        assert all(isinstance(getattr(c, field), groups) for c in tiny_dataset.countries)
+        for group in groups:
+            assert Scope(kind, group.value).label == labels[group.value]
+
+    def test_kinds_in_presentation_order(self, tiny_dataset):
+        assert SCOPE_KINDS == ("world", "income", "region", "country")
+        scopes = scopes_for(SCOPE_KINDS, tiny_dataset)
+        assert list(dict.fromkeys(s.kind for s in scopes)) == list(SCOPE_KINDS)
 
 
 class TestScopesFor:
@@ -222,6 +242,21 @@ class TestEmitOutputs:
         second = emit_outputs(toy_result(tiny_dataset), tmp_path / "b")
         for p1, p2 in zip(first, second):
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_figure_panels_in_presentation_order(self, tiny_dataset, tmp_path):
+        """Panels follow the scope table, not the order of the result's series."""
+        shuffled = toy_result(tiny_dataset)
+        shuffled.aggregates["baseline"].reverse()
+        emit_outputs(toy_result(tiny_dataset), tmp_path / "ordered")
+        emit_outputs(shuffled, tmp_path / "shuffled")
+        for name, titles in (
+                ("figure_income_groups.svg",
+                 ["High income", "Low income", "Upper-middle income"]),
+                ("figure_regions.svg",
+                 ["Sub-Saharan Africa", "East Asia and Pacific", "North America"])):
+            svg = (tmp_path / "shuffled" / name).read_text()
+            assert re.findall(r'font-size="12" text-anchor="middle">([^<]*)<', svg) == titles
+            assert svg == (tmp_path / "ordered" / name).read_text()
 
     def test_svg_is_self_contained(self, tiny_dataset, tmp_path):
         emit_outputs(toy_result(tiny_dataset), tmp_path / "out")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demotrend.cli import _pathways, _scenario_plan
+from demotrend.core import END_YEAR
 from demotrend.errors import NonPositiveGdp, NonPositiveResult, PathwayGap
 from demotrend.scenarios import (
     CONVERGENCE_TARGET,
@@ -15,8 +17,8 @@ from demotrend.scenarios import (
     convergence_pathway,
     multiplier_pathway,
     scenario_label,
-    sweep,
     sweep_count,
+    sweep_multipliers,
 )
 
 DECADAL_YEARS = list(range(2015, 2096, 10)) + [2100]
@@ -265,7 +267,7 @@ class TestConvergencePathway:
 class TestScenarioLabel:
     @pytest.mark.parametrize("m,label", [
         (0.0, "m0.0"), (0.1, "m0.1"), (1.0, "m1.0"), (2.0, "m2.0"),
-        (0.5, "m0.5"), (1.9, "m1.9"),
+        (0.5, "m0.5"), (1.9, "m1.9"), (-0.0, "m0.0"),
     ])
     def test_grid_labels(self, m, label):
         assert scenario_label(m) == label
@@ -275,9 +277,16 @@ class TestScenarioLabel:
         assert scenario_label(1.234) == "m1.234"
 
 
+def sweep(dataset, token):
+    """The (scenario id, pathways by iso3) of each scenario that ``--scenario
+    token`` runs, built as the CLI builds them."""
+    baselines = build_baselines(dataset)
+    return [(sid, _pathways(baselines, sid, m, END_YEAR)) for sid, m in _scenario_plan(token)]
+
+
 class TestSweep:
     def test_default_grid_has_21_scenarios(self, tiny_dataset):
-        scenarios = sweep(tiny_dataset)
+        scenarios = sweep(tiny_dataset, "sweep")
         assert len(scenarios) == 21
         labels = [label for label, _ in scenarios]
         assert labels[0] == "m0.0"
@@ -286,39 +295,39 @@ class TestSweep:
         assert len(set(labels)) == 21  # no float-accumulation duplicates
 
     def test_every_country_in_every_scenario(self, tiny_dataset):
-        for label, pathways in sweep(tiny_dataset, 0.0, 0.2, 0.1):
+        for label, pathways in sweep(tiny_dataset, "sweep:0:0.2:0.1"):
             assert sorted(pathways) == ["AAA", "BBB", "CCC"]
             for iso3, p in pathways.items():
                 assert p.scenario_id == label
                 assert p.iso3 == iso3
 
     def test_coarse_grid(self, tiny_dataset):
-        labels = [label for label, _ in sweep(tiny_dataset, 0.0, 2.0, 1.0)]
+        labels = [label for label, _ in sweep(tiny_dataset, "sweep:0:2:1")]
         assert labels == ["m0.0", "m1.0", "m2.0"]
 
     def test_m1_matches_baseline(self, tiny_dataset):
         baselines = build_baselines(tiny_dataset)
-        scenarios = dict(sweep(tiny_dataset, 1.0, 1.0, 0.1))
+        scenarios = dict(sweep(tiny_dataset, "sweep:1:1:0.1"))
         for iso3, base in baselines.items():
             assert np.allclose(scenarios["m1.0"][iso3].values, base.values,
                                rtol=1e-12, atol=0.0)
 
-    def test_count_capped(self, tiny_dataset):
+    def test_count_capped(self):
         assert sweep_count(0.0, 2.0, 0.1) == 21
         assert sweep_count(2.0, 1.0, 0.1) == 0
         assert sweep_count(0.0, 1e308, 1e-300) == MAX_SWEEP_SCENARIOS + 1
         assert sweep_count(0.0, 999.0, 1.0) == MAX_SWEEP_SCENARIOS
         with pytest.raises(ValueError):
-            sweep(tiny_dataset, 0.0, 1000.0, 1.0)
+            sweep_multipliers(0.0, 1000.0, 1.0)
 
-    def test_empty_and_invalid(self, tiny_dataset):
-        assert sweep(tiny_dataset, 2.0, 1.0, 0.1) == []
+    def test_empty_and_invalid(self):
+        assert sweep_multipliers(2.0, 1.0, 0.1) == []
         with pytest.raises(ValueError):
-            sweep(tiny_dataset, 0.0, 2.0, 0.0)
+            sweep_multipliers(0.0, 2.0, 0.0)
 
     def test_monotone_in_multiplier_at_2100(self, tiny_dataset):
         """For growing baselines, higher m means higher terminal GDP."""
-        scenarios = sweep(tiny_dataset, 0.0, 2.0, 0.5)
+        scenarios = sweep(tiny_dataset, "sweep:0:2:0.5")
         for iso3 in ("AAA", "BBB", "CCC"):
             terminal = [pathways[iso3].gdp(2100) for _, pathways in scenarios]
             assert all(a < b for a, b in zip(terminal, terminal[1:]))
