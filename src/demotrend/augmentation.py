@@ -23,19 +23,15 @@ DONOR_WINDOW = (1990, 2015)
 class DonorRule(Record, frozen=True):
     """Admission test for donor countries under one scenario.
 
-    A candidate qualifies when its minimum GDP per capita inside the
-    window exceeds the target's 2015 level and its maximum stays below
-    the ceiling of the target's projected GDP pathway.
+    A candidate qualifies when its minimum GDP per capita inside
+    ``DONOR_WINDOW`` exceeds the target's 2015 level and its maximum
+    stays below the ceiling of the target's projected GDP pathway.
     """
 
     target_gdp_2015: float
     target_pathway_max: float
-    window_start: int = DONOR_WINDOW[0]
-    window_end: int = DONOR_WINDOW[1]
 
     def __post_init__(self):
-        if self.window_start >= self.window_end:
-            raise ValueError("donor window must span at least one year")
         if self.target_gdp_2015 <= 0.0:
             raise ValueError("target 2015 GDP must be positive")
         if self.target_pathway_max < self.target_gdp_2015:
@@ -63,13 +59,13 @@ def select_donors(rule: DonorRule, candidates) -> list[str]:
     """Qualifying donor iso3 codes, sorted.
 
     ``candidates`` maps iso3 to an observed GDP series as a (years, values)
-    array pair; candidates without observations inside the window never
+    array pair; candidates without observations inside ``DONOR_WINDOW`` never
     qualify. The target itself must not be among the candidates.
     """
     donors = []
     for iso3 in sorted(candidates):
         years, values = candidates[iso3]
-        inside = (years >= rule.window_start) & (years <= rule.window_end)
+        inside = (years >= DONOR_WINDOW[0]) & (years <= DONOR_WINDOW[1])
         if not inside.any():
             continue
         window = values[inside]

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
-import itertools
 import json
 import math
 import os
@@ -27,11 +27,11 @@ from .core import (AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, SEX_COLUMNS, R
                    Variable)
 from .data_ingest import HEADERS, Dataset, load_dataset
 from .demography import pathway_rates, project_totals
-from .errors import DemotrendError, IoFailure, SchemaViolation
+from .errors import DemotrendError, SchemaViolation
 from .models import FORM_ORDER, ModelForm
 from .rate_forecast import CapPolicy, build_country_ensembles
 from .report import (SCOPE_KINDS, RunResult, _write_lines, aggregate, emit_outputs,
-                     scopes_for, sensitivity_ratio)
+                     scopes_for, sensitivity_ratio, undo_on_failure)
 from .scenarios import (
     build_baselines,
     convergence_pathway,
@@ -56,6 +56,9 @@ _DUMPS = (("donors.csv", "scenario_id,target_iso3,donor_iso3"),
           ("ensembles.csv", "scenario_id,iso3,variable,age_group,sex,form,weight,"
                             "beta1,beta2,beta3,x1,sigma,aicc"))
 SENSITIVITY_YEAR = 2050
+# Scenarios projected together: a wide sweep's rate arrays are filled and
+# stepped this many scenarios at a time, so their size stays bounded.
+SCENARIO_CHUNK = 64
 CGROUP_DIR = Path("/sys/fs/cgroup")  # where --jobs auto looks for a CPU quota
 # What a --jobs worker reads from the task pipe (a country's index), and what
 # it announces on the result pipe: that index, the worker's number, and the
@@ -82,6 +85,9 @@ class UsageError(Exception):
 
 
 class RunConfig(Record, frozen=True):
+    """The settings of one run. A setting out of range is a ``UsageError``, so
+    a library ``run`` rejects what the command line rejects."""
+
     data_dir: str
     out_dir: str
     scenario: str = "baseline"
@@ -94,11 +100,20 @@ class RunConfig(Record, frozen=True):
     jobs: int = 1
     out_format: str = "csv+svg"
 
-
-class _WorkerPayload(Record, eq=False):
-    dataset: Dataset
-    scenarios: list
-    config: RunConfig
+    def __post_init__(self):
+        if not self.data_dir:
+            raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
+        if not BASE_YEAR < self.horizon <= END_YEAR:
+            raise UsageError(f"--horizon must lie in {BASE_YEAR + 1}-{END_YEAR}")
+        for flag, value in (("--fertility-cap", self.fertility_cap), ("--srb", self.srb)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise UsageError(f"{flag} must be positive and finite, got {value}")
+        if self.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
+        if not self.aggregate or any(kind not in SCOPE_KINDS for kind in self.aggregate):
+            raise UsageError(f"--aggregate accepts {', '.join(SCOPE_KINDS)}")
+        if self.out_format not in ("csv", "csv+svg"):
+            raise UsageError(f"--format must be csv or csv+svg, got {self.out_format!r}")
 
 
 def main(argv=None) -> int:
@@ -135,14 +150,12 @@ def run(config: RunConfig) -> list[Path]:
         raise SchemaViolation("base_pop.csv", 0,
                               f"no base population for {', '.join(missing)}")
 
-    payload = _WorkerPayload(dataset=dataset, scenarios=scenario_list, config=config)
+    # _project_one is looked up at each run: a patched one reaches the workers.
+    project = functools.partial(_project_one, dataset, scenario_list, config)
     scenario_ids = [sid for sid, _ in scenario_list]
     country_totals: dict[str, dict[str, np.ndarray]] = {sid: {} for sid in scenario_ids}
     out = Path(config.out_dir)
-    # The directories of --out that this run would create, deepest first.
-    made = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
-    written: list[Path] = []
-    try:
+    with undo_on_failure(out) as written:
         with contextlib.ExitStack() as stack:
             dumps = []  # rows are written as each country arrives, in country order
             for on, (name, header) in zip((config.dump_donors, config.dump_ensembles), _DUMPS):
@@ -155,9 +168,9 @@ def run(config: RunConfig) -> list[Path]:
                     dumps.append(None)
             if config.jobs > 1 and len(countries) > 1 and hasattr(os, "fork"):
                 per_country = stack.enter_context(contextlib.closing(
-                    _forked_map(payload, countries, min(config.jobs, len(countries)))))
+                    _forked_map(project, countries, min(config.jobs, len(countries)))))
             else:
-                per_country = map(_project_one, itertools.repeat(payload), countries)
+                per_country = map(project, countries)
             for iso3, totals, *texts in per_country:
                 for sid, series in zip(scenario_ids, totals):
                     country_totals[sid][iso3] = series
@@ -176,21 +189,12 @@ def run(config: RunConfig) -> list[Path]:
                            aggregates=aggregates, sensitivity=sensitivity)
         written[:0] = emit_outputs(result, out, config.out_format)
         written.append(_write_manifest(config, digests, out))
-    except BaseException as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for path in made:
-            with contextlib.suppress(OSError):
-                path.rmdir()  # only if the run left it empty
-        if isinstance(exc, OSError):
-            raise IoFailure(f"failed writing outputs to {out}: {exc}") from exc
-        raise
     return written
 
 
-def _forked_map(payload: _WorkerPayload, countries: list[str], jobs: int):
-    """``_project_one(payload, iso3)`` for each country, yielded in country
-    order, computed by ``jobs`` forked workers that inherit ``payload``.
+def _forked_map(project, countries: list[str], jobs: int):
+    """``project(iso3)`` for each country, yielded in country order, computed
+    by ``jobs`` forked workers that inherit ``project``.
 
     The country indices go into one task pipe, before the first fork as far
     as one atomic write holds them, and a free worker reads the next one. A
@@ -226,7 +230,7 @@ def _forked_map(payload: _WorkerPayload, countries: list[str], jobs: int):
                             try:
                                 tasks_w.close()
                                 results_r.close()
-                                _work(payload, countries, tasks_r, results_w, spool, worker)
+                                _work(project, countries, tasks_r, results_w, spool, worker)
                                 code = 0
                             finally:
                                 os._exit(code)
@@ -265,16 +269,14 @@ def _forked_map(payload: _WorkerPayload, countries: list[str], jobs: int):
             os.waitpid(pid, 0)
 
 
-def _work(payload: _WorkerPayload, countries: list[str], tasks, results, spool,
-          worker: int) -> None:
+def _work(project, countries: list[str], tasks, results, spool, worker: int) -> None:
     """A forked worker: project the country of each index read from ``tasks``
     until the pipe is empty and closed, spooling and announcing each result."""
     offset = 0
     while task := tasks.read(_TASK.size):
         index, = _TASK.unpack(task)
         try:
-            blob = pickle.dumps((_project_one(payload, countries[index]), None),
-                                pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps((project(countries[index]), None), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             blob = _pickled_failure(exc)
         spool.write(blob)
@@ -297,10 +299,10 @@ def _pickled_failure(exc: BaseException) -> bytes:
         return pickle.dumps((None, text), pickle.HIGHEST_PROTOCOL)
 
 
-def _project_one(p: _WorkerPayload, iso3: str):
+def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str):
     """All scenarios for one country: the (S, T+1) totals, then the
-    ``donors.csv`` and ``ensembles.csv`` text (empty unless dumped)."""
-    dataset, config = p.dataset, p.config
+    ``donors.csv`` and ``ensembles.csv`` text (empty unless dumped). The
+    scenarios are projected ``SCENARIO_CHUNK`` at a time, each in its own row."""
     base = dataset.base_population(iso3)
     cap = CapPolicy(config.fertility_cap)
     # select_donors skips a country without GDP rows in its window.
@@ -309,25 +311,29 @@ def _project_one(p: _WorkerPayload, iso3: str):
     cache: dict = {}
     dumped: dict[tuple, list[str]] = {}  # ensembles.csv cells per donor set
     steps = config.horizon - base.year
-    asfr = np.empty((len(p.scenarios), steps, len(FERTILE_BANDS)))
-    q = np.empty((len(p.scenarios), steps, len(AGE_BANDS), 2))
+    totals = []
     donor_lines: list[str] = []
     ensemble_lines: list[str] = []
-    for i, (sid, pathways) in enumerate(p.scenarios):
-        pathway = pathways[iso3]
-        rule = DonorRule(target_gdp_2015=pathway.gdp(BASE_YEAR),
-                         target_pathway_max=pathway.max_gdp())
-        donors = select_donors(rule, candidates)
-        ensembles = build_country_ensembles(dataset, iso3, donors, cache)
-        asfr[i], q[i] = pathway_rates(base, ensembles, pathway, cap, config.horizon)
-        if config.dump_donors:
-            donor_lines.extend(f"{sid},{iso3},{donor}\n" for donor in donors)
-        if config.dump_ensembles:
-            if tuple(donors) not in dumped:
-                dumped[tuple(donors)] = _ensemble_dump_cells(ensembles)
-            ensemble_lines.extend(f"{sid},{iso3},{cells}\n" for cells in dumped[tuple(donors)])
-    totals = project_totals(base, asfr, q, config.srb, [sid for sid, _ in p.scenarios])
-    return iso3, totals, "".join(donor_lines), "".join(ensemble_lines)
+    for start in range(0, len(scenarios), SCENARIO_CHUNK):
+        chunk = scenarios[start:start + SCENARIO_CHUNK]
+        asfr = np.empty((len(chunk), steps, len(FERTILE_BANDS)))
+        q = np.empty((len(chunk), steps, len(AGE_BANDS), 2))
+        for i, (sid, pathways) in enumerate(chunk):
+            pathway = pathways[iso3]
+            rule = DonorRule(target_gdp_2015=pathway.gdp(BASE_YEAR),
+                             target_pathway_max=pathway.max_gdp())
+            donors = select_donors(rule, candidates)
+            ensembles = build_country_ensembles(dataset, iso3, donors, cache)
+            asfr[i], q[i] = pathway_rates(base, ensembles, pathway, cap, config.horizon)
+            if config.dump_donors:
+                donor_lines.extend(f"{sid},{iso3},{donor}\n" for donor in donors)
+            if config.dump_ensembles:
+                if tuple(donors) not in dumped:
+                    dumped[tuple(donors)] = _ensemble_dump_cells(ensembles)
+                ensemble_lines.extend(f"{sid},{iso3},{cells}\n"
+                                      for cells in dumped[tuple(donors)])
+        totals.append(project_totals(base, asfr, q, config.srb, [sid for sid, _ in chunk]))
+    return iso3, np.concatenate(totals), "".join(donor_lines), "".join(ensemble_lines)
 
 
 def _ensemble_dump_cells(ensembles) -> list[str]:
@@ -440,14 +446,6 @@ def _parse_float_token(text: str, label: str) -> float:
     return value
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for the numeric flags."""
-    try:
-        return _parse_float_token(text, "value")
-    except UsageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _pathways(baselines: dict, scenario_id: str, m: float | None, horizon: int) -> dict:
     """Pathways by iso3 of one scenario of ``_scenario_plan``."""
     if m is not None:
@@ -467,18 +465,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--data-dir", default=os.environ.get("DEMOTREND_DATA_DIR"),
                         help="directory with the five input CSVs "
                              "(default: $DEMOTREND_DATA_DIR)")
-    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", required=True,
+                        help="output directory")
     parser.add_argument("--scenario", default=RunConfig.scenario,
                         help="baseline | m:<value> | convergence | "
                              "sweep[:<from>:<to>:<step>] (default: %(default)s)")
-    parser.add_argument("--fertility-cap", type=_finite_float, default=RunConfig.fertility_cap,
+    parser.add_argument("--fertility-cap", type=float, default=RunConfig.fertility_cap,
                         help="GDP per capita cap for fertility inputs "
                              "(default: %(default)g)")
-    parser.add_argument("--srb", type=_finite_float, default=RunConfig.srb,
+    parser.add_argument("--srb", type=float, default=RunConfig.srb,
                         help="sex ratio at birth, males per female (default: %(default)g)")
     parser.add_argument("--horizon", type=int, default=RunConfig.horizon,
                         help="final projected year (default: %(default)s)")
     parser.add_argument("--aggregate", default=",".join(RunConfig.aggregate),
+                        type=lambda text: tuple(kind for kind in text.split(",") if kind),
                         help=f"comma-separated scopes: {','.join(SCOPE_KINDS)} "
                              "(default: %(default)s)")
     parser.add_argument("--dump-donors", action="store_true",
@@ -487,8 +487,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also write ensembles.csv")
     parser.add_argument("--jobs", default=RunConfig.jobs,
                         help="worker processes, or 'auto' (default: %(default)s)")
-    parser.add_argument("--format", dest="out_format",
-                        choices=["csv", "csv+svg"], default=RunConfig.out_format)
+    parser.add_argument("--format", dest="out_format", default=RunConfig.out_format,
+                        help="csv or csv+svg (default: %(default)s)")
     return parser
 
 
@@ -510,28 +510,8 @@ def _auto_jobs() -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    if not args.data_dir:
-        raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
-    if args.jobs == "auto":
-        jobs = _auto_jobs()
-    else:
-        try:
-            jobs = int(args.jobs)
-        except ValueError:
-            raise UsageError(f"--jobs must be an integer or 'auto', got {args.jobs!r}") from None
-        if jobs < 1:
-            raise UsageError("--jobs must be at least 1")
-    if not BASE_YEAR < args.horizon <= END_YEAR:
-        raise UsageError(f"--horizon must lie in {BASE_YEAR + 1}-{END_YEAR}")
-    if args.fertility_cap <= 0.0:
-        raise UsageError("--fertility-cap must be positive")
-    if args.srb <= 0.0:
-        raise UsageError("--srb must be positive")
-    kinds = tuple(k for k in args.aggregate.split(",") if k)
-    if not kinds or any(k not in SCOPE_KINDS for k in kinds):
-        raise UsageError(f"--aggregate accepts {', '.join(SCOPE_KINDS)}")
-    return RunConfig(data_dir=args.data_dir, out_dir=args.out, scenario=args.scenario,
-                     fertility_cap=args.fertility_cap, srb=args.srb,
-                     horizon=args.horizon, aggregate=kinds,
-                     dump_donors=args.dump_donors, dump_ensembles=args.dump_ensembles,
-                     jobs=jobs, out_format=args.out_format)
+    try:
+        jobs = _auto_jobs() if args.jobs == "auto" else int(args.jobs)
+    except ValueError:
+        raise UsageError(f"--jobs must be an integer or 'auto', got {args.jobs!r}") from None
+    return RunConfig(**{**vars(args), "jobs": jobs})

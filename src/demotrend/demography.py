@@ -32,7 +32,7 @@ def step_year(state: PopulationState, rates: VitalRates, srb: float = 1.05) -> P
     Births are drawn from the post-mortality, pre-aging female cohorts, so
     a woman contributes through the band she occupied during the year.
     """
-    asfr, q = _checked(state, rates.asfr, rates.mortality, 2)
+    asfr, q = _checked(state, rates.asfr, rates.mortality, srb, 2)
     counts, _ = _project(state, asfr, q, srb)
     return PopulationState(iso3=state.iso3, year=state.year + 1, counts=counts[0])
 
@@ -44,7 +44,7 @@ def project_totals(base: PopulationState, asfr, q, srb: float = 1.05,
     T ``step_year`` calls per scenario, and a bad input raises what the first
     failing call would; only the current (S, 21, 2) state is kept.
     ``scenario_ids`` names the scenarios in a ``NonFiniteResult``."""
-    return _project(base, *_checked(base, asfr, q, 0), srb, scenario_ids)[1]
+    return _project(base, *_checked(base, asfr, q, srb, 0), srb, scenario_ids)[1]
 
 
 def _project(base: PopulationState, asfr: np.ndarray, q: np.ndarray, srb: float,
@@ -67,10 +67,12 @@ def _project(base: PopulationState, asfr: np.ndarray, q: np.ndarray, srb: float,
     return counts, totals
 
 
-def _checked(base: PopulationState, asfr, q, lead: int) -> tuple[np.ndarray, np.ndarray]:
+def _checked(base: PopulationState, asfr, q, srb: float,
+             lead: int) -> tuple[np.ndarray, np.ndarray]:
     """``asfr`` (S, T, 6) and ``q`` (S, T, 21, 2), after ``lead`` unit axes in
     front, checked in the order of S one-scenario runs: step by step, q
-    before asfr, and the base state after the first step's rates."""
+    before asfr, and the base state, then ``srb``, after the first step's
+    rates."""
     asfr = np.asarray(asfr, dtype=float)[(None,) * lead]
     q = np.asarray(q, dtype=float)[(None,) * lead]
     if q.shape[2:] != (N_BANDS, 2) or asfr.shape != q.shape[:2] + (len(FERTILE_BANDS),):
@@ -78,8 +80,11 @@ def _checked(base: PopulationState, asfr, q, lead: int) -> tuple[np.ndarray, np.
     bad_q = ((q < 0.0) | (q > 1.0)).any(axis=(2, 3)).ravel()
     bad = bad_q | (asfr < 0.0).any(axis=2).ravel()
     first = int(bad.argmax()) if bad.any() else bad.size
-    if first and bad.size and (base.counts < 0.0).any():
-        raise NegativeState(f"{base.iso3} {base.year}: negative cohort count")
+    if first and bad.size:
+        if (base.counts < 0.0).any():
+            raise NegativeState(f"{base.iso3} {base.year}: negative cohort count")
+        if not srb > 0.0:  # NaN too
+            raise InvalidRate(f"sex ratio at birth must be positive, got {srb}")
     if first < bad.size:
         raise InvalidRate("mortality probabilities must lie in [0, 1]" if bad_q[first]
                           else "fertility rates must be non-negative")

@@ -9,6 +9,8 @@ self-contained SVG with no external renderer.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +146,8 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
     A series that is not finite raises ``NonFiniteResult`` before any file
     is written. Files are written series by series. Returns the written
     paths. On any failure, an interrupt included, the files written so far,
-    a partial one too, are removed; an ``OSError`` propagates as ``IoFailure``.
+    a partial one too, and the directories this call made are removed; an
+    ``OSError`` propagates as ``IoFailure``.
     """
     if not result.scenario_ids:
         raise EmptyScope("no scenarios to report")
@@ -155,8 +158,7 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
                 raise NonFiniteResult.at(f"{series.scope.label}/{sid}",
                                          series.start_year + int(bad[0]))
     out = Path(out_dir)
-    written: list[Path] = []
-    try:
+    with undo_on_failure(out) as written:
         out.mkdir(parents=True, exist_ok=True)
         written.append(_write_trajectories(result, out))
         written.append(_write_summary(result, out))
@@ -164,10 +166,25 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
             written.append(_write_sensitivity(result, out))
         if out_format == "csv+svg":
             written.extend(_write_figures(result, out))
-        return written
+    return written
+
+
+@contextlib.contextmanager
+def undo_on_failure(out: Path):
+    """Yield a list for the paths that the block writes under ``out``. If the
+    block fails, an interrupt included, each listed file is removed, then each
+    directory of ``out`` that did not exist on entry, if it is left empty; an
+    ``OSError`` is raised again as ``IoFailure``."""
+    made = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
+    written: list[Path] = []
+    try:
+        yield written
     except BaseException as exc:
         for path in written:
             path.unlink(missing_ok=True)
+        for path in made:  # deepest first
+            with contextlib.suppress(OSError):
+                path.rmdir()
         if isinstance(exc, OSError):
             raise IoFailure(f"failed writing outputs to {out}: {exc}") from exc
         raise

@@ -28,9 +28,6 @@ class TestDonorRule:
             DonorRule(target_gdp_2015=0.0, target_pathway_max=6000.0)
         with pytest.raises(ValueError):
             DonorRule(target_gdp_2015=1400.0, target_pathway_max=1000.0)
-        with pytest.raises(ValueError):
-            DonorRule(target_gdp_2015=1400.0, target_pathway_max=6000.0,
-                      window_start=2015, window_end=2015)
 
     def test_strict_inequalities(self):
         years = np.array([1990.0, 2015.0])

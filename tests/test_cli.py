@@ -502,6 +502,22 @@ class TestScenarioVariants:
         assert code == 0, stderr
 
 
+# A library RunConfig setting out of range, and the flags that give it.
+REJECTED = [
+    ({"out_format": "svg"}, ["--format", "svg"]),
+    ({"aggregate": ()}, ["--aggregate", ""]),
+    ({"aggregate": ("bogus",)}, ["--aggregate", "bogus"]),
+    ({"horizon": 2015}, ["--horizon", "2015"]),
+    ({"horizon": 2101}, ["--horizon", "2101"]),
+    ({"jobs": 0}, ["--jobs", "0"]),
+    ({"srb": -1.0}, ["--srb", "-1"]),
+    ({"srb": math.nan}, ["--srb", "nan"]),
+    ({"fertility_cap": 0.0}, ["--fertility-cap", "0"]),
+    ({"fertility_cap": math.nan}, ["--fertility-cap", "nan"]),
+    ({"data_dir": ""}, ["--data-dir", ""]),
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("args", [
         ["--scenario", "bogus"],
@@ -606,6 +622,20 @@ class TestUsageErrors:
                                                  "region, country$"):
                 parsed_config("--aggregate", bad)
 
+    @pytest.mark.parametrize("setting,flags", REJECTED, ids=[repr(s) for s, _ in REJECTED])
+    def test_run_config_rejects_what_the_command_line_rejects(self, tmp_path, capsys,
+                                                              setting, flags):
+        """A library ``RunConfig`` raises the ``UsageError`` that the command
+        line prints, before ``run`` reads any input or writes any file."""
+        from demotrend import cli
+
+        out = tmp_path / "x"
+        with pytest.raises(UsageError) as raised:
+            RunConfig(**{"data_dir": str(TINY), "out_dir": str(out), **setting})
+        assert cli.main(["--data-dir", str(TINY), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+        assert not out.exists()
+
     def test_missing_data_dir_flag(self, tmp_path):
         code, _, stderr = run_cli(["--out", str(tmp_path / "x")],
                                   env_extra={"DEMOTREND_DATA_DIR": ""})
@@ -674,10 +704,12 @@ class TestDataErrors:
         rows["rates.csv"].append("BBB,1990,Fertility,20-24,Female,0.1")
         rows["rates.csv"].append("BBB,1990,Mortality,0-4,Both,0.01")
         data_dir = write_rows(tmp_path, rows)
-        code, _, stderr = run_cli(["--data-dir", str(data_dir),
-                                   "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert "BBB" in stderr
+        code, stdout, stderr = run_cli(["--data-dir", str(data_dir),
+                                        "--out", str(tmp_path / "nest" / "out"),
+                                        "--dump-donors", "--dump-ensembles"])
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: base_pop.csv:0: no base population for BBB\n"
+        assert not (tmp_path / "nest").exists()
 
     def test_huge_gdp_year_is_a_data_error(self, tmp_path):
         data_dir = tmp_path / "tiny"
@@ -723,6 +755,43 @@ class TestDataErrors:
         assert code == 0
         assert "warning" in stderr and "QQQ" in stderr
         assert (tmp_path / "out" / "summary.csv").exists()
+
+
+class TestScenarioChunks:
+    """``_project_one`` projects a country's scenarios ``SCENARIO_CHUNK`` at a
+    time; one scenario per chunk changes no byte and no error."""
+
+    def test_chunked_sweep_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        from demotrend import cli
+
+        def outputs(name):
+            config = tiny_config(tmp_path / name, 1, scenario="sweep", aggregate=SCOPE_KINDS)
+            return {p.name: p.read_bytes() for p in cli.run(config)}
+
+        expected = outputs("whole")
+        monkeypatch.setattr(cli, "SCENARIO_CHUNK", 1)
+        assert outputs("chunked") == expected
+        assert len(expected) == 9
+
+    @pytest.mark.parametrize("chunk", [1, 2, 64])
+    def test_first_failing_scenario_in_a_later_chunk_is_named(self, tmp_path, monkeypatch,
+                                                              chunk):
+        """m1.0 and m2.0 overflow: m1.0, in the second chunk of one, is named."""
+        from demotrend import cli
+        from demotrend.errors import NonFiniteResult
+
+        pathway_rates = cli.pathway_rates
+
+        def overflowing(base, ensembles, pathway, cap, horizon):
+            asfr, q = pathway_rates(base, ensembles, pathway, cap, horizon)
+            return (asfr * 1e300 if pathway.scenario_id != "m0.0" else asfr), q
+
+        monkeypatch.setattr(cli, "pathway_rates", overflowing)
+        monkeypatch.setattr(cli, "SCENARIO_CHUNK", chunk)
+        with pytest.raises(NonFiniteResult,
+                           match="^AAA/m1.0: projected population is not finite in 2020$"):
+            cli.run(tiny_config(tmp_path / "out", 1))
+        assert not (tmp_path / "out").exists()
 
 
 def tiny_without_20_24_fertility(tmp_path, *countries):
@@ -973,8 +1042,8 @@ class TestForkedWorkers:
                   "from pathlib import Path\n"
                   "from demotrend import cli\n"
                   "project = cli._project_one\n"
-                  "def checked(payload, iso3):\n"
-                  "    result = project(payload, iso3)\n"
+                  "def checked(dataset, scenarios, config, iso3):\n"
+                  "    result = project(dataset, scenarios, config, iso3)\n"
                   "    loaded = {'_hashlib', 'ssl'} & set(sys.modules)\n"
                   "    assert not loaded, (iso3, loaded)\n"
                   "    return result\n"
@@ -1018,10 +1087,10 @@ class TestForkedWorkers:
 
         project_one = cli._project_one
 
-        def dies_on_bbb(payload, iso3):
+        def dies_on_bbb(dataset, scenarios, config, iso3):
             if iso3 == "BBB":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return project_one(payload, iso3)
+            return project_one(dataset, scenarios, config, iso3)
 
         monkeypatch.setattr(cli, "_project_one", dies_on_bbb)
         before = open_fds()
@@ -1037,7 +1106,7 @@ class TestForkedWorkers:
         run raises without waiting for them."""
         from demotrend import cli
 
-        def aaa_fails_bbb_hangs(payload, iso3):
+        def aaa_fails_bbb_hangs(dataset, scenarios, config, iso3):
             if iso3 == "AAA":
                 raise cli.SchemaViolation("rates.csv", 0, "AAA fails")
             time.sleep(90)
@@ -1055,10 +1124,10 @@ class TestForkedWorkers:
 
         project_one = cli._project_one
 
-        def fails_on_ccc(payload, iso3):
+        def fails_on_ccc(dataset, scenarios, config, iso3):
             if iso3 == "CCC":
                 raise error("CCC", "raised in the worker")
-            return project_one(payload, iso3)
+            return project_one(dataset, scenarios, config, iso3)
 
         monkeypatch.setattr(cli, "_project_one", fails_on_ccc)
         code = cli.main(["--data-dir", str(TINY), "--out", str(tmp_path / "out"),

@@ -446,6 +446,8 @@ def oracle_step(state, rates, srb):
         raise InvalidRate("fertility rates must be non-negative")
     if (counts < 0.0).any():
         raise NegativeState(f"{state.iso3} {state.year}: negative cohort count")
+    if not srb > 0.0:
+        raise InvalidRate(f"sex ratio at birth must be positive, got {srb}")
 
     survivors = counts * (1.0 - q)
     graduating = survivors / 5.0
@@ -531,6 +533,7 @@ class TestProjectTotals:
     MORTALITY = (InvalidRate, "mortality probabilities must lie in [0, 1]")
     FERTILITY = (InvalidRate, "fertility rates must be non-negative")
     NEGATIVE = (NegativeState, "AAA 2015: negative cohort count")
+    SRB = (InvalidRate, "sex ratio at birth must be positive, got -1.0")
 
     @pytest.mark.parametrize("faults,expected", [
         ([("q", 1, 0), ("asfr", 0, 2)], FERTILITY),  # scenario order, not step order
@@ -539,25 +542,32 @@ class TestProjectTotals:
         ([("base", 0, 0), ("asfr", 0, 0)], FERTILITY),  # the state after the rates
         ([("base", 0, 0), ("q", 0, 1)], NEGATIVE),
         ([("base", 0, 0), ("q", 1, 0)], NEGATIVE),
+        ([("srb", 0, 0)], SRB),
+        ([("srb", 0, 0), ("q", 0, 1)], SRB),  # srb with the first step's checks
+        ([("srb", 0, 0), ("asfr", 0, 0)], FERTILITY),  # after the first step's rates
+        ([("srb", 0, 0), ("base", 0, 0)], NEGATIVE),  # and after the state
     ])
     def test_first_failing_check_wins(self, faults, expected):
         asfr, q = np.full((2, 3, 6), 0.1), np.full((2, 3, N, 2), 0.01)
         counts = np.full((N, 2), 100.0)
+        srb = 1.05
         for kind, s, t in faults:
-            if kind == "base":
+            if kind == "srb":
+                srb = -1.0
+            elif kind == "base":
                 counts[4, 1] = -1.0
             elif kind == "asfr":
                 asfr[s, t, 2] = -0.1
             else:
                 q[s, t, 7, 0] = 1.5
         base = PopulationState(iso3="AAA", year=2015, counts=counts)
-        assert outcome(lambda: project_totals(base, asfr, q)) == expected
+        assert outcome(lambda: project_totals(base, asfr, q, srb)) == expected
 
         def oracle():
             for s in range(2):
                 state = base
                 for t in range(3):
-                    state = oracle_step(state, VitalRates(asfr[s, t], q[s, t]), 1.05)
+                    state = oracle_step(state, VitalRates(asfr[s, t], q[s, t]), srb)
 
         assert outcome(oracle) == expected
 
@@ -584,6 +594,27 @@ class TestProjectTotals:
                         (np.zeros((3, 6)), np.zeros((3, N, 2)))]:
             with pytest.raises(InvalidRate, match="wrong shape"):
                 project_totals(base, asfr, q)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("srb", [-1.0, -2.0, 0.0, -0.0, np.nan, -np.inf])
+class TestSexRatioAtBirthRejected:
+    """An ``srb`` that is not above 0 is an ``InvalidRate`` before the first
+    step, not a divide-by-zero warning or negative newborns."""
+
+    def test_step_year(self, srb):
+        with pytest.raises(InvalidRate, match="^sex ratio at birth must be positive, got "):
+            step_year(flat_state(), zero_rates(asfr=np.full(6, 0.1)), srb=srb)
+
+    def test_project_totals(self, srb):
+        with pytest.raises(InvalidRate, match="^sex ratio at birth must be positive, got "):
+            project_totals(flat_state(), np.full((3, 4, 6), 0.1), np.full((3, 4, N, 2), 0.01),
+                           srb, ["m0", "m1", "m2"])
+
+    def test_project_country(self, projection_setup, srb):
+        built, pathway, base = projection_setup
+        with pytest.raises(InvalidRate, match="^sex ratio at birth must be positive, got "):
+            project_country(base, built, pathway, CapPolicy(), srb=srb)
 
 
 class TestNonFiniteProjection:

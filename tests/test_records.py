@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from demotrend import errors
-from demotrend.augmentation import DONOR_WINDOW, AugmentedSeries, DonorRule
-from demotrend.cli import RunConfig, _WorkerPayload
+from demotrend.augmentation import AugmentedSeries, DonorRule
+from demotrend.cli import RunConfig, UsageError
 from demotrend.core import (
     AGE_BANDS,
+    BASE_YEAR,
     END_YEAR,
     FERTILE_BANDS,
     SEX_COLUMNS,
@@ -38,7 +39,7 @@ from demotrend.rate_forecast import (
     RateEnsemble,
     build_country_ensembles,
 )
-from demotrend.report import AggregateSeries, PeakSummary, RunResult, Scope
+from demotrend.report import SCOPE_KINDS, AggregateSeries, PeakSummary, RunResult, Scope
 from demotrend.scenarios import GdpPathway
 
 from conftest import TINY
@@ -63,11 +64,20 @@ class Twin:
         jobs: int = 1
         out_format: str = "csv+svg"
 
-    @dataclass(eq=False)
-    class _WorkerPayload:
-        dataset: Dataset
-        scenarios: list
-        config: RunConfig
+        def __post_init__(self):
+            if not self.data_dir:
+                raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
+            if not BASE_YEAR < self.horizon <= END_YEAR:
+                raise UsageError(f"--horizon must lie in {BASE_YEAR + 1}-{END_YEAR}")
+            for flag, value in (("--fertility-cap", self.fertility_cap), ("--srb", self.srb)):
+                if not (value > 0.0 and math.isfinite(value)):
+                    raise UsageError(f"{flag} must be positive and finite, got {value}")
+            if self.jobs < 1:
+                raise UsageError("--jobs must be at least 1")
+            if not self.aggregate or any(kind not in SCOPE_KINDS for kind in self.aggregate):
+                raise UsageError(f"--aggregate accepts {', '.join(SCOPE_KINDS)}")
+            if self.out_format not in ("csv", "csv+svg"):
+                raise UsageError(f"--format must be csv or csv+svg, got {self.out_format!r}")
 
     @dataclass(eq=False)
     class GdpPathway:
@@ -88,12 +98,8 @@ class Twin:
     class DonorRule:
         target_gdp_2015: float
         target_pathway_max: float
-        window_start: int = DONOR_WINDOW[0]
-        window_end: int = DONOR_WINDOW[1]
 
         def __post_init__(self):
-            if self.window_start >= self.window_end:
-                raise ValueError("donor window must span at least one year")
             if self.target_gdp_2015 <= 0.0:
                 raise ValueError("target 2015 GDP must be positive")
             if self.target_pathway_max < self.target_gdp_2015:
@@ -262,16 +268,19 @@ RECORD = CountryRecord("AAA", "Aleph", IncomeGroup.LOW, Region.SOUTH_ASIA)
 # __post_init__ must fail the same way.
 CASES = {
     RunConfig: (("d", "o", "sweep", 2.0, 1.1, 2050, ("world",), True, False, 2, "csv"),
-                {"out_dir": "o", "data_dir": "d", "jobs": 3}, []),
-    _WorkerPayload: (("dataset", ["s"], RunConfig("d", "o")),
-                     {"dataset": None, "scenarios": [], "config": None}, []),
+                {"out_dir": "o", "data_dir": "d", "jobs": 3},
+                [("", "o"), ("d", "o", "baseline", 0.0), ("d", "o", "baseline", 1.0, math.nan),
+                 ("d", "o", "baseline", 1.0, 1.0, 2015), ("d", "o", "baseline", 1.0, 1.0, 2100,
+                                                          ("world", "bogus")),
+                 ("d", "o", "baseline", 1.0, 1.0, 2100, ("world",), False, False, 0),
+                 ("d", "o", "baseline", 1.0, 1.0, 2100, ("world",), False, False, 1, "svg")]),
     GdpPathway: (("AAA", "baseline", 2015, [900.0, 950.0]),
                  {"iso3": "BBB", "scenario_id": "m1.0", "start_year": 2015,
                   "values": np.array([1.0])},
                  [("AAA", "m", 2015, [1.0, -1.0]), ("AAA", "m", 2015, []),
                   ("AAA", "m", 2015, [[1.0]])]),
-    DonorRule: ((900.0, 2000.0, 1990, 2015), {"target_pathway_max": 5.0, "target_gdp_2015": 4.0},
-                [(900.0, 800.0), (900.0, 2000.0, 2015, 2015), (0.0, 1.0)]),
+    DonorRule: ((900.0, 2000.0), {"target_pathway_max": 5.0, "target_gdp_2015": 4.0},
+                [(900.0, 800.0), (0.0, 1.0)]),
     AugmentedSeries: ((np.ones(3), np.zeros(3), np.ones(2), np.zeros(2)),
                       {"fit_gdp": np.ones(1), "fit_rate": np.ones(1),
                        "weight_gdp": np.ones(1), "weight_rate": np.ones(1)}, []),
@@ -338,7 +347,7 @@ def outcome(call):
 
 
 def test_every_record_has_a_twin():
-    assert len(CASES) == 18
+    assert len(CASES) == 17
     for record, twin in PAIRS:
         assert field_names(record) == field_names(twin), record.__name__
 

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import re
 import tracemalloc
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from demotrend import report
 from demotrend.core import IncomeGroup, Region
-from demotrend.errors import EmptyScope, NonFiniteResult, ZeroBaseline
+from demotrend.errors import EmptyScope, IoFailure, NonFiniteResult, ZeroBaseline
 from demotrend.report import (
     GROUPINGS,
     SCOPE_KINDS,
@@ -299,6 +301,25 @@ class TestEmitOutputs:
         with pytest.raises(IoFailure):
             emit_outputs(result, out)
         assert not (out / "trajectories.csv").exists()
+
+    @pytest.mark.parametrize("existing", ["", "a", "a/b"])
+    @pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                         KeyboardInterrupt()], ids=["ENOSPC", "interrupt"])
+    def test_failure_removes_the_directories_it_made(self, tiny_dataset, tmp_path,
+                                                     monkeypatch, failure, existing):
+        """A write that fails once the CSVs are written removes them and each
+        directory this call made; one that existed before stays."""
+        def fails(result, out):
+            assert {p.name for p in out.iterdir()} == {"trajectories.csv", "summary.csv"}
+            raise failure
+
+        monkeypatch.setattr(report, "_write_figures", fails)
+        (tmp_path / existing).mkdir(parents=True, exist_ok=True)
+        expected = IoFailure if isinstance(failure, OSError) else KeyboardInterrupt
+        with pytest.raises(expected):
+            emit_outputs(toy_result(tiny_dataset), tmp_path / "a" / "b")
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert left == {"": [], "a": ["a"], "a/b": ["a", "a/b"]}[existing]
 
     def test_multi_scenario_ordering(self, tiny_dataset, tmp_path):
         totals, _ = toy_totals()
