@@ -23,13 +23,11 @@ import numpy as np
 
 from . import __version__
 from .augmentation import DonorRule, select_donors
-from .core import (AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, SEX_COLUMNS, Record, Sex,
-                   Variable)
+from .core import AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, Record
 from .data_ingest import HEADERS, Dataset, load_dataset
 from .demography import pathway_rates, project_totals
 from .errors import DemotrendError, SchemaViolation
-from .models import FORM_ORDER, ModelForm
-from .rate_forecast import CapPolicy, build_country_ensembles
+from .rate_forecast import DUMP_COLUMNS, CapPolicy, build_country_ensembles
 from .report import (SCOPE_KINDS, RunResult, _write_lines, aggregate, emit_outputs,
                      scopes_for, sensitivity_ratio, undo_on_failure)
 from .scenarios import (
@@ -53,8 +51,7 @@ except ImportError:
 
 # Name and header of donors.csv and ensembles.csv.
 _DUMPS = (("donors.csv", "scenario_id,target_iso3,donor_iso3"),
-          ("ensembles.csv", "scenario_id,iso3,variable,age_group,sex,form,weight,"
-                            "beta1,beta2,beta3,x1,sigma,aicc"))
+          ("ensembles.csv", f"scenario_id,iso3,{DUMP_COLUMNS}"))
 SENSITIVITY_YEAR = 2050
 # Scenarios projected together: a wide sweep's rate arrays are filled and
 # stepped this many scenarios at a time, so their size stays bounded.
@@ -66,19 +63,6 @@ CGROUP_DIR = Path("/sys/fs/cgroup")  # where --jobs auto looks for a CPU quota
 _TASK = struct.Struct("=I")
 _RESULT = struct.Struct("=IIQQ")
 _SIGKILL = 9  # signal.SIGKILL on every POSIX system; importing signal takes about 1 ms
-
-# Per form, which of the weight, beta1, beta2, beta3, x1, sigma and aicc
-# columns of ensembles.csv it fills from its table entries.
-_DUMPED = [(True, form is not ModelForm.NULL, form is not ModelForm.NULL,
-            form is ModelForm.NEG_POWER,
-            form in (ModelForm.LINEAR_SPLINE, ModelForm.RIGHT_HINGE, ModelForm.LEFT_HINGE),
-            True, True) for form in FORM_ORDER]
-# The variable, age_group and sex of each series of a country, in dump order.
-_DUMP_SERIES = ([f"{Variable.FERTILITY.value},{band},{Sex.FEMALE.value}"
-                 for band in FERTILE_BANDS]
-                + [f"{Variable.MORTALITY.value},{band},{sex.value}"
-                   for band in AGE_BANDS for sex in SEX_COLUMNS])
-
 
 class UsageError(Exception):
     """Bad invocation: flags or scenario token, not data."""
@@ -103,6 +87,9 @@ class RunConfig(Record, frozen=True):
     def __post_init__(self):
         if not self.data_dir:
             raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
+        for flag, value in (("--horizon", self.horizon), ("--jobs", self.jobs)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise UsageError(f"{flag} must be an integer, got {value!r}")
         if not BASE_YEAR < self.horizon <= END_YEAR:
             raise UsageError(f"--horizon must lie in {BASE_YEAR + 1}-{END_YEAR}")
         for flag, value in (("--fertility-cap", self.fertility_cap), ("--srb", self.srb)):
@@ -309,7 +296,6 @@ def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str
     candidates = {other: dataset.gdp_hist_series(other)
                   for other in sorted(dataset.country_map) if other != iso3}
     cache: dict = {}
-    dumped: dict[tuple, list[str]] = {}  # ensembles.csv cells per donor set
     steps = config.horizon - base.year
     totals = []
     donor_lines: list[str] = []
@@ -328,30 +314,9 @@ def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str
             if config.dump_donors:
                 donor_lines.extend(f"{sid},{iso3},{donor}\n" for donor in donors)
             if config.dump_ensembles:
-                if tuple(donors) not in dumped:
-                    dumped[tuple(donors)] = _ensemble_dump_cells(ensembles)
-                ensemble_lines.extend(f"{sid},{iso3},{cells}\n"
-                                      for cells in dumped[tuple(donors)])
+                ensemble_lines.extend(f"{sid},{iso3},{line}\n" for line in ensembles.dump_lines)
         totals.append(project_totals(base, asfr, q, config.srb, [sid for sid, _ in chunk]))
     return iso3, np.concatenate(totals), "".join(donor_lines), "".join(ensemble_lines)
-
-
-def _ensemble_dump_cells(ensembles) -> list[str]:
-    """``ensembles.csv`` lines of one country less scenario_id and iso3, one per
-    member of each series, formatted from the ensemble table."""
-    table = ensembles.table
-    rows, cols = np.nonzero(table.member)
-    values = np.column_stack([table.weight[rows, cols], table.coef[rows, cols],
-                              table.sigma[rows, cols], table.aicc[rows, cols]]).ravel()
-    written = [w for col in cols.tolist() for w in _DUMPED[col]]
-    text = [f"{v:.9g}" if w else "" for v, w in zip(values.tolist(), written)]
-    members: dict[int, list[str]] = {}
-    for i, (row, col) in enumerate(zip(rows.tolist(), cols.tolist())):
-        members.setdefault(row, []).append(
-            ",".join([FORM_ORDER[col].value, *text[7 * i:7 * i + 7]]))
-    order = [*ensembles.fertility_rows.tolist(), *ensembles.mortality_rows.ravel().tolist()]
-    return [f"{series},{member}"
-            for series, row in zip(_DUMP_SERIES, order) for member in members[row]]
 
 
 def _sensitivity_rows(scenario_ids, country_totals, horizon):

@@ -21,7 +21,6 @@ interpolation between observed years is the consumer's job.
 from __future__ import annotations
 
 import csv
-from collections import namedtuple
 from functools import cached_property
 from itertools import compress, islice
 from pathlib import Path
@@ -53,7 +52,15 @@ RATE_YEAR_MIN = 1950
 RATE_YEAR_MAX = 2015
 
 Series = tuple[np.ndarray, np.ndarray]  # (years, values) as float arrays, oldest first
-RateRow = namedtuple("RateRow", "iso3 year variable age_group sex rate")
+
+
+class RateRow(Record, frozen=True):
+    iso3: str
+    year: int
+    variable: Variable
+    age_group: str
+    sex: Sex
+    rate: float
 
 
 class CountryRecord(Record, frozen=True):

@@ -39,17 +39,22 @@ class ModelForm(Enum):
 
 FORM_ORDER: tuple[ModelForm, ...] = tuple(ModelForm)
 
+# The ``FitResult`` field that each coefficient column (b1, b2, b3, x1) of a
+# form holds, or None where the form leaves the column NaN.
+COEF_FIELDS: dict[ModelForm, tuple[str | None, ...]] = {
+    ModelForm.NULL: ("ybar", None, None, None),
+    ModelForm.LINEAR: ("beta1", "beta2", None, None),
+    ModelForm.DIVISION: ("beta1", "beta2", None, None),
+    ModelForm.NEG_LOG: ("beta1", "beta2", None, None),
+    ModelForm.NEG_POWER: ("beta1", "beta2", "beta3", None),
+    ModelForm.LINEAR_SPLINE: ("beta1", "beta2", "slope_right", "breakpoint_x1"),
+    ModelForm.RIGHT_HINGE: ("beta1", "beta2", None, "breakpoint_x1"),
+    ModelForm.LEFT_HINGE: ("beta1", "beta2", None, "breakpoint_x1"),
+}
+
 # Estimated quantities per form, residual sigma included.
 PARAM_COUNT: dict[ModelForm, int] = {
-    ModelForm.NULL: 2,
-    ModelForm.LINEAR: 3,
-    ModelForm.DIVISION: 3,
-    ModelForm.NEG_LOG: 3,
-    ModelForm.NEG_POWER: 4,
-    ModelForm.LINEAR_SPLINE: 5,
-    ModelForm.RIGHT_HINGE: 4,
-    ModelForm.LEFT_HINGE: 4,
-}
+    form: 1 + sum(name is not None for name in names) for form, names in COEF_FIELDS.items()}
 
 # Perfect fits are floored here so log-likelihood terms stay finite.
 RSS_FLOOR = 1e-12
@@ -76,11 +81,10 @@ _TRANSFORMS = {
 class FitResult(Record, frozen=True):
     """One estimated curve plus its score: the one-row view of a fit.
 
-    ``beta1``/``beta2`` are intercept and slope-or-scale, ``beta3`` is the
-    positive exponent (negative-power form only), ``slope_right`` is the
-    second-segment slope (two-slope spline only), ``breakpoint_x1`` is the
-    estimated knot, and ``ybar`` holds the flat level (sample mean for the
-    null form, plateau value for hinge forms).
+    ``COEF_FIELDS`` names the fields each form sets: intercept and
+    slope-or-scale ``beta1``/``beta2``, exponent ``beta3``, right slope
+    ``slope_right``, knot ``breakpoint_x1`` and flat level ``ybar``, which
+    hinge forms also set, to their plateau.
     """
 
     form: ModelForm
@@ -98,14 +102,9 @@ class FitResult(Record, frozen=True):
 
 def fit_result(form: ModelForm, coef, sigma: float, aicc: float, n: int) -> FitResult:
     """The ``FitResult`` of one coefficient row as ``fit_rows`` returns it."""
-    b1, b2, b3, x1 = (float(v) for v in coef)
-    fields: dict = {"ybar": b1} if form is ModelForm.NULL else {"beta1": b1, "beta2": b2}
-    if form is ModelForm.NEG_POWER:
-        fields["beta3"] = b3
-    elif form is ModelForm.LINEAR_SPLINE:
-        fields.update(slope_right=b3, breakpoint_x1=x1)
-    elif form in (ModelForm.RIGHT_HINGE, ModelForm.LEFT_HINGE):
-        fields.update(breakpoint_x1=x1, ybar=b1 + b2 * x1)
+    fields = {name: float(v) for name, v in zip(COEF_FIELDS[form], coef) if name is not None}
+    if form in (ModelForm.RIGHT_HINGE, ModelForm.LEFT_HINGE):  # the plateau level
+        fields["ybar"] = fields["beta1"] + fields["beta2"] * fields["breakpoint_x1"]
     return FitResult(form=form, sigma=sigma, n_fit=n, k_params=PARAM_COUNT[form],
                      aicc=aicc, **fields)
 
@@ -171,16 +170,14 @@ def fit_rows(form: ModelForm, xs, ys_rows) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares fit of one form to each row of ``ys_rows``, all on the same
     ``xs``: coefficients ``(S, 4)`` and residual sums of squares ``(S,)``.
 
-    A coefficient row holds b1, b2, then b3 (the negative-power exponent) or
-    the spline's right slope, then the breakpoint x1; the null form keeps its
-    mean in b1, and a column the form does not use is NaN. Requires
-    ``len(xs) >= k + 2`` so the corrected criterion is defined. Breakpoints
-    are searched over interior observed x values (the two extremes at each
-    end are excluded) with ties broken toward the smaller candidate; the
-    negative-power exponent is found on a coarse grid and refined by
-    golden-section search. The checks and every array that depends on x
-    alone are made once; each row's result equals that of fitting the row
-    on its own.
+    A coefficient row holds the form's ``COEF_FIELDS``, NaN where it names
+    none. Requires ``len(xs) >= k + 2`` so the corrected criterion is
+    defined. Breakpoints are searched over interior observed x values (the
+    two extremes at each end are excluded) with ties broken toward the
+    smaller candidate; the negative-power exponent is found on a coarse grid
+    and refined by golden-section search. The checks and every array that
+    depends on x alone are made once; each row's result equals that of
+    fitting the row on its own.
     """
     x = np.asarray(xs, dtype=float)
     ys = np.ascontiguousarray(ys_rows, dtype=float)  # each row reduces as a 1-d array
@@ -225,9 +222,7 @@ def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:
     fit's coefficient row through ``predict_rows``."""
     x = np.asarray(xs, dtype=float)
     f = fit_result
-    b1 = f.ybar if f.form is ModelForm.NULL else f.beta1
-    b3 = f.slope_right if f.form is ModelForm.LINEAR_SPLINE else f.beta3
-    coef = np.array([[b1, f.beta2, b3, f.breakpoint_x1]], dtype=float)
+    coef = np.array([[getattr(f, n) if n else None for n in COEF_FIELDS[f.form]]], dtype=float)
     return np.broadcast_to(predict_rows(f.form, coef, x), (1, x.size))[0].copy()
 
 

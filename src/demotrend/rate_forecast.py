@@ -19,6 +19,7 @@ from .core import AGE_BANDS, FERTILE_BANDS, SEX_COLUMNS, Record, Sex, Variable
 from .data_ingest import Dataset
 from .errors import DegenerateX, InsufficientData, NonPositiveGdp, NoWeightData
 from .models import (
+    COEF_FIELDS,
     FORM_ORDER,
     FitResult,
     PARAM_COUNT,
@@ -30,6 +31,20 @@ from .models import (
     scores,
     sumsq,
 )
+
+
+# The columns of an ensembles.csv line after scenario_id and iso3. Its beta1,
+# beta2, beta3 and x1 (breakpoint_x1) show a form's coefficient column where
+# ``COEF_FIELDS`` names that field there, and are blank elsewhere.
+DUMP_COLUMNS = "variable,age_group,sex,form,weight,beta1,beta2,beta3,x1,sigma,aicc"
+_SHOWN = {form: (True, *(name == header for name, header in zip(
+              names, ("beta1", "beta2", "beta3", "breakpoint_x1"))), True, True)
+          for form, names in COEF_FIELDS.items()}
+# The variable, age_group and sex of each series of a country, in dump order.
+_DUMP_SERIES = ([f"{Variable.FERTILITY.value},{band},{Sex.FEMALE.value}"
+                 for band in FERTILE_BANDS]
+                + [f"{Variable.MORTALITY.value},{band},{sex.value}"
+                   for band in AGE_BANDS for sex in SEX_COLUMNS])
 
 
 class CapPolicy(Record, frozen=True):
@@ -122,6 +137,22 @@ class CountryEnsembles(Record, frozen=True, eq=False):
     @cached_property
     def _views(self) -> list[RateEnsemble]:
         return [self.table.ensemble(row) for row in range(len(self.table.n_fit))]
+
+    @cached_property
+    def dump_lines(self) -> list[str]:
+        """The ``DUMP_COLUMNS`` of each member of each series, series in dump
+        order and members in ``FORM_ORDER``."""
+        t = self.table
+        cells = np.concatenate([t.weight[..., None], t.coef, t.sigma[..., None],
+                                t.aicc[..., None]], axis=2).tolist()
+        members, lines = t.member.tolist(), []
+        order = [*self.fertility_rows.tolist(), *self.mortality_rows.ravel().tolist()]
+        for series, row in zip(_DUMP_SERIES, order):
+            for form, member, values in zip(FORM_ORDER, members[row], cells[row]):
+                if member:
+                    text = (f"{v:.9g}" if shown else "" for v, shown in zip(values, _SHOWN[form]))
+                    lines.append(",".join([series, form.value, *text]))
+        return lines
 
     @property
     def fertility(self) -> dict[str, RateEnsemble]:

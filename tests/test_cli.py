@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demotrend.cli import RunConfig, UsageError, _build_parser, _config_from_args, _scenario_plan
+from demotrend.models import COEF_FIELDS, FORM_ORDER
 from demotrend.report import SCOPE_KINDS
 
 from conftest import TINY, minimal_rows, run_cli, write_rows
@@ -105,6 +106,28 @@ class TestHappyPath:
             assert total == pytest.approx(1.0, abs=1e-6), key
             forms = [m["form"] for m in members]
             assert len(forms) == len(set(forms))
+
+    def test_ensemble_dump_fills_the_columns_of_each_form(self, baseline_run):
+        """A member's weight, sigma and aicc are always filled, and a
+        coefficient cell only where ``COEF_FIELDS`` holds the header's field
+        in that column: the spline's right slope and the null mean are blank."""
+        coefficients = {"Null": (), "Linear": ("beta1", "beta2"),
+                        "Division": ("beta1", "beta2"), "NegLog": ("beta1", "beta2"),
+                        "NegPower": ("beta1", "beta2", "beta3"),
+                        "LinearSpline": ("beta1", "beta2", "x1"),
+                        "RightHinge": ("beta1", "beta2", "x1"),
+                        "LeftHinge": ("beta1", "beta2", "x1")}
+        header = {"beta1": "beta1", "beta2": "beta2", "beta3": "beta3", "x1": "breakpoint_x1"}
+        for form in FORM_ORDER:
+            assert coefficients[form.value] == tuple(
+                column for (column, name), field in zip(header.items(), COEF_FIELDS[form])
+                if field == name), form
+        filled = {}
+        for r in read_csv(baseline_run / "ensembles.csv"):
+            cells = ("weight", *header, "sigma", "aicc")
+            filled.setdefault(r["form"], set()).add(tuple(c for c in cells if r[c] != ""))
+        assert filled == {form: {("weight", *columns, "sigma", "aicc")}
+                          for form, columns in coefficients.items()}
 
     def test_no_sensitivity_for_single_scenario(self, baseline_run):
         assert not (baseline_run / "sensitivity.csv").exists()
@@ -262,9 +285,8 @@ class TestDeterminism:
         assert proc.stdout.strip() == expected
 
     def test_import_compiles_no_generated_methods(self):
-        """Records are built without ``dataclasses``, whose every generated method
-        is compiled from source at each import. The one compile left is the
-        ``data_ingest.RateRow`` namedtuple, which only ``Dataset.rates`` uses."""
+        """Records are built without ``dataclasses`` or ``namedtuple``, whose
+        generated methods are compiled from source at each import."""
         script = ("import sys\n"
                   "import numpy\n"
                   "compiled = []\n"
@@ -272,8 +294,7 @@ class TestDeterminism:
                   "                 if event == 'compile' and args[1] == '<string>' else None)\n"
                   "import demotrend.cli\n"
                   "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
-                  "assert len(compiled) == 1, compiled\n"
-                  "assert compiled[0].startswith(b'lambda _cls, iso3, year,'), compiled\n")
+                  "assert not compiled, compiled\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0, proc.stderr
@@ -635,6 +656,16 @@ class TestUsageErrors:
         assert cli.main(["--data-dir", str(TINY), "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err == f"error: {raised.value}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting,flag", [({"jobs": 1.5}, "--jobs"),
+                                              ({"jobs": True}, "--jobs"),
+                                              ({"horizon": 2050.5}, "--horizon")],
+                             ids=["jobs=1.5", "jobs=True", "horizon=2050.5"])
+    def test_run_config_requires_integer_settings(self, tmp_path, setting, flag):
+        """A library ``RunConfig`` takes only an ``int`` (not a ``bool``) for
+        ``jobs`` and ``horizon``, where the command line parses an integer."""
+        with pytest.raises(UsageError, match=f"^{flag} must be an integer, got "):
+            RunConfig(**{"data_dir": str(TINY), "out_dir": str(tmp_path / "x"), **setting})
 
     def test_missing_data_dir_flag(self, tmp_path):
         code, _, stderr = run_cli(["--out", str(tmp_path / "x")],

@@ -694,6 +694,53 @@ class TestRawPredictionView:
                 assert (got == want).all() and bitwise_equal(got, want)
 
 
+class TestCoefficientFields:
+    """``COEF_FIELDS``: what ``fit_result`` sets from a coefficient row, and
+    the row ``raw_prediction`` hands back to ``predict_rows``."""
+
+    # Per form, the FitResult fields of columns b1, b2, b3 and x1 ("" for NaN).
+    LAYOUT = {
+        ModelForm.NULL: ("ybar", "", "", ""),
+        ModelForm.LINEAR: ("beta1", "beta2", "", ""),
+        ModelForm.DIVISION: ("beta1", "beta2", "", ""),
+        ModelForm.NEG_LOG: ("beta1", "beta2", "", ""),
+        ModelForm.NEG_POWER: ("beta1", "beta2", "beta3", ""),
+        ModelForm.LINEAR_SPLINE: ("beta1", "beta2", "slope_right", "breakpoint_x1"),
+        ModelForm.RIGHT_HINGE: ("beta1", "beta2", "", "breakpoint_x1"),
+        ModelForm.LEFT_HINGE: ("beta1", "beta2", "", "breakpoint_x1"),
+    }
+    ROW = [1.5, -2.25, 0.75, 40.0]
+
+    def test_param_count(self):
+        assert PARAM_COUNT == {ModelForm.NULL: 2, ModelForm.LINEAR: 3, ModelForm.DIVISION: 3,
+                               ModelForm.NEG_LOG: 3, ModelForm.NEG_POWER: 4,
+                               ModelForm.LINEAR_SPLINE: 5, ModelForm.RIGHT_HINGE: 4,
+                               ModelForm.LEFT_HINGE: 4}
+        assert list(PARAM_COUNT) == list(FORM_ORDER)
+
+    @pytest.mark.parametrize("form", FORM_ORDER)
+    def test_fit_result_sets_the_fields_of_the_row(self, form):
+        result = models.fit_result(form, np.array(self.ROW), 0.1, 0.0, 12)
+        want = {name: v for name, v in zip(self.LAYOUT[form], self.ROW) if name}
+        if form in (ModelForm.RIGHT_HINGE, ModelForm.LEFT_HINGE):
+            want["ybar"] = -2.25 * 40.0 + 1.5
+        names = ("beta1", "beta2", "beta3", "slope_right", "breakpoint_x1", "ybar")
+        assert {name: getattr(result, name) for name in names} == {
+            name: want.get(name) for name in names}
+        assert result.k_params == PARAM_COUNT[form]
+
+    @pytest.mark.parametrize("form", FORM_ORDER)
+    def test_row_comes_back_through_raw_prediction(self, form, monkeypatch):
+        seen = []
+        monkeypatch.setattr(models, "predict_rows",
+                            lambda f, coef, x: seen.append((f, coef)) or coef[:, :1])
+        raw_prediction(models.fit_result(form, self.ROW, 0.1, 0.0, 12), [3.0])
+        (got_form, coef), = seen
+        want = [v if name else math.nan for name, v in zip(self.LAYOUT[form], self.ROW)]
+        assert got_form is form and coef.shape == (1, 4)
+        assert np.array_equal(coef[0], want, equal_nan=True)
+
+
 class TestRateEnsembleType:
     """The array check of ``EnsembleTable`` that replaced the per-object
     validation of ``RateEnsemble``."""

@@ -27,8 +27,9 @@ from demotrend.core import (
     IncomeGroup,
     Region,
     Sex,
+    Variable,
 )
-from demotrend.data_ingest import CountryRecord, Dataset, load_dataset
+from demotrend.data_ingest import CountryRecord, Dataset, RateRow, load_dataset
 from demotrend.demography import PopulationState, VitalRates
 from demotrend.errors import NonPositiveResult, UnknownCountry
 from demotrend.models import FORM_ORDER, FitResult, ModelForm, fit_result
@@ -67,6 +68,9 @@ class Twin:
         def __post_init__(self):
             if not self.data_dir:
                 raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
+            for flag, value in (("--horizon", self.horizon), ("--jobs", self.jobs)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise UsageError(f"{flag} must be an integer, got {value!r}")
             if not BASE_YEAR < self.horizon <= END_YEAR:
                 raise UsageError(f"--horizon must lie in {BASE_YEAR + 1}-{END_YEAR}")
             for flag, value in (("--fertility-cap", self.fertility_cap), ("--srb", self.srb)):
@@ -197,6 +201,15 @@ class Twin:
                     for sex, row in zip(SEX_COLUMNS, pair)}
 
     @dataclass(frozen=True)
+    class RateRow:
+        iso3: str
+        year: int
+        variable: Variable
+        age_group: str
+        sex: Sex
+        rate: float
+
+    @dataclass(frozen=True)
     class CountryRecord:
         iso3: str
         name: str
@@ -272,7 +285,9 @@ CASES = {
                 [("", "o"), ("d", "o", "baseline", 0.0), ("d", "o", "baseline", 1.0, math.nan),
                  ("d", "o", "baseline", 1.0, 1.0, 2015), ("d", "o", "baseline", 1.0, 1.0, 2100,
                                                           ("world", "bogus")),
+                 ("d", "o", "baseline", 1.0, 1.0, 2050.5),
                  ("d", "o", "baseline", 1.0, 1.0, 2100, ("world",), False, False, 0),
+                 ("d", "o", "baseline", 1.0, 1.0, 2100, ("world",), False, False, True),
                  ("d", "o", "baseline", 1.0, 1.0, 2100, ("world",), False, False, 1, "svg")]),
     GdpPathway: (("AAA", "baseline", 2015, [900.0, 950.0]),
                  {"iso3": "BBB", "scenario_id": "m1.0", "start_year": 2015,
@@ -300,6 +315,9 @@ CASES = {
     CountryEnsembles: ((TABLE, np.zeros(6, dtype=int), np.zeros((21, 2), dtype=int)),
                        {"table": TABLE, "fertility_rows": np.zeros(6, dtype=int),
                         "mortality_rows": np.zeros((21, 2), dtype=int)}, []),
+    RateRow: (("AAA", 1990, Variable.MORTALITY, "0-4", Sex.BOTH, 0.05),
+              {"rate": 0.2, "sex": Sex.FEMALE, "age_group": "15-19",
+               "variable": Variable.FERTILITY, "year": 2015, "iso3": "BBB"}, []),
     CountryRecord: (("AAA", "Aleph", IncomeGroup.LOW, Region.SOUTH_ASIA),
                     {"region": Region.NORTH_AMERICA, "income_group": IncomeGroup.HIGH,
                      "name": "Bet", "iso3": "BBB"}, []),
@@ -347,7 +365,7 @@ def outcome(call):
 
 
 def test_every_record_has_a_twin():
-    assert len(CASES) == 17
+    assert len(CASES) == 18
     for record, twin in PAIRS:
         assert field_names(record) == field_names(twin), record.__name__
 
