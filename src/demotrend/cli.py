@@ -12,6 +12,7 @@ import functools
 import gc
 import json
 import math
+import numbers
 import os
 import pickle
 import struct
@@ -87,9 +88,16 @@ class RunConfig(Record, frozen=True):
     def __post_init__(self):
         if not self.data_dir:
             raise UsageError("--data-dir is required (or set DEMOTREND_DATA_DIR)")
-        for flag, value in (("--horizon", self.horizon), ("--jobs", self.jobs)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise UsageError(f"{flag} must be an integer, got {value!r}")
+        for kind, noun, names in (
+                (str, "a string", ("data_dir", "out_dir", "scenario", "out_format")),
+                (int, "an integer", ("horizon", "jobs")),
+                (numbers.Real, "a number", ("fertility_cap", "srb")),
+                (bool, "true or false", ("dump_donors", "dump_ensembles"))):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                    flag = {"out_dir": "out", "out_format": "format"}.get(name, name)
+                    raise UsageError(f"--{flag.replace('_', '-')} must be {noun}, got {value!r}")
         if not BASE_YEAR < self.horizon <= END_YEAR:
             raise UsageError(f"--horizon must lie in {BASE_YEAR + 1}-{END_YEAR}")
         for flag, value in (("--fertility-cap", self.fertility_cap), ("--srb", self.srb)):
@@ -97,7 +105,8 @@ class RunConfig(Record, frozen=True):
                 raise UsageError(f"{flag} must be positive and finite, got {value}")
         if self.jobs < 1:
             raise UsageError("--jobs must be at least 1")
-        if not self.aggregate or any(kind not in SCOPE_KINDS for kind in self.aggregate):
+        if (not isinstance(self.aggregate, tuple) or not self.aggregate
+                or any(kind not in SCOPE_KINDS for kind in self.aggregate)):
             raise UsageError(f"--aggregate accepts {', '.join(SCOPE_KINDS)}")
         if self.out_format not in ("csv", "csv+svg"):
             raise UsageError(f"--format must be csv or csv+svg, got {self.out_format!r}")

@@ -69,6 +69,9 @@ POWER_REFINE_RTOL = 1e-6
 SCREEN_RTOL = 1e-9
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A golden-section probe whose design's singular-value ratio is within this
+# factor of lstsq's rcond is always solved (see _rss_bounds).
+POWER_GATE = 1e4
 
 # Forms fitted as a straight line in a transformed x.
 _TRANSFORMS = {
@@ -300,36 +303,95 @@ def _power_designs(x: np.ndarray, b3s: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rss_bounds(x, ys, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Centred rows of ``ys``, and per row ``syy`` and the terms of a bound
+    e >= |f - g| at each b in [lo, hi]: g = syy - szy^2 / szz is the
+    closed-form RSS of y on A = [1, x^-b], f the RSS of ``_solve_stack``.
+
+    With R the exact RSS, u the unit roundoff, s = sqrt(syy), F = ||A||_F,
+    kappa = cond(A), C >= ||c*|| (|slope| <= s / sqrt(szz)), a = ||y|| + F C,
+    lam = 1.01 eps (a + kappa s) for eps = 16 n u and t = 1.03 (n+3) u a
+    + 2.03 u s + lam / 1000: centring moves sqrt(R) by at most t and the
+    sums move g by (4.02 n + 27) u syy (Higham ch. 3-4; Chan, Golub and
+    LeVeque 1983). ``gelsd`` solves a problem within eps of A and y in norm
+    unless it drops a singular value (Higham ch. 20; Golub and Van Loan
+    5.5). That error reaches c - c* through P_A and (A^+)^T, so 0 <=
+    ||y - A c||^2 - R = ||A (c - c*)||^2 <= lam^2, and forming f moves its
+    root by at most t and f by gamma_n f. So e = 1.01 (7 (n+4) u syy + 4 s t
+    + 1.01 (lam + 2 t)^2), kept where 1 / kappa >= sqrt(n szz) / F^2 exceeds
+    ``POWER_GATE`` times lstsq's rcond (nothing dropped, eps kappa < 1e-3)
+    and 1e-150 < syy < 1e150 (underflow no worse than rounding). Bounding F
+    and mean z over [lo, hi] gives e = e0 + e1 w + e2 w^2, w = szz^-1/2.
+    """
+    n, u = x.size, np.finfo(float).eps / 2
+    ry = ys - ys.mean(axis=1, keepdims=True)
+    syy = np.einsum("ij,ij->i", ry, ry)
+    s, zmax = np.sqrt(syy), np.maximum(neg_powers(x, lo), neg_powers(x, hi)) * 1.01
+    f2 = n + sumsq(zmax)
+    a = np.stack([np.sqrt(sumsq(ys)) + np.sqrt(f2) * np.abs(ys.mean(axis=1)),
+                  np.sqrt(f2) * (1.0 + zmax.mean(axis=1)) * s])  # a <= a[0] + a[1] w
+    lam = 16.16 * n * u * (a + [0.0 * s, s * f2 / math.sqrt(n)])
+    t = 1.03 * (n + 3) * u * a + [2.03 * u * s, 0.0 * s] + lam / 1000
+    (l0, l1), (t0, t1) = lam + 2 * t, t
+    wmax = np.where((syy > 1e-150) & (syy < 1e150),
+                    math.sqrt(n) / (POWER_GATE * 2 * u * max(n, 2) * f2), 0.0)
+    return ry, np.stack([syy, 7.07 * (n + 4) * u * syy + 4.04 * s * t0 + 1.0201 * l0 * l0,
+                         4.04 * s * t1 + 2.0402 * l0 * l1, 1.0201 * l1 * l1, wmax])
+
+
+def _bounded_rss(x, b, ry, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form RSS g of each centred row of ``ry`` on [1, x^-b], and the
+    bound e >= |f - g| of ``_rss_bounds`` (inf where it is not proven)."""
+    z = neg_powers(x, b)
+    rz = z - z.sum(axis=1, keepdims=True) / x.size
+    w = 1.0 / np.sqrt(sumsq(rz))
+    syy, e0, e1, e2, wmax = bounds
+    g = syy - ((rz[:, None, :] @ ry[:, :, None])[:, 0, 0] * w) ** 2
+    return g, np.where(w < wmax, e0 + w * (e1 + e2 * w), np.inf)
+
+
 def _fit_neg_power(x, ys, coef) -> tuple[np.ndarray, np.ndarray]:
+    """Grid screen, exact grid minima, then golden-section search on every
+    row's bracket in lockstep. A step's ``fc < fd`` comes from closed-form
+    RSS where ``_rss_bounds`` proves its sign, else from solved probes."""
     steps = int(round((POWER_GRID_HI - POWER_GRID_LO) / POWER_GRID_STEP))
     grid = POWER_GRID_LO + np.arange(steps + 1) * POWER_GRID_STEP
     screens = _screen_rows(x ** -grid[:, None], ys)
     i, best_coef, best_rss = _exact_minima(screens, ys, lambda i: _power_designs(x, grid[i]))
     best_b3 = grid[i]
 
-    # Golden-section search on every row's bracket in lockstep: each step
-    # solves one probe for each row whose bracket is still too wide.
-    batch = len(ys)
+    # Per row still searching: lo, hi, the c and the d probe's exponent, g, e
+    # and solved RSS f (NaN until a comparison needs it), the row's bounds.
     lo = np.maximum(POWER_GRID_LO, best_b3 - POWER_GRID_STEP)
     hi = np.minimum(POWER_GRID_HI, best_b3 + POWER_GRID_STEP)
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    _, f = _solve_stack(_power_designs(x, np.concatenate([c, d])), np.concatenate([ys, ys]))
-    fc, fd = f[:batch], f[batch:]
-    while (active := (hi - lo) > POWER_REFINE_RTOL * 0.5 * (lo + hi)).any():
-        go_left = fc < fd
-        left = np.flatnonzero(active & go_left)
-        right = np.flatnonzero(active & ~go_left)
-        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
-        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
-        probed = np.flatnonzero(active)
-        f = np.empty(batch)
-        _, f[probed] = _solve_stack(_power_designs(x, np.where(go_left, c, d)[probed]),
-                                    ys[probed])
-        fc[left], fd[right] = f[left], f[right]
-    refined = 0.5 * (lo + hi)
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    ids, refined, nan = np.arange(len(ys)), np.empty(len(ys)), np.full(len(ys), np.nan)
+    with np.errstate(all="ignore"):
+        ry, bounds = _rss_bounds(x, ys, lo, hi)
+        state = np.vstack([lo, hi, c, *_bounded_rss(x, c, ry, bounds), nan,
+                           d, *_bounded_rss(x, d, ry, bounds), nan, bounds])
+        while True:
+            active = (state[1] - state[0]) > POWER_REFINE_RTOL * 0.5 * (state[0] + state[1])
+            if not active.all():
+                refined[ids[~active]] = 0.5 * (state[0] + state[1])[~active]
+                ids, ry, state = ids[active], ry[active], state[:, active]
+                if not ids.size:
+                    break
+            gap = state[7] - state[3]
+            doubt = ~(np.abs(gap) > state[4] + state[8])
+            left = gap > 0.0
+            if doubt.any():
+                slot, k = (doubt & np.isnan(state[5:10:4])).nonzero()
+                _, state[5 + 4 * slot, k] = _solve_stack(
+                    _power_designs(x, state[2 + 4 * slot, k]), ys[ids[k]])
+                left = np.where(doubt, state[5] < state[9], left)
+            lo, hi = np.where(left, state[0], state[2]), np.where(left, state[6], state[1])
+            step = _INVPHI * (hi - lo)
+            b = np.where(left, hi - step, lo + step)
+            new = np.array([b, *_bounded_rss(x, b, ry, state[10:]), nan[: ids.size]])
+            state[2:10] = np.where(left, np.concatenate([new, state[2:6]]),
+                                   np.concatenate([state[6:10], new]))
+            state[0], state[1] = lo, hi
     coef[:, :2], rss = _solve_stack(_power_designs(x, refined), ys)
     keep = best_rss < rss  # refinement can only help inside the bracket; be safe
     refined[keep], coef[keep, :2], rss[keep] = best_b3[keep], best_coef[keep], best_rss[keep]

@@ -6,11 +6,13 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +163,29 @@ class TestManifest:
                   "from demotrend import cli\n"
                   "import hashlib\n"
                   "assert cli.sha256 is hashlib.sha256, cli.sha256\n"
+                  f"code = cli.main(['--data-dir', {str(TINY)!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}, '--dump-donors', '--dump-ensembles'])\n"
+                  "assert code == 0, code\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "run_manifest.json").read_bytes() == \
+            (baseline_run / "run_manifest.json").read_bytes()
+
+    def test_sha2_module_writes_the_same_manifest(self, baseline_run, tmp_path):
+        """CPython 3.12+ names its built-in SHA-256 module ``_sha2``: with a
+        stand-in ``_sha2`` that exposes the built-in function, and no
+        ``_sha256``, the run hashes with that function, to the same bytes."""
+        script = ("import sys, types\n"
+                  "try:\n"
+                  "    import _sha256 as builtin\n"
+                  "except ImportError:\n"
+                  "    import _sha2 as builtin\n"
+                  "stand_in = types.ModuleType('_sha2')\n"
+                  "stand_in.sha256 = builtin.sha256\n"
+                  "sys.modules['_sha2'], sys.modules['_sha256'] = stand_in, None\n"
+                  "from demotrend import cli\n"
+                  "assert cli.sha256 is stand_in.sha256, cli.sha256\n"
                   f"code = cli.main(['--data-dir', {str(TINY)!r}, '--out', "
                   f"{str(tmp_path / 'out')!r}, '--dump-donors', '--dump-ensembles'])\n"
                   "assert code == 0, code\n")
@@ -666,6 +691,33 @@ class TestUsageErrors:
         ``jobs`` and ``horizon``, where the command line parses an integer."""
         with pytest.raises(UsageError, match=f"^{flag} must be an integer, got "):
             RunConfig(**{"data_dir": str(TINY), "out_dir": str(tmp_path / "x"), **setting})
+
+    TYPED = [({"scenario": 5}, "--scenario must be a string, got 5"),
+             ({"srb": "1.05"}, "--srb must be a number, got '1.05'"),
+             ({"fertility_cap": None}, "--fertility-cap must be a number, got None"),
+             ({"dump_donors": "no"}, "--dump-donors must be true or false, got 'no'"),
+             ({"dump_ensembles": 1}, "--dump-ensembles must be true or false, got 1"),
+             ({"srb": True}, "--srb must be a number, got True"),
+             ({"out_dir": 7}, "--out must be a string, got 7"),
+             ({"data_dir": 7}, "--data-dir must be a string, got 7"),
+             ({"data_dir": Path("D")}, f"--data-dir must be a string, got {Path('D')!r}"),
+             ({"out_format": b"csv"}, "--format must be a string, got b'csv'"),
+             ({"aggregate": ["world"]}, "--aggregate accepts world, income, region, country")]
+
+    @pytest.mark.parametrize("setting,message", TYPED, ids=[repr(s) for s, _ in TYPED])
+    def test_run_config_requires_the_types_the_command_line_parses(self, tmp_path, setting,
+                                                                   message):
+        """A library ``RunConfig`` takes only the types argparse gives: ``str``
+        paths, scenario and format, real numbers (not ``bool``) for the cap
+        and srb, ``bool`` dump flags and a tuple of scope kinds."""
+        out = tmp_path / "x"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{"data_dir": str(TINY), "out_dir": str(out), **setting})
+        assert not out.exists()
+
+    def test_run_config_takes_numpy_numbers(self):
+        config = RunConfig(data_dir="D", out_dir="O", srb=np.float64(1.05), fertility_cap=30000)
+        assert config.srb == 1.05 and config.fertility_cap == 30000
 
     def test_missing_data_dir_flag(self, tmp_path):
         code, _, stderr = run_cli(["--out", str(tmp_path / "x")],

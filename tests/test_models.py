@@ -19,6 +19,10 @@ from demotrend.errors import (
 )
 from demotrend.models import (
     FORM_ORDER,
+    POWER_GRID_HI,
+    POWER_GRID_LO,
+    POWER_GRID_STEP,
+    POWER_REFINE_RTOL,
     FitResult,
     ModelForm,
     PARAM_COUNT,
@@ -31,7 +35,11 @@ from demotrend.models import (
     predict,
     predict_rows,
     raw_prediction,
+    _INVPHI,
     _breakpoint_candidates,
+    _exact_minima,
+    _power_designs,
+    _screen_rows,
     _solve_stack,
 )
 from demotrend.rate_forecast import EnsembleTable
@@ -498,6 +506,119 @@ class TestLockstepGoldenSection:
         for name, y in self.ROWS.items():
             assert fitted[name] == exhaustive_fit(ModelForm.NEG_POWER, self.X, y), name
             assert fitted[name] == fit(ModelForm.NEG_POWER, self.X, y), name
+
+
+def solved_fit_neg_power(x, ys, coef):
+    """``models._fit_neg_power`` as it was when every golden-section probe was
+    solved with ``_solve_stack``, verbatim: the oracle of the certified steps."""
+    steps = int(round((POWER_GRID_HI - POWER_GRID_LO) / POWER_GRID_STEP))
+    grid = POWER_GRID_LO + np.arange(steps + 1) * POWER_GRID_STEP
+    screens = _screen_rows(x ** -grid[:, None], ys)
+    i, best_coef, best_rss = _exact_minima(screens, ys, lambda i: _power_designs(x, grid[i]))
+    best_b3 = grid[i]
+
+    # Golden-section search on every row's bracket in lockstep: each step
+    # solves one probe for each row whose bracket is still too wide.
+    batch = len(ys)
+    lo = np.maximum(POWER_GRID_LO, best_b3 - POWER_GRID_STEP)
+    hi = np.minimum(POWER_GRID_HI, best_b3 + POWER_GRID_STEP)
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    _, f = _solve_stack(_power_designs(x, np.concatenate([c, d])), np.concatenate([ys, ys]))
+    fc, fd = f[:batch], f[batch:]
+    while (active := (hi - lo) > POWER_REFINE_RTOL * 0.5 * (lo + hi)).any():
+        go_left = fc < fd
+        left = np.flatnonzero(active & go_left)
+        right = np.flatnonzero(active & ~go_left)
+        hi[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = hi[left] - _INVPHI * (hi[left] - lo[left])
+        lo[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = lo[right] + _INVPHI * (hi[right] - lo[right])
+        probed = np.flatnonzero(active)
+        f = np.empty(batch)
+        _, f[probed] = _solve_stack(_power_designs(x, np.where(go_left, c, d)[probed]),
+                                    ys[probed])
+        fc[left], fd[right] = f[left], f[right]
+    refined = 0.5 * (lo + hi)
+    coef[:, :2], rss = _solve_stack(_power_designs(x, refined), ys)
+    keep = best_rss < rss  # refinement can only help inside the bracket; be safe
+    refined[keep], coef[keep, :2], rss[keep] = best_b3[keep], best_coef[keep], best_rss[keep]
+    coef[:, 2] = refined
+    return coef, rss
+
+
+def power_rows(data, rng, x, count):
+    """``count`` rows on ``x`` of the kinds where a closed-form branch is most
+    easily wrong: a few ulps from constant or from a tie with another row,
+    exactly constant, exactly ``b1 + b2 / x``, or a noisy power of any size."""
+    ulp = np.finfo(float).eps
+    rows = []
+    for _ in range(count):
+        level = 10.0 ** rng.uniform(-4.0, 4.0)
+        kind = data.draw(st.sampled_from(["ulps", "tie", "constant", "unit", "power"]))
+        if kind == "ulps":
+            rows.append(level * (1.0 + ulp * rng.integers(-3, 4, x.size)))
+        elif kind == "tie" and rows:
+            rows.append(rows[-1] * (1.0 + ulp * rng.integers(-2, 3, x.size)))
+        elif kind == "constant":
+            rows.append(np.full(x.size, level))
+        elif kind == "unit":
+            rows.append(level * (2.0 + rng.normal() / x))
+        else:
+            power = level * rng.normal() * x ** -rng.uniform(0.05, 5.0)
+            rows.append(level + power * (1.0 + rng.normal(0.0, 10.0 ** rng.uniform(-9.0, 0.0),
+                                                          x.size)))
+    return np.array(rows)
+
+
+class TestCertifiedGoldenSection:
+    """Branches taken from closed-form RSS with a proven bound are those of
+    solving every probe, so every fit keeps its bits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_equals_solving_every_probe(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(6, 120))
+        low = data.draw(st.floats(-3.0, 5.5))
+        x = 10.0 ** rng.uniform(low, data.draw(st.floats(low + 0.1, 6.0)), n)
+        if data.draw(st.booleans()):
+            x = np.repeat(x[: n // 2 + 1], 2)[:n]  # tied x, as in donor windows
+        ys = power_rows(data, rng, x, data.draw(st.integers(1, 48)))
+        got_coef, got_rss = models._fit_neg_power(x, ys, np.full((len(ys), 4), np.nan))
+        coef, rss = solved_fit_neg_power(x, ys, np.full((len(ys), 4), np.nan))
+        assert np.array_equal(got_coef, coef, equal_nan=True)
+        assert np.array_equal(got_rss, rss)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bound_holds(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = 10.0 ** rng.uniform(-3.0, 6.0, data.draw(st.integers(6, 120)))
+        ys = power_rows(data, rng, x, data.draw(st.integers(1, 8)))
+        lo = rng.uniform(0.05, 4.9, len(ys))
+        hi = lo + 0.1
+        with np.errstate(all="ignore"):
+            ry, bounds = models._rss_bounds(x, ys, lo, hi)
+            for b in (lo, lo + 0.038, hi):
+                g, e = models._bounded_rss(x, b, ry, bounds)
+                _, f = _solve_stack(_power_designs(x, b), ys)
+                assert (np.abs(f - g) <= e).all()
+
+    def test_designs_near_rank_deficiency_have_no_bound(self):
+        # Over x in [1e-3, 1e6] the singular-value ratio of [1, x^-b] falls
+        # from far above lstsq's rcond (b = 1) to a few hundred times it (b = 4).
+        x = np.geomspace(1e-3, 1e6, 40)
+        ys = np.array([1.0 + x ** -1.0, 1.0 + x ** -4.0]) * (1.0 + 0.01 * np.sin(x))
+        b = np.array([1.0, 4.0])
+        a = _power_designs(x, b)
+        singular = np.linalg.svd(a, compute_uv=False)
+        ratio = singular[:, 1] / singular[:, 0] / (np.finfo(float).eps * x.size)
+        assert ratio[0] > 1e6 and 10.0 < ratio[1] < models.POWER_GATE
+        with np.errstate(all="ignore"):
+            ry, bounds = models._rss_bounds(x, ys, b - 0.05, b + 0.05)
+            _, e = models._bounded_rss(x, b, ry, bounds)
+        assert np.isfinite(e[0]) and e[1] == np.inf
 
 
 class TestBreakpointForms:
