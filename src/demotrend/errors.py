@@ -62,7 +62,8 @@ class InsufficientData(DemotrendError):
 
 
 class DegenerateX(DemotrendError):
-    """Predictor values carry no usable variation for the requested form."""
+    """Predictor values admit no usable design for the requested form: no
+    variation, no interior breakpoint, or a design that overflows."""
 
 
 class NonFiniteInput(DemotrendError):

@@ -67,17 +67,32 @@ POWER_REFINE_RTOL = 1e-6
 
 # Candidates screened within this share of y.y of the best exact RSS are re-solved.
 SCREEN_RTOL = 1e-9
+# Breakpoint candidates are screened this many at a time, so a search holds
+# (SCREEN_BLOCK, n) arrays, never a (candidates, n) one.
+SCREEN_BLOCK = 64
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # A golden-section probe whose design's singular-value ratio is within this
 # factor of lstsq's rcond is always solved (see _rss_bounds).
 POWER_GATE = 1e4
 
+# The largest exponent b of a form whose design holds x^-b. A sample on which
+# x^-b or its sum of squares overflows has no finite design for the form.
+_TOP_POWER = {ModelForm.DIVISION: 1.0, ModelForm.NEG_POWER: POWER_GRID_HI}
+
 # Forms fitted as a straight line in a transformed x.
 _TRANSFORMS = {
     ModelForm.LINEAR: lambda x: x,
     ModelForm.DIVISION: lambda x: 1.0 / x,
     ModelForm.NEG_LOG: np.log,
+}
+
+# The z column of each breakpoint form's design [basis, z], for the knots
+# ``c`` of shape (C, 1): a (C, n) array.
+_KNOT_COLUMNS = {
+    ModelForm.LINEAR_SPLINE: lambda x, c: np.maximum(x - c, 0.0),
+    ModelForm.RIGHT_HINGE: np.minimum,
+    ModelForm.LEFT_HINGE: np.maximum,
 }
 
 
@@ -178,9 +193,13 @@ def fit_rows(form: ModelForm, xs, ys_rows) -> tuple[np.ndarray, np.ndarray]:
     defined. Breakpoints are searched over interior observed x values (the
     two extremes at each end are excluded) with ties broken toward the
     smaller candidate; the negative-power exponent is found on a coarse grid
-    and refined by golden-section search. The checks and every array that
-    depends on x alone are made once; each row's result equals that of
-    fitting the row on its own.
+    and refined by golden-section search. A form whose design would not be
+    finite on ``xs`` (Division where 1/x or its sum of squares overflows,
+    NegPower where x^-POWER_GRID_HI does) raises ``DegenerateX``, as a
+    constant ``xs`` does. The checks and the arrays that depend on x alone
+    are made once, except a breakpoint form's z rows, which are made
+    ``SCREEN_BLOCK`` candidates at a time and again for each candidate
+    solved; each row's result equals that of fitting the row on its own.
     """
     x = np.asarray(xs, dtype=float)
     ys = np.ascontiguousarray(ys_rows, dtype=float)  # each row reduces as a 1-d array
@@ -196,6 +215,11 @@ def fit_rows(form: ModelForm, xs, ys_rows) -> tuple[np.ndarray, np.ndarray]:
         raise InsufficientData(n, k)
     if form is not ModelForm.NULL and bool(np.all(x == x[0])):
         raise DegenerateX("constant predictor admits only the null form")
+    if form in _TOP_POWER:
+        with np.errstate(over="ignore"):
+            top = x ** -_TOP_POWER[form]
+            if not np.isfinite(top @ top):
+                raise DegenerateX(f"x^-{_TOP_POWER[form]:g} overflows: no finite design")
 
     coef = np.full((len(ys), 4), np.nan)
     if not len(ys):
@@ -414,26 +438,30 @@ def _breakpoint_candidates(x: np.ndarray) -> np.ndarray:
 
 
 def _fit_breakpoint(form, x, ys, coef) -> tuple[np.ndarray, np.ndarray]:
+    """Screen the candidates ``SCREEN_BLOCK`` at a time, then solve those that
+    can win; a design's z column is made only for the candidates solved."""
     n = x.size
     candidates = _breakpoint_candidates(x)
     if candidates.size == 0:
         raise DegenerateX("no interior breakpoint candidates")
+    knot_column = _KNOT_COLUMNS[form]
     ones = np.ones(n)
-    c = candidates[:, None]
     if form is ModelForm.LINEAR_SPLINE:
-        z, basis, partial = np.maximum(x - c, 0.0), np.column_stack([ones, x]), x
-    elif form is ModelForm.RIGHT_HINGE:
-        z, basis, partial = np.minimum(x, c), ones[:, None], None
+        basis, partial = np.column_stack([ones, x]), x
     else:
-        z, basis, partial = np.maximum(x, c), ones[:, None], None
+        basis, partial = ones[:, None], None
 
     def designs(i: np.ndarray) -> np.ndarray:
         a = np.empty((i.size, n, basis.shape[1] + 1))
         a[:, :, :-1] = basis
-        a[:, :, -1] = z[i]
+        a[:, :, -1] = knot_column(x, candidates[i, None])
         return a
 
-    best, solved, rss = _exact_minima(_screen_rows(z, ys, partial), ys, designs)
+    y_side = _screen_y_side(ys, partial)
+    screened = np.concatenate([
+        _screen_block(knot_column(x, candidates[start:start + SCREEN_BLOCK, None]), *y_side)
+        for start in range(0, candidates.size, SCREEN_BLOCK)])
+    best, solved, rss = _exact_minima(screened, ys, designs)
     coef[:, :2] = solved[:, :2]
     if form is ModelForm.LINEAR_SPLINE:
         coef[:, 2] = solved[:, 1] + solved[:, 2]
@@ -451,17 +479,31 @@ def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> 
     products are one BLAS matrix product. Its summation order is BLAS's, so
     a screen may differ from a per-pair sum in rounding, far inside
     ``SCREEN_RTOL``; ``_exact_minima`` re-solves every candidate that could win.
+    A block of the z rows screened on its own may round differently again.
     """
+    return _screen_block(z, *_screen_y_side(ys, x))
+
+
+def _screen_y_side(ys: np.ndarray, x: np.ndarray | None):
+    """The part of ``_screen_rows`` that depends on ``ys`` and ``x`` alone:
+    the centred rows of ``ys`` with ``x`` partialled out, their sums of
+    squares, and the centred ``x`` and its sum of squares (None without x)."""
     ry = ys - ys.mean(axis=1, keepdims=True)
-    rz = z - z.mean(axis=1, keepdims=True)
+    dx = sxx = None
     if x is not None:
         dx = x - x.mean()
         sxx = dx @ dx
         ry = ry - np.outer(ry @ dx / sxx, dx)
+    return ry, np.einsum("ij,ij->i", ry, ry), dx, sxx
+
+
+def _screen_block(z, ry, syy, dx, sxx) -> np.ndarray:
+    """``_screen_rows`` of the z rows ``z`` given ``_screen_y_side``'s arrays."""
+    rz = z - z.mean(axis=1, keepdims=True)
+    if dx is not None:
         rz = rz - np.outer(rz @ dx / sxx, dx)
     szz = np.einsum("ij,ij->i", rz, rz)[:, None]
     szy = rz @ ry.T
-    syy = np.einsum("ij,ij->i", ry, ry)
     return syy - np.divide(szy * szy, szz, out=np.zeros_like(szy), where=szz > 0.0)
 
 

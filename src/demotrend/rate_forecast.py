@@ -37,9 +37,21 @@ from .models import (
 # beta2, beta3 and x1 (breakpoint_x1) show a form's coefficient column where
 # ``COEF_FIELDS`` names that field there, and are blank elsewhere.
 DUMP_COLUMNS = "variable,age_group,sex,form,weight,beta1,beta2,beta3,x1,sigma,aicc"
-_SHOWN = {form: (True, *(name == header for name, header in zip(
-              names, ("beta1", "beta2", "beta3", "breakpoint_x1"))), True, True)
-          for form, names in COEF_FIELDS.items()}
+
+
+def _dump_template(form) -> tuple[str, list[int]]:
+    """The %-template of a member line of ``form`` from its series' variable,
+    age_group and sex on, and the columns of the member's (weight, b1, b2,
+    b3, x1, sigma, aicc) row that fill its ``%.9g`` cells."""
+    shown = [j for j, (name, header) in enumerate(zip(
+        COEF_FIELDS[form], ("beta1", "beta2", "beta3", "breakpoint_x1"))) if name == header]
+    coefs = ("%.9g" if j in shown else "" for j in range(4))
+    template = ",".join(["%s", form.value, "%.9g", *coefs, "%.9g", "%.9g"])
+    return template, [0, *(1 + j for j in shown), 5, 6]
+
+
+# One ``_dump_template`` per form, in ``FORM_ORDER``.
+_DUMP_TEMPLATES = [_dump_template(form) for form in FORM_ORDER]
 # The variable, age_group and sex of each series of a country, in dump order.
 _DUMP_SERIES = ([f"{Variable.FERTILITY.value},{band},{Sex.FEMALE.value}"
                  for band in FERTILE_BANDS]
@@ -144,14 +156,15 @@ class CountryEnsembles(Record, frozen=True, eq=False):
         order and members in ``FORM_ORDER``."""
         t = self.table
         cells = np.concatenate([t.weight[..., None], t.coef, t.sigma[..., None],
-                                t.aicc[..., None]], axis=2).tolist()
+                                t.aicc[..., None]], axis=2)
+        shown = [(template, cells[:, j, columns].tolist())
+                 for j, (template, columns) in enumerate(_DUMP_TEMPLATES)]
         members, lines = t.member.tolist(), []
         order = [*self.fertility_rows.tolist(), *self.mortality_rows.ravel().tolist()]
         for series, row in zip(_DUMP_SERIES, order):
-            for form, member, values in zip(FORM_ORDER, members[row], cells[row]):
+            for member, (template, values) in zip(members[row], shown):
                 if member:
-                    text = (f"{v:.9g}" if shown else "" for v, shown in zip(values, _SHOWN[form]))
-                    lines.append(",".join([series, form.value, *text]))
+                    lines.append(template % (series, *values[row]))
         return lines
 
     @property

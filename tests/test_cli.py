@@ -804,6 +804,29 @@ class TestDataErrors:
         assert code == 1, stderr
         assert "gdp_hist.csv:" in stderr and "year must lie in 1000-9999" in stderr
 
+    # A GDP of 1e-100 makes x^-5 overflow, and 1e-320 makes 1/x overflow too:
+    # NegPower, and then Division, have no finite design and are skipped.
+    @pytest.mark.parametrize("gdp,skipped", [("1e-100", {"NegPower"}),
+                                             ("1e-320", {"NegPower", "Division"})])
+    def test_tiny_positive_gdp_skips_forms_without_a_finite_design(self, tmp_path, gdp,
+                                                                     skipped):
+        data_dir = tmp_path / "tiny"
+        shutil.copytree(TINY, data_dir)
+        hist = data_dir / "gdp_hist.csv"
+        text = hist.read_text()
+        assert "\nAAA,1955,621.63\n" in text
+        hist.write_text(text.replace("\nAAA,1955,621.63\n", f"\nAAA,1955,{gdp}\n"))
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out),
+                                        "--dump-ensembles"])
+        assert code in (0, 1), stderr
+        assert "Traceback" not in stderr
+        assert "DLASCL" not in stdout + stderr
+        if code == 0:
+            forms = {row["form"] for row in read_csv(out / "ensembles.csv")
+                     if row["iso3"] == "AAA"}
+            assert forms and not forms & skipped
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("out_format", ["csv", "csv+svg"])
     @pytest.mark.parametrize("flag,value,year", [("--srb", "1e308", 2016),

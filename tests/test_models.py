@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from demotrend.models import (
     ModelForm,
     PARAM_COUNT,
     RSS_FLOOR,
+    SCREEN_BLOCK,
     aicc,
     akaike_weights,
     fit,
@@ -207,6 +209,24 @@ def oracle_breakpoint(form, x, y):
 SEARCHED_FORMS = [ModelForm.NEG_POWER, ModelForm.LINEAR_SPLINE, ModelForm.RIGHT_HINGE,
                   ModelForm.LEFT_HINGE]
 
+BREAKPOINT_FORMS = SEARCHED_FORMS[1:]
+
+
+def sample_with_candidates(count, tied, seed):
+    """GDP-like x with exactly ``count`` breakpoint candidates, and rows whose
+    best knot falls in the first, a middle and the last of them. The two
+    extremes appear three times each, so every other value is a candidate;
+    those appear twice each when ``tied``."""
+    rng = np.random.default_rng(seed)
+    distinct = np.sort(400.0 * 500.0 ** rng.uniform(0.0, 1.0, count + 2))
+    x = np.concatenate([np.repeat(distinct[[0, -1]], 3),
+                        np.repeat(distinct[1:-1], 2 if tied else 1)])
+    candidates = _breakpoint_candidates(x)
+    knots = candidates[[0, min(SCREEN_BLOCK, count - 1), count - 1]]
+    rows = 0.01 * (1.0 + np.abs(np.log(x) - np.log(knots[:, None]))
+                   + rng.normal(0.0, 0.02, (len(knots), x.size)))
+    return rng.permutation(x), candidates, rows
+
 
 def lstsq_rss(columns, y):
     a = np.column_stack(columns)
@@ -364,6 +384,38 @@ class TestScreenedSearchMatchesExhaustive:
                 fit_rows(form, xs, rows)
         else:
             assert fitted_rows(form, xs, rows) == expected
+
+    # Candidate counts on both sides of each SCREEN_BLOCK edge.
+    @pytest.mark.parametrize("form", BREAKPOINT_FORMS)
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 128, 129, 203])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_screen_block_edges(self, form, count, tied):
+        assert SCREEN_BLOCK == 64
+        x, candidates, rows = sample_with_candidates(count, tied, count)
+        assert candidates.size == count
+        assert fitted_rows(form, x, rows) == [exhaustive_fit(form, x, y) for y in rows]
+
+
+class TestBreakpointSearchMemory:
+    """A search screens SCREEN_BLOCK candidates at a time and builds designs
+    only for the candidates it solves, so it never holds a (C, n) array."""
+
+    @pytest.mark.parametrize("form", BREAKPOINT_FORMS)
+    def test_traced_peak_is_bounded(self, form):
+        rng = np.random.default_rng(5)
+        x = rng.permutation(np.geomspace(400.0, 200000.0, 2000))
+        rows = 0.01 * (1.0 + x ** -rng.uniform(0.05, 1.0, (8, 1))
+                       + rng.normal(0.0, 0.05, (8, x.size)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fit_rows(form, x, rows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # A (C, n) float array alone is 30.5 MiB here.
+        assert peak < 16 * 2**20
 
 
 def fitted_rows(form, xs, rows):
@@ -698,6 +750,22 @@ class TestFitContract:
             with pytest.raises(InsufficientData):
                 fit(form, WIGGLY_X[:n], WIGGLY_Y[:n])
             fit(form, WIGGLY_X[:k + 2], WIGGLY_Y[:k + 2])
+
+    # x^-5 overflows below about 1e-62 and its square below about 3e-31; 1/x
+    # overflows at subnormal x. A design that cannot be finite is skipped.
+    @pytest.mark.parametrize("low,skipped", [
+        (1e-30, set()), (1e-32, {ModelForm.NEG_POWER}), (1e-100, {ModelForm.NEG_POWER}),
+        (1e-320, {ModelForm.NEG_POWER, ModelForm.DIVISION})])
+    def test_design_that_overflows_is_degenerate(self, low, skipped):
+        xs = WIGGLY_X.copy()
+        xs[1] = low
+        for form in FORM_ORDER:
+            if form in skipped:
+                with pytest.raises(DegenerateX, match="no finite design"):
+                    fit_rows(form, xs, [WIGGLY_Y])
+            else:
+                coef, rss = fit_rows(form, xs, [WIGGLY_Y])
+                assert np.isfinite(rss).all() and not np.isinf(coef).any()
 
     def test_degenerate_x(self):
         xs = np.full(8, 3.0)

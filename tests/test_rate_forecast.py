@@ -12,7 +12,7 @@ from demotrend.core import FERTILE_BANDS, AGE_BANDS, SEX_COLUMNS, Sex, Variable
 from demotrend.data_ingest import load_dataset
 from demotrend.demography import forecast_rates
 from demotrend.errors import NonPositiveGdp, NoWeightData
-from demotrend.models import FORM_ORDER, ModelForm, PARAM_COUNT, aicc
+from demotrend.models import COEF_FIELDS, FORM_ORDER, ModelForm, PARAM_COUNT, aicc
 from demotrend.rate_forecast import (
     CapPolicy,
     EnsembleTable,
@@ -271,6 +271,39 @@ class TestCountryEnsembles:
         for ensemble in built.fertility.values():
             forms = [m.form for m in ensemble.members]
             assert len(forms) == len(set(forms))
+
+
+def formatted_dump_lines(built):
+    """``CountryEnsembles.dump_lines`` with each cell formatted on its own."""
+    t, lines = built.table, []
+    headers = ("beta1", "beta2", "beta3", "breakpoint_x1")
+    order = [*built.fertility_rows.tolist(), *built.mortality_rows.ravel().tolist()]
+    series = ([f"Fertility,{band},Female" for band in FERTILE_BANDS]
+              + [f"Mortality,{band},{sex.value}" for band in AGE_BANDS for sex in SEX_COLUMNS])
+    for name, row in zip(series, order):
+        for j, form in enumerate(FORM_ORDER):
+            if t.member[row, j]:
+                coefs = [f"{v:.9g}" if field == header else ""
+                         for v, field, header in zip(t.coef[row, j].tolist(),
+                                                     COEF_FIELDS[form], headers)]
+                lines.append(",".join([name, form.value, f"{t.weight[row, j]:.9g}", *coefs,
+                                       f"{t.sigma[row, j]:.9g}", f"{t.aicc[row, j]:.9g}"]))
+    return lines
+
+
+class TestDumpLines:
+    # Each form's line is one %-template; %.9g must print every float as the
+    # format spec .9g does.
+    @pytest.mark.parametrize("value", [-0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                       2.2250738585072e-310, 1.7e308, 0.1, -123456789.5])
+    def test_percent_template_formats_as_format_spec(self, value):
+        assert "%.9g" % value == format(value, ".9g")
+
+    @pytest.mark.parametrize("donors", [[], ["BBB"], ["BBB", "CCC"]])
+    def test_lines_equal_cells_formatted_one_by_one(self, tiny_dataset, donors):
+        built = build_country_ensembles(tiny_dataset, "AAA", donors)
+        assert built.dump_lines == formatted_dump_lines(built)
+        assert {line.split(",")[3] for line in built.dump_lines} == {f.value for f in FORM_ORDER}
 
 
 class TestSharedSexFits:
