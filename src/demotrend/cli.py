@@ -15,7 +15,6 @@ import math
 import numbers
 import os
 import pickle
-import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -58,11 +57,6 @@ SENSITIVITY_YEAR = 2050
 # stepped this many scenarios at a time, so their size stays bounded.
 SCENARIO_CHUNK = 64
 CGROUP_DIR = Path("/sys/fs/cgroup")  # where --jobs auto looks for a CPU quota
-# What a --jobs worker reads from the task pipe (a country's index), and what
-# it announces on the result pipe: that index, the worker's number, and the
-# offset and size of the pickled result in the worker's spool file.
-_TASK = struct.Struct("=I")
-_RESULT = struct.Struct("=IIQQ")
 _SIGKILL = 9  # signal.SIGKILL on every POSIX system; importing signal takes about 1 ms
 
 class UsageError(Exception):
@@ -153,7 +147,7 @@ def run(config: RunConfig) -> list[Path]:
     out = Path(config.out_dir)
     with undo_on_failure(out) as written:
         with contextlib.ExitStack() as stack:
-            dumps = []  # rows are written as each country arrives, in country order
+            dumps = []  # rows are written as each country is read back, in country order
             for on, (name, header) in zip((config.dump_donors, config.dump_ensembles), _DUMPS):
                 if on:
                     out.mkdir(parents=True, exist_ok=True)
@@ -192,27 +186,19 @@ def _forked_map(project, countries: list[str], jobs: int):
     """``project(iso3)`` for each country, yielded in country order, computed
     by ``jobs`` forked workers that inherit ``project``.
 
-    The country indices go into one task pipe, before the first fork as far
-    as one atomic write holds them, and a free worker reads the next one. A
-    worker pickles each result, or exception, into its own unlinked spool
-    file and announces it in one atomic write on the shared result pipe, so
-    it never waits for the parent. An ``OSError`` while making the pipes,
-    spools or workers is a ``RuntimeError``. Every way out of this generator
-    kills and reaps the workers and closes the pipes and spools.
+    Worker w projects ``countries[w::jobs]`` in order. It pickles each
+    result, or its first failure, which ends its work, into its own unlinked
+    spool file, so it never waits for the parent. Country i is read from its
+    worker's spool once that worker has been reaped. An ``OSError`` while
+    making the spools or workers is a ``RuntimeError``. Every way out of
+    this generator kills and reaps the workers and closes the spools.
     """
     pids: list[int] = []
+    reaped = 0  # pids[:reaped] have exited and been waited for
     try:
         with contextlib.ExitStack() as stack:
             try:
-                tasks_r, tasks_w, results_r, results_w = (
-                    stack.enter_context(open(fd, mode, buffering=0))
-                    for _ in range(2) for fd, mode in zip(os.pipe(), ("rb", "wb")))
                 spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(jobs)]
-                order = b"".join(map(_TASK.pack, range(len(countries))))
-                # A write of at most PIPE_BUF bytes is atomic and fits an empty pipe;
-                # indices past it (1,024 countries on Linux) go in once workers read.
-                chunk = os.fpathconf(tasks_w.fileno(), "PC_PIPE_BUF")
-                tasks_w.write(order[:chunk])
                 # Workers then share the parent's heap without copying it: collections
                 # in a worker skip frozen objects. Thawing would also thaw the heap
                 # that the entry point froze, so only a heap frozen here is thawed.
@@ -224,9 +210,7 @@ def _forked_map(project, countries: list[str], jobs: int):
                         if pid == 0:
                             code = 1
                             try:
-                                tasks_w.close()
-                                results_r.close()
-                                _work(project, countries, tasks_r, results_w, spool, worker)
+                                _work(project, countries[worker::jobs], spool)
                                 code = 0
                             finally:
                                 os._exit(code)
@@ -236,22 +220,17 @@ def _forked_map(project, countries: list[str], jobs: int):
                         gc.unfreeze()
             except OSError as exc:
                 raise RuntimeError(f"could not start --jobs workers: {exc}") from exc
-            tasks_r.close()
-            results_w.close()  # results_r reads end of file once every worker is gone
-            with contextlib.suppress(BrokenPipeError):  # every worker is gone: reported below
-                for start in range(chunk, len(order), chunk):
-                    tasks_w.write(order[start:start + chunk])
-            tasks_w.close()
-            ready: dict[int, list[int]] = {}  # index: worker, offset, size
             for index, iso3 in enumerate(countries):
-                while index not in ready:
-                    record = results_r.read(_RESULT.size)
-                    if len(record) < _RESULT.size:
-                        raise RuntimeError(f"a --jobs worker exited without a result for {iso3}")
-                    done, *where = _RESULT.unpack(record)
-                    ready[done] = where
-                worker, offset, size = ready.pop(index)
-                value, failure = pickle.loads(os.pread(spools[worker].fileno(), size, offset))
+                spool = spools[index % jobs]
+                if index < jobs:
+                    os.waitpid(pids[index], 0)
+                    reaped = index + 1
+                    spool.seek(0)
+                try:
+                    value, failure = pickle.load(spool)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(
+                        f"a --jobs worker exited without a result for {iso3}") from None
                 if failure is not None:
                     remote = RuntimeError(f"{iso3} failed in a --jobs worker:\n{failure}")
                     if value is None:
@@ -259,26 +238,24 @@ def _forked_map(project, countries: list[str], jobs: int):
                     raise value from remote
                 yield value
     finally:
-        for pid in pids:
+        for pid in pids[reaped:]:
             os.kill(pid, _SIGKILL)
-        for pid in pids:
+        for pid in pids[reaped:]:
             os.waitpid(pid, 0)
 
 
-def _work(project, countries: list[str], tasks, results, spool, worker: int) -> None:
-    """A forked worker: project the country of each index read from ``tasks``
-    until the pipe is empty and closed, spooling and announcing each result."""
-    offset = 0
-    while task := tasks.read(_TASK.size):
-        index, = _TASK.unpack(task)
+def _work(project, countries: list[str], spool) -> None:
+    """A forked worker: project each of ``countries`` in order and spool its
+    result, up to and including the first failure."""
+    for iso3 in countries:
         try:
-            blob = pickle.dumps((project(countries[index]), None), pickle.HIGHEST_PROTOCOL)
+            blob, failed = pickle.dumps((project(iso3), None), pickle.HIGHEST_PROTOCOL), False
         except BaseException as exc:
-            blob = _pickled_failure(exc)
+            blob, failed = _pickled_failure(exc), True
         spool.write(blob)
         spool.flush()
-        results.write(_RESULT.pack(index, worker, offset, len(blob)))
-        offset += len(blob)
+        if failed:
+            return
 
 
 def _pickled_failure(exc: BaseException) -> bytes:

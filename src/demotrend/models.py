@@ -457,10 +457,12 @@ def _fit_breakpoint(form, x, ys, coef) -> tuple[np.ndarray, np.ndarray]:
         a[:, :, -1] = knot_column(x, candidates[i, None])
         return a
 
-    y_side = _screen_y_side(ys, partial)
-    screened = np.concatenate([
-        _screen_block(knot_column(x, candidates[start:start + SCREEN_BLOCK, None]), *y_side)
-        for start in range(0, candidates.size, SCREEN_BLOCK)])
+    # A screen that overflows rules nothing out (see _exact_minima): no warning.
+    with np.errstate(all="ignore"):
+        y_side = _screen_y_side(ys, partial)
+        screened = np.concatenate([
+            _screen_block(knot_column(x, candidates[start:start + SCREEN_BLOCK, None]), *y_side)
+            for start in range(0, candidates.size, SCREEN_BLOCK)])
     best, solved, rss = _exact_minima(screened, ys, designs)
     coef[:, :2] = solved[:, :2]
     if form is ModelForm.LINEAR_SPLINE:
@@ -522,7 +524,7 @@ def _exact_minima(screened: np.ndarray, ys: np.ndarray,
     near the screened minimum, then any the solved RSS brings in range (an
     ill-conditioned candidate's solved RSS can exceed its screen). A screen
     that is not finite never rules a candidate out. Each round solves the
-    shortlisted (candidate, row) pairs of all rows in one call.
+    shortlisted (candidate, row) pairs of all rows ``SCREEN_BLOCK`` at a time.
     """
     tol = SCREEN_RTOL * sumsq(ys)
     solved = np.zeros(screened.shape, dtype=bool)
@@ -534,7 +536,10 @@ def _exact_minima(screened: np.ndarray, ys: np.ndarray,
         cand, rows = np.nonzero(~(screened > bound + tol) & ~solved)
         if cand.size == 0:
             return best, best_coef, bound
-        coef, rss[cand, rows] = _solve_stack(designs(cand), ys[rows])
+        coef, rss[cand, rows] = map(np.concatenate, zip(*(
+            _solve_stack(designs(cand[start:start + SCREEN_BLOCK]),
+                         ys[rows[start:start + SCREEN_BLOCK]])
+            for start in range(0, cand.size, SCREEN_BLOCK))))
         solved[cand, rows] = True
         # argmin takes the first of equal minima: the smallest index wins ties.
         best = rss.argmin(axis=0)

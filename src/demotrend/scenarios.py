@@ -68,22 +68,24 @@ def baseline_pathway(iso3: str, anchor_years, anchor_values,
         raise PathwayGap(f"{iso3}: baseline anchors cover {int(years[0])}-"
                          f"{int(years[-1])}, need {start}-{end}")
     out = np.empty(end - start + 1)
-    for t in range(start, end + 1):
-        j = int(np.searchsorted(years, t, side="right"))
-        if j == 0:
-            raise PathwayGap(f"{iso3}: no anchor at or before {t}")
-        a = j - 1
-        if years[a] == t:
-            out[t - start] = values[a]
-            continue
-        if j >= years.size:
-            raise PathwayGap(f"{iso3}: no anchor at or after {t}")
-        ya, yb = years[a], years[j]
-        if yb - ya > MAX_ANCHOR_GAP:
-            raise PathwayGap(f"{iso3}: anchor gap {int(ya)}-{int(yb)} exceeds "
-                             f"{MAX_ANCHOR_GAP} years")
-        frac = (t - ya) / (yb - ya)
-        out[t - start] = values[a] * (values[j] / values[a]) ** frac
+    # An overflow to inf is reported by GdpPathway's finite check, not as a warning.
+    with np.errstate(over="ignore"):
+        for t in range(start, end + 1):
+            j = int(np.searchsorted(years, t, side="right"))
+            if j == 0:
+                raise PathwayGap(f"{iso3}: no anchor at or before {t}")
+            a = j - 1
+            if years[a] == t:
+                out[t - start] = values[a]
+                continue
+            if j >= years.size:
+                raise PathwayGap(f"{iso3}: no anchor at or after {t}")
+            ya, yb = years[a], years[j]
+            if yb - ya > MAX_ANCHOR_GAP:
+                raise PathwayGap(f"{iso3}: anchor gap {int(ya)}-{int(yb)} exceeds "
+                                 f"{MAX_ANCHOR_GAP} years")
+            frac = (t - ya) / (yb - ya)
+            out[t - start] = values[a] * (values[j] / values[a]) ** frac
     return GdpPathway(iso3=iso3, scenario_id=scenario_id, start_year=start, values=out)
 
 

@@ -399,6 +399,47 @@ class TestDeterminism:
                 (tmp_path / "j3" / name).read_bytes(), name
 
 
+def tiny_with(tmp_path, name, line, replacement):
+    """A copy of the tiny fixture with one whole ``line`` of ``name`` replaced."""
+    data_dir = tmp_path / "tiny"
+    shutil.copytree(TINY, data_dir)
+    path = data_dir / name
+    text = path.read_text()
+    assert f"\n{line}\n" in text
+    path.write_text(text.replace(f"\n{line}\n", f"\n{replacement}\n"))
+    return data_dir
+
+
+class TestWarningsAsErrors:
+    """A full sweep with every scope and both dumps, serial and forked, under
+    ``-X dev -W error``: the command line that CI smoke-runs."""
+
+    @pytest.mark.parametrize("name,line,replacement,expected", [
+        (None, None, None, (0, "")),
+        # The breakpoint screens overflow in x.x and in their cross products.
+        ("gdp_hist.csv", "AAA,1955,621.63", "AAA,1955,1e200", (0, "")),
+        ("gdp_hist.csv", "AAA,1955,621.63", "AAA,1955,1e307", (0, "")),
+        # A subnormal anchor's growth ratio overflows between anchors.
+        ("gdp_baseline.csv", "AAA,2025,1661.44", "AAA,2025,1e-320",
+         (1, "error: AAA/baseline: pathway values must be positive and finite\n")),
+    ], ids=["tiny", "gdp-1e200", "gdp-1e307", "anchor-1e-320"])
+    def test_sweep_warns_nothing_and_jobs_write_the_same_bytes(self, tmp_path, name, line,
+                                                               replacement, expected):
+        data_dir = TINY if name is None else tiny_with(tmp_path, name, line, replacement)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            code, _, stderr = run_cli(
+                ["--data-dir", str(data_dir), "--out", str(out), "--scenario", "sweep",
+                 "--aggregate", ",".join(SCOPE_KINDS), "--dump-donors", "--dump-ensembles",
+                 "--jobs", jobs],
+                env_extra={"PYTHONWARNINGS": "error", "PYTHONDEVMODE": "1"})
+            assert (code, stderr) == expected
+            outputs.append({p.name: p.read_bytes() for p in out.glob("*")})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == (9 if expected[0] == 0 else 0)
+
+
 def jittered_tiny(seed, data_dir):
     """The tiny fixture with every GDP value and rate scaled by a seeded
     factor in [0.9, 1.1]; mortality stays at most 1."""
@@ -810,12 +851,7 @@ class TestDataErrors:
                                              ("1e-320", {"NegPower", "Division"})])
     def test_tiny_positive_gdp_skips_forms_without_a_finite_design(self, tmp_path, gdp,
                                                                      skipped):
-        data_dir = tmp_path / "tiny"
-        shutil.copytree(TINY, data_dir)
-        hist = data_dir / "gdp_hist.csv"
-        text = hist.read_text()
-        assert "\nAAA,1955,621.63\n" in text
-        hist.write_text(text.replace("\nAAA,1955,621.63\n", f"\nAAA,1955,{gdp}\n"))
+        data_dir = tiny_with(tmp_path, "gdp_hist.csv", "AAA,1955,621.63", f"AAA,1955,{gdp}")
         out = tmp_path / "out"
         code, stdout, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out),
                                         "--dump-ensembles"])
@@ -1100,7 +1136,7 @@ class Unpicklable(Exception):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs forks its workers")
 class TestForkedWorkers:
     """``--jobs`` above 1 forks workers: results come back in country order
-    through spool files, and no worker, pipe or spool outlives a run."""
+    through spool files, and no worker or spool outlives a run."""
 
     @pytest.mark.parametrize("jobs", ["1", "2", "3"])
     def test_first_failing_country_in_order_is_reported(self, tmp_path, jobs):
@@ -1188,7 +1224,7 @@ class TestForkedWorkers:
 
     def test_killed_worker_is_an_internal_error(self, tmp_path, monkeypatch):
         """Workers inherit the patched ``_project_one``: the one that takes BBB
-        kills itself, and the run fails once the others have run out of work."""
+        kills itself, and the run fails once AAA, the country before it, is read."""
         from demotrend import cli
 
         project_one = cli._project_one
@@ -1245,23 +1281,45 @@ class TestForkedWorkers:
         assert not (tmp_path / "out").exists()
         assert_no_child()
 
-    def test_tasks_beyond_one_atomic_write_are_sent_after_forking(self, tmp_path,
-                                                                   monkeypatch):
-        """With room for one index before the fork, the parent writes the rest
-        once workers read; the outputs do not change."""
+    def test_runs_without_pipes(self, tmp_path, monkeypatch):
         from demotrend import cli
 
         expected = {p.name: p.read_bytes() for p in cli.run(tiny_config(tmp_path / "j1", 1))}
-        monkeypatch.setattr(cli.os, "fpathconf", lambda fd, name: cli._TASK.size)
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
         written = cli.run(tiny_config(tmp_path / "j2", 2))
         assert {p.name: p.read_bytes() for p in written} == expected
         assert_no_child()
+
+    def test_worker_stops_after_its_first_failure(self, tmp_path, monkeypatch):
+        """The worker of AAA and CCC fails on AAA and never starts CCC."""
+        from demotrend import cli
+
+        started = tmp_path / "started"
+        project_one = cli._project_one
+
+        def aaa_fails(dataset, scenarios, config, iso3):
+            with open(started, "a") as handle:
+                handle.write(f"{iso3}\n")
+            if iso3 == "AAA":
+                raise cli.SchemaViolation("rates.csv", 0, "AAA fails")
+            return project_one(dataset, scenarios, config, iso3)
+
+        monkeypatch.setattr(cli, "_project_one", aaa_fails)
+        with deadline(30), pytest.raises(cli.SchemaViolation, match="AAA fails"):
+            cli.run(tiny_config(tmp_path / "out", 2))
+        assert_no_child()
+        projected = started.read_text().split()
+        assert "AAA" in projected and "CCC" not in projected
 
     @pytest.mark.parametrize("started", [0, 1])
     def test_failed_worker_start_is_an_internal_error(self, tmp_path, monkeypatch, capsys,
                                                       started):
         """``os.fork`` fails after ``started`` workers: exit 3, not a write
-        failure, and the started worker, pipes and spools are gone."""
+        failure, and the started worker and spools are gone."""
         from demotrend import cli
 
         fork, calls = os.fork, []

@@ -396,9 +396,22 @@ class TestScreenedSearchMatchesExhaustive:
         assert fitted_rows(form, x, rows) == [exhaustive_fit(form, x, y) for y in rows]
 
 
+def traced_peak(call, *args):
+    """The result of ``call(*args)`` and the most memory it held at once, traced."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestBreakpointSearchMemory:
-    """A search screens SCREEN_BLOCK candidates at a time and builds designs
-    only for the candidates it solves, so it never holds a (C, n) array."""
+    """A search screens SCREEN_BLOCK candidates at a time, builds designs only
+    for the candidates it solves and solves them SCREEN_BLOCK at a time, so
+    it never holds a (C, n) array."""
 
     @pytest.mark.parametrize("form", BREAKPOINT_FORMS)
     def test_traced_peak_is_bounded(self, form):
@@ -406,16 +419,22 @@ class TestBreakpointSearchMemory:
         x = rng.permutation(np.geomspace(400.0, 200000.0, 2000))
         rows = 0.01 * (1.0 + x ** -rng.uniform(0.05, 1.0, (8, 1))
                        + rng.normal(0.0, 0.05, (8, x.size)))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            fit_rows(form, x, rows)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(fit_rows, form, x, rows)
         # A (C, n) float array alone is 30.5 MiB here.
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("form", BREAKPOINT_FORMS)
+    def test_constant_rows_solve_every_candidate_in_bounded_memory(self, form):
+        """Every candidate of a constant row screens within SCREEN_RTOL of
+        the best, so all of them are solved: about 2,000 (candidate, row)
+        pairs of 1,000 points, which peak above 75 MiB solved as one stack."""
+        rng = np.random.default_rng(11)
+        x = rng.permutation(np.geomspace(400.0, 90000.0, 1000))
+        rows = np.vstack([np.full(x.size, 0.02), 0.01 + 3.0 / np.sqrt(x),
+                          np.full(x.size, 1.5), 0.3 - 1e-6 * x + rng.normal(0.0, 0.01, x.size)])
+        fitted, peak = traced_peak(fitted_rows, form, x, rows)
+        assert peak < 16 * 2**20
+        assert fitted == [exhaustive_fit(form, x, y) for y in rows]
 
 
 def fitted_rows(form, xs, rows):
