@@ -367,6 +367,8 @@ def _series(first: np.ndarray, years: np.ndarray, values: np.ndarray) -> dict[in
 def _load_countries(rows: _Rows) -> list[CountryRecord]:
     iso3, names, income, region = rows.columns
     rows.check(iso3.isin([""]), "iso3 must be non-empty")
+    rows.check(iso3.isin([t for t in iso3.texts if any(c in t for c in ',"\r\n')]),
+               "iso3 must not hold a comma, double quote, CR or LF, got {!r}", iso3)
     rows.check(_repeats(iso3.codes), "duplicate iso3 {!r}", iso3)
     rows.enum(2)
     rows.enum(3)

@@ -67,7 +67,12 @@ class DegenerateX(DemotrendError):
 
 
 class NonFiniteInput(DemotrendError):
-    """NaN or infinity in numeric input."""
+    """NaN or infinity in numeric input; ``row`` is the first row at fault
+    of an array of criterion values, where the error is about one."""
+
+    def __init__(self, *args, row: int | None = None):
+        super().__init__(*args)
+        self.row = row
 
 
 class DenominatorZero(DemotrendError):

@@ -67,8 +67,8 @@ POWER_REFINE_RTOL = 1e-6
 
 # Candidates screened within this share of y.y of the best exact RSS are re-solved.
 SCREEN_RTOL = 1e-9
-# Breakpoint candidates are screened this many at a time, so a search holds
-# (SCREEN_BLOCK, n) arrays, never a (candidates, n) one.
+# Exponent and knot candidates are screened this many at a time, so a search
+# holds (SCREEN_BLOCK, n) arrays, never a (candidates, n) one.
 SCREEN_BLOCK = 64
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -168,8 +168,9 @@ def evidence_weights(aiccs: np.ndarray) -> np.ndarray:
     as its 1-d copy does only in a C-ordered array.
     """
     aiccs = np.ascontiguousarray(aiccs)
-    if not np.isfinite(aiccs).all():
-        raise NonFiniteInput("criterion values must be finite")
+    finite = np.isfinite(aiccs).all(axis=1)
+    if not finite.all():
+        raise NonFiniteInput("criterion values must be finite", row=int(finite.argmin()))
     rel = np.exp(-(aiccs - aiccs.min(axis=1, keepdims=True)) / 2.0)
     return rel / rel.sum(axis=1, keepdims=True)
 
@@ -197,9 +198,9 @@ def fit_rows(form: ModelForm, xs, ys_rows) -> tuple[np.ndarray, np.ndarray]:
     finite on ``xs`` (Division where 1/x or its sum of squares overflows,
     NegPower where x^-POWER_GRID_HI does) raises ``DegenerateX``, as a
     constant ``xs`` does. The checks and the arrays that depend on x alone
-    are made once, except a breakpoint form's z rows, which are made
-    ``SCREEN_BLOCK`` candidates at a time and again for each candidate
-    solved; each row's result equals that of fitting the row on its own.
+    are made once, except a searched form's z rows (powers or knot columns),
+    which are made ``SCREEN_BLOCK`` candidates at a time and again for each
+    candidate solved; each row's result equals that of fitting it on its own.
     """
     x = np.asarray(xs, dtype=float)
     ys = np.ascontiguousarray(ys_rows, dtype=float)  # each row reduces as a 1-d array
@@ -380,8 +381,7 @@ def _fit_neg_power(x, ys, coef) -> tuple[np.ndarray, np.ndarray]:
     RSS where ``_rss_bounds`` proves its sign, else from solved probes."""
     steps = int(round((POWER_GRID_HI - POWER_GRID_LO) / POWER_GRID_STEP))
     grid = POWER_GRID_LO + np.arange(steps + 1) * POWER_GRID_STEP
-    screens = _screen_rows(x ** -grid[:, None], ys)
-    i, best_coef, best_rss = _exact_minima(screens, ys, lambda i: _power_designs(x, grid[i]))
+    i, best_coef, best_rss = _search(ys, None, lambda i: neg_powers(x, grid[i]), grid.size)
     best_b3 = grid[i]
 
     # Per row still searching: lo, hi, the c and the d probe's exponent, g, e
@@ -438,75 +438,58 @@ def _breakpoint_candidates(x: np.ndarray) -> np.ndarray:
 
 
 def _fit_breakpoint(form, x, ys, coef) -> tuple[np.ndarray, np.ndarray]:
-    """Screen the candidates ``SCREEN_BLOCK`` at a time, then solve those that
-    can win; a design's z column is made only for the candidates solved."""
-    n = x.size
+    """``_search`` over the knots, each knot's z column [x - c]+, min(x, c)
+    or max(x, c) beside [1, x] (LinearSpline) or [1]."""
     candidates = _breakpoint_candidates(x)
     if candidates.size == 0:
         raise DegenerateX("no interior breakpoint candidates")
     knot_column = _KNOT_COLUMNS[form]
-    ones = np.ones(n)
-    if form is ModelForm.LINEAR_SPLINE:
-        basis, partial = np.column_stack([ones, x]), x
-    else:
-        basis, partial = ones[:, None], None
-
-    def designs(i: np.ndarray) -> np.ndarray:
-        a = np.empty((i.size, n, basis.shape[1] + 1))
-        a[:, :, :-1] = basis
-        a[:, :, -1] = knot_column(x, candidates[i, None])
-        return a
-
-    # A screen that overflows rules nothing out (see _exact_minima): no warning.
-    with np.errstate(all="ignore"):
-        y_side = _screen_y_side(ys, partial)
-        screened = np.concatenate([
-            _screen_block(knot_column(x, candidates[start:start + SCREEN_BLOCK, None]), *y_side)
-            for start in range(0, candidates.size, SCREEN_BLOCK)])
-    best, solved, rss = _exact_minima(screened, ys, designs)
+    spline = form is ModelForm.LINEAR_SPLINE
+    best, solved, rss = _search(ys, x if spline else None,
+                                lambda i: knot_column(x, candidates[i, None]), candidates.size)
     coef[:, :2] = solved[:, :2]
-    if form is ModelForm.LINEAR_SPLINE:
+    if spline:
         coef[:, 2] = solved[:, 1] + solved[:, 2]
     coef[:, 3] = candidates[best]
     return coef, rss
 
 
-def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form RSS of regressing each row y_s of ``ys`` on [1, z_c], or on
-    [1, x, z_c] given ``x``, for every row z_c of ``z``: a ``(C, S)`` array.
+def _search(ys: np.ndarray, partial: np.ndarray | None, columns,
+            count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_exact_minima`` over ``count`` candidates: candidate i's design is
+    [1, z_i], or [1, partial, z_i] given ``partial``, and ``columns(i)``
+    gives the z rows ``(len(i), n)`` of the candidate indices ``i``.
 
-    Centring removes the intercept; ``x`` is partialled out of every y_s and
-    z_c (Frisch-Waugh-Lovell). A z_c with no variation left explains
-    nothing, so its RSS is that of the basis alone. The ``(C, S)`` cross
-    products are one BLAS matrix product. Its summation order is BLAS's, so
-    a screen may differ from a per-pair sum in rounding, far inside
-    ``SCREEN_RTOL``; ``_exact_minima`` re-solves every candidate that could win.
-    A block of the z rows screened on its own may round differently again.
+    The screen is the closed-form RSS of each y_s on each design: centring
+    removes the intercept and ``partial`` is partialled out of every y_s and
+    z_i (Frisch-Waugh-Lovell); a z_i with no variation left explains
+    nothing. The y side is made once, the z rows ``SCREEN_BLOCK`` at a time
+    (and again for each candidate solved), so no ``(count, n)`` array is
+    held. A block's cross products are one BLAS matrix product, whose
+    rounding may differ from a per-pair sum far inside ``SCREEN_RTOL``. A
+    screen that overflows rules nothing out (see ``_exact_minima``): no warning.
     """
-    return _screen_block(z, *_screen_y_side(ys, x))
+    n = ys.shape[1]
+    basis = np.ones((n, 1)) if partial is None else np.column_stack([np.ones(n), partial])
+    screened = []
+    with np.errstate(all="ignore"):
+        dx = None if partial is None else partial - partial.mean()
+        ry = _residuals(ys, dx)
+        syy = np.einsum("ij,ij->i", ry, ry)
+        for start in range(0, count, SCREEN_BLOCK):
+            rz = _residuals(columns(np.arange(start, min(start + SCREEN_BLOCK, count))), dx)
+            szz = np.einsum("ij,ij->i", rz, rz)[:, None]
+            szy = rz @ ry.T
+            screened.append(
+                syy - np.divide(szy * szy, szz, out=np.zeros_like(szy), where=szz > 0.0))
+    return _exact_minima(np.concatenate(screened), ys, lambda i: np.concatenate(
+        [np.broadcast_to(basis, (i.size, *basis.shape)), columns(i)[:, :, None]], axis=2))
 
 
-def _screen_y_side(ys: np.ndarray, x: np.ndarray | None):
-    """The part of ``_screen_rows`` that depends on ``ys`` and ``x`` alone:
-    the centred rows of ``ys`` with ``x`` partialled out, their sums of
-    squares, and the centred ``x`` and its sum of squares (None without x)."""
-    ry = ys - ys.mean(axis=1, keepdims=True)
-    dx = sxx = None
-    if x is not None:
-        dx = x - x.mean()
-        sxx = dx @ dx
-        ry = ry - np.outer(ry @ dx / sxx, dx)
-    return ry, np.einsum("ij,ij->i", ry, ry), dx, sxx
-
-
-def _screen_block(z, ry, syy, dx, sxx) -> np.ndarray:
-    """``_screen_rows`` of the z rows ``z`` given ``_screen_y_side``'s arrays."""
-    rz = z - z.mean(axis=1, keepdims=True)
-    if dx is not None:
-        rz = rz - np.outer(rz @ dx / sxx, dx)
-    szz = np.einsum("ij,ij->i", rz, rz)[:, None]
-    szy = rz @ ry.T
-    return syy - np.divide(szy * szy, szz, out=np.zeros_like(szy), where=szz > 0.0)
+def _residuals(a: np.ndarray, dx: np.ndarray | None) -> np.ndarray:
+    """The rows of ``a`` centred, less their projection on ``dx`` (centred)."""
+    a = a - a.mean(axis=1, keepdims=True)
+    return a if dx is None else a - np.outer(a @ dx / (dx @ dx), dx)
 
 
 def _exact_minima(screened: np.ndarray, ys: np.ndarray,

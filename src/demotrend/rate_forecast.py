@@ -17,7 +17,7 @@ import numpy as np
 from .augmentation import build_augmented_series
 from .core import AGE_BANDS, FERTILE_BANDS, SEX_COLUMNS, Record, Sex, Variable
 from .data_ingest import Dataset
-from .errors import DegenerateX, InsufficientData, NonPositiveGdp, NoWeightData
+from .errors import DegenerateX, InsufficientData, NonFiniteInput, NonPositiveGdp, NoWeightData
 from .models import (
     COEF_FIELDS,
     FORM_ORDER,
@@ -287,9 +287,16 @@ def build_country_ensembles(dataset: Dataset, iso3: str, donors,
     for group in groups.values():
         keys, members = zip(*group)
         order.extend(keys)
-        tables.append(build_ensembles(
-            members[0].fit_gdp, [s.fit_rate for s in members],
-            members[0].weight_gdp, [s.weight_rate for s in members]))
+        try:
+            tables.append(build_ensembles(
+                members[0].fit_gdp, [s.fit_rate for s in members],
+                members[0].weight_gdp, [s.weight_rate for s in members]))
+        except NonFiniteInput as exc:
+            if exc.row is None:
+                raise
+            variable, band, sex = keys[exc.row]
+            sex = Sex.FEMALE if sex is None else sex
+            raise NonFiniteInput(f"{iso3}: {variable.value} {band} {sex.value}: {exc}") from None
     row = {key: i for i, key in enumerate(order)}
     cache[(iso3, donors)] = CountryEnsembles(
         table=EnsembleTable.concat(tables),

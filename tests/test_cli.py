@@ -845,6 +845,18 @@ class TestDataErrors:
         assert code == 1, stderr
         assert "gdp_hist.csv:" in stderr and "year must lie in 1000-9999" in stderr
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_finite_criterion_names_its_country_and_series(self, tmp_path, jobs):
+        """A fertility rate of 1e200 gives its series an infinite RSS on the
+        target's own observations, so no member has a finite criterion."""
+        data_dir = tiny_with(tmp_path, "rates.csv", "AAA,1950,Fertility,20-24,Female,0.291836",
+                             "AAA,1950,Fertility,20-24,Female,1e200")
+        code, stdout, stderr = run_cli(["--data-dir", str(data_dir), "--out",
+                                        str(tmp_path / "out"), "--jobs", jobs])
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines()[-1] == (
+            "error: AAA: Fertility 20-24 Female: criterion values must be finite")
+
     # A GDP of 1e-100 makes x^-5 overflow, and 1e-320 makes 1/x overflow too:
     # NegPower, and then Division, have no finite design and are skipped.
     @pytest.mark.parametrize("gdp,skipped", [("1e-100", {"NegPower"}),

@@ -317,6 +317,17 @@ class TestErrorLocation:
         assert (error.file, error.line, error.reason) == (file, line, reason)
         assert str(error) == f"{file}:{line}: {reason}"
 
+    @pytest.mark.parametrize("iso3", ["A,A", 'A"A', "A\rA", "A\nA"])
+    def test_iso3_that_would_break_an_output_csv(self, tmp_path, iso3):
+        """An iso3 is written unquoted into every output CSV."""
+        quoted = '"' + iso3.replace('"', '""') + '"'
+        error = load_error(tmp_path, lambda rows: rows["countries.csv"].append(
+            f"{quoted},Bet,Low,SouthAsia"))
+        assert type(error) is SchemaViolation
+        assert (error.file, error.line) == ("countries.csv", 3 + ("\r" in iso3 or "\n" in iso3))
+        assert error.reason == ("iso3 must not hold a comma, double quote, CR or LF, "
+                                f"got {iso3!r}")
+
     @pytest.mark.parametrize("value,kind,reason", [
         ("0", NonPositiveGdp, "gdp_pc must be positive, got 0.0"),
         ("-5", NonPositiveGdp, "gdp_pc must be positive, got -5.0"),

@@ -1,8 +1,10 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +43,6 @@ from demotrend.models import (
     _breakpoint_candidates,
     _exact_minima,
     _power_designs,
-    _screen_rows,
     _solve_stack,
 )
 from demotrend.rate_forecast import EnsembleTable
@@ -118,6 +119,11 @@ class TestAkaikeWeights:
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             akaike_weights([1.0, math.inf])
+
+    def test_non_finite_names_its_first_row(self):
+        with pytest.raises(NonFiniteInput) as err:
+            models.evidence_weights(np.array([[1.0, 2.0], [1.0, math.nan], [math.inf, 0.0]]))
+        assert err.value.row == pickle.loads(pickle.dumps(err.value)).row == 1
 
 
 class TestLinearFamilies:
@@ -579,6 +585,30 @@ class TestLockstepGoldenSection:
             assert fitted[name] == fit(ModelForm.NEG_POWER, self.X, y), name
 
 
+def _screen_rows(z: np.ndarray, ys: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form RSS of regressing each row y_s of ``ys`` on [1, z_c], or on
+    [1, x, z_c] given ``x``, for every row z_c of ``z``: a ``(C, S)`` array.
+
+    Centring removes the intercept; ``x`` is partialled out of every y_s and
+    z_c (Frisch-Waugh-Lovell). A z_c with no variation left explains
+    nothing, so its RSS is that of the basis alone. The ``(C, S)`` cross
+    products are one BLAS matrix product. Its summation order is BLAS's, so
+    a screen may differ from a per-pair sum in rounding, far inside
+    ``SCREEN_RTOL``; ``_exact_minima`` re-solves every candidate that could win.
+    """
+    ry = ys - ys.mean(axis=1, keepdims=True)
+    rz = z - z.mean(axis=1, keepdims=True)
+    if x is not None:
+        dx = x - x.mean()
+        sxx = dx @ dx
+        ry = ry - np.outer(ry @ dx / sxx, dx)
+        rz = rz - np.outer(rz @ dx / sxx, dx)
+    szz = np.einsum("ij,ij->i", rz, rz)[:, None]
+    szy = rz @ ry.T
+    syy = np.einsum("ij,ij->i", ry, ry)
+    return syy - np.divide(szy * szy, szz, out=np.zeros_like(szy), where=szz > 0.0)
+
+
 def solved_fit_neg_power(x, ys, coef):
     """``models._fit_neg_power`` as it was when every golden-section probe was
     solved with ``_solve_stack``, verbatim: the oracle of the certified steps."""
@@ -660,6 +690,22 @@ class TestCertifiedGoldenSection:
         coef, rss = solved_fit_neg_power(x, ys, np.full((len(ys), 4), np.nan))
         assert np.array_equal(got_coef, coef, equal_nan=True)
         assert np.array_equal(got_rss, rss)
+
+    def test_grid_screen_that_overflows_warns_nothing(self):
+        """Rows near 1e150 over x in [1e-3, 1e3]: the screen's cross products
+        of y with x^-5 overflow, which rules no exponent out."""
+        x = np.geomspace(1e-3, 1e3, 40)
+        rng = np.random.default_rng(3)
+        ys = 1e150 * (1.0 + 0.01 * x ** -np.array([[0.3], [0.8]])
+                      + rng.normal(0.0, 0.001, (2, x.size)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coef, rss = fit_rows(ModelForm.NEG_POWER, x, ys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = solved_fit_neg_power(x, ys, np.full((len(ys), 4), np.nan))
+        assert np.array_equal(coef, expected[0], equal_nan=True)
+        assert np.array_equal(rss, expected[1])
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())

@@ -493,6 +493,7 @@ ERROR_ARGS = {
     errors.NonPositiveGdp: [(), ("bad",), ("bad", "gdp_hist.csv", 7)],
     errors.InsufficientData: [(3, 2)],
     errors.DenominatorZero: [(3, 2)],
+    errors.NonFiniteInput: [("some message",), ()],
 }
 
 
