@@ -237,14 +237,6 @@ def fit_rows(form: ModelForm, xs, ys_rows) -> tuple[np.ndarray, np.ndarray]:
     return _fit_breakpoint(form, x, ys, coef)
 
 
-def predict(fit_result: FitResult, x: float) -> float:
-    """Evaluate a fitted curve at one GDP value, clamped below at zero."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise NonPositiveX(f"prediction requires positive finite GDP, got {x}")
-    value = float(raw_prediction(fit_result, [x])[0])
-    return value if value > 0.0 else 0.0
-
-
 def raw_prediction(fit_result: FitResult, xs) -> np.ndarray:
     """Unclamped model values of one fit at the GDP values ``xs`` (1-d): the
     fit's coefficient row through ``predict_rows``."""

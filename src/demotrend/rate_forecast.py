@@ -179,16 +179,6 @@ class CountryEnsembles(Record, frozen=True, eq=False):
                 for sex, row in zip(SEX_COLUMNS, pair)}
 
 
-def build_ensemble(fit_points, weight_points) -> RateEnsemble:
-    """Ensemble of one series; see ``build_ensembles``.
-
-    ``fit_points`` and ``weight_points`` are sequences of (gdp, rate) pairs.
-    """
-    fp = np.asarray(fit_points, dtype=float).reshape(-1, 2)
-    wp = np.asarray(weight_points, dtype=float).reshape(-1, 2)
-    return build_ensembles(fp[:, 0], [fp[:, 1]], wp[:, 0], [wp[:, 1]]).ensemble(0)
-
-
 def build_ensembles(fit_x, fit_rates, weight_x, weight_rates) -> EnsembleTable:
     """Fit all admissible forms and weight them by corrected-criterion evidence,
     for each of several rate series that share one GDP sample.
@@ -216,23 +206,26 @@ def build_ensembles(fit_x, fit_rates, weight_x, weight_rates) -> EnsembleTable:
     shape = (len(wys), len(FORM_ORDER))
     member, coef = np.zeros(shape, dtype=bool), np.full((*shape, 4), np.nan)
     weight, sigma, aicc = np.zeros(shape), np.full(shape, np.nan), np.full(shape, np.nan)
-    for j, form in enumerate(FORM_ORDER):
-        if n_w <= PARAM_COUNT[form] + 1:
-            continue  # criterion undefined on the scoring sample
-        try:
-            coef[:, j], _ = fit_rows(form, fx, fys)
-        except (InsufficientData, DegenerateX):
-            continue
-        member[:, j] = True
-        sigma[:, j], aicc[:, j] = scores(sumsq(wys - predict_rows(form, coef[:, j], wx)),
-                                         n_w, PARAM_COUNT[form])
-    cols = np.flatnonzero(member.any(axis=0))
-    if cols.size == 0:
-        coef[:, 0, 0] = fys.mean(axis=1)
-        rss_w = np.square(wys - coef[:, 0, :1]).sum(axis=1)
-        member[:, 0], aicc[:, 0] = True, math.inf
-        sigma[:, 0] = np.sqrt(np.maximum(rss_w, RSS_FLOOR) / n_w)
-        cols = [0]
+    # A rate near the float range gives an RSS of inf, which the criterion
+    # check reports as a data error: the overflow is not also a warning.
+    with np.errstate(over="ignore"):
+        for j, form in enumerate(FORM_ORDER):
+            if n_w <= PARAM_COUNT[form] + 1:
+                continue  # criterion undefined on the scoring sample
+            try:
+                coef[:, j], _ = fit_rows(form, fx, fys)
+            except (InsufficientData, DegenerateX):
+                continue
+            member[:, j] = True
+            sigma[:, j], aicc[:, j] = scores(sumsq(wys - predict_rows(form, coef[:, j], wx)),
+                                             n_w, PARAM_COUNT[form])
+        cols = np.flatnonzero(member.any(axis=0))
+        if cols.size == 0:
+            coef[:, 0, 0] = fys.mean(axis=1)
+            rss_w = np.square(wys - coef[:, 0, :1]).sum(axis=1)
+            member[:, 0], aicc[:, 0] = True, math.inf
+            sigma[:, 0] = np.sqrt(np.maximum(rss_w, RSS_FLOOR) / n_w)
+            cols = [0]
     weight[:, cols] = 1.0 if len(cols) == 1 else evidence_weights(aicc[:, cols])
     return EnsembleTable(member, coef, weight, sigma, aicc, np.full(len(wys), n_w))
 

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seed_oracle
+from demotrend import cli
 from demotrend.data_ingest import load_dataset
-from demotrend.models import FitResult, ModelForm
+from demotrend.models import FORM_ORDER
+from demotrend.rate_forecast import EnsembleTable
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -50,6 +53,38 @@ def tiny_dataset():
     return load_dataset(TINY)
 
 
+@pytest.fixture(scope="session")
+def synth_dir(tmp_path_factory) -> Path:
+    """The benchmark's synth-mixed shape at four ladder countries: sexed and
+    Both-only mortality, donor sets that change with m, seed 0."""
+    synth = seed_oracle.load("perfbench_synth", seed_oracle.PERFBENCH / "synth.py")
+    return synth.write_dataset(tmp_path_factory.mktemp("synth") / "data",
+                               synth.ladder_countries(4), "mixed", 0)
+
+
+def recorded_run(data_dir, out_dir):
+    """An in-process ``sweep:0:2:1`` run: each country's totals (S, T+1), and
+    the ensembles of each distinct (iso3, donors) that it builds."""
+    totals, ensembles = {}, {}
+    project_one, build = cli._project_one, cli.build_country_ensembles
+
+    def recording_project(*args):
+        result = project_one(*args)
+        totals[result[0]] = result[1]
+        return result
+
+    def recording_build(dataset, iso3, donors, cache=None):
+        built = ensembles[(iso3, tuple(donors))] = build(dataset, iso3, donors, cache)
+        return built
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_project_one", recording_project)
+        patch.setattr(cli, "build_country_ensembles", recording_build)
+        cli.run(cli.RunConfig(data_dir=str(data_dir), out_dir=str(out_dir),
+                              scenario="sweep:0:2:1", out_format="csv"))
+    return totals, ensembles
+
+
 FERTILE_BANDS = AGE_BANDS[3:9]
 
 
@@ -85,29 +120,18 @@ def write_rows(tmp_path: Path, rows: dict[str, list[str]]) -> Path:
     return data_dir
 
 
-def oracle_prediction(fit_result: FitResult, xs) -> np.ndarray:
-    """Unclamped model values of one fit; the one-row oracle of ``predict_rows``."""
-    x = np.asarray(xs, dtype=float)
-    f = fit_result
-    if f.form is ModelForm.NULL:
-        return np.full_like(x, f.ybar)
-    if f.form is ModelForm.LINEAR:
-        return f.beta1 + f.beta2 * x
-    if f.form is ModelForm.DIVISION:
-        return f.beta1 + f.beta2 / x
-    if f.form is ModelForm.NEG_LOG:
-        return f.beta1 + f.beta2 * np.log(x)
-    if f.form is ModelForm.NEG_POWER:
-        return f.beta1 + f.beta2 * x ** (-f.beta3)
-    c = f.breakpoint_x1
-    if f.form is ModelForm.LINEAR_SPLINE:
-        return (f.beta1 + f.beta2 * np.minimum(x, c)
-                + f.slope_right * np.maximum(x - c, 0.0))
-    if f.form is ModelForm.RIGHT_HINGE:
-        return f.beta1 + f.beta2 * np.minimum(x, c)
-    if f.form is ModelForm.LEFT_HINGE:
-        return f.beta1 + f.beta2 * np.maximum(x, c)
-    raise ValueError(f"unknown form {f.form}")
+def table_of(forms, coefs):
+    """Row i is an ensemble of ``forms[i]`` alone, weight 1; every form of
+    ``forms`` has row i's coefficients ``coefs[i]``, in the ensemble or not."""
+    shape = (len(forms), len(FORM_ORDER))
+    member, coef, weight = np.zeros(shape, dtype=bool), np.full((*shape, 4), np.nan), np.zeros(shape)
+    for row, form in enumerate(forms):
+        member[row, FORM_ORDER.index(form)] = True
+        for other in forms:
+            coef[row, FORM_ORDER.index(other)] = coefs[row]
+    weight[member] = 1.0
+    return EnsembleTable(member=member, coef=coef, weight=weight, sigma=np.ones(shape),
+                         aicc=np.zeros(shape), n_fit=np.full(len(forms), 10))
 
 
 def scalar_forecast(ensemble, gdp, fertility, cap_gdp):
@@ -121,7 +145,7 @@ def scalar_forecast(ensemble, gdp, fertility, cap_gdp):
         x = min(float(g), cap_gdp) if fertility else float(g)
         total = 0.0
         for member, weight in zip(ensemble.members, ensemble.weights):
-            value = float(oracle_prediction(member, [x])[0])
+            value = float(seed_oracle.raw_prediction(member, [x])[0])
             total += weight * (value if value > 0.0 else 0.0)
         out.append(total)
     return out

@@ -848,14 +848,19 @@ class TestDataErrors:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_non_finite_criterion_names_its_country_and_series(self, tmp_path, jobs):
         """A fertility rate of 1e200 gives its series an infinite RSS on the
-        target's own observations, so no member has a finite criterion."""
-        data_dir = tiny_with(tmp_path, "rates.csv", "AAA,1950,Fertility,20-24,Female,0.291836",
-                             "AAA,1950,Fertility,20-24,Female,1e200")
-        code, stdout, stderr = run_cli(["--data-dir", str(data_dir), "--out",
-                                        str(tmp_path / "out"), "--jobs", jobs])
-        assert (code, stdout) == (1, "")
-        assert stderr.splitlines()[-1] == (
-            "error: AAA: Fertility 20-24 Female: criterion values must be finite")
+        target's own observations, so no member has a finite criterion. The
+        RSS overflows in fitting and in scoring without a warning. 15-19 is
+        row 0 of its fitted group and 20-24 row 1: the error names the failing
+        row's own series."""
+        for band, rate in [("15-19", "0.077"), ("20-24", "0.291836")]:
+            data_dir = tiny_with(tmp_path / band, "rates.csv",
+                                 f"AAA,1950,Fertility,{band},Female,{rate}",
+                                 f"AAA,1950,Fertility,{band},Female,1e200")
+            code, stdout, stderr = run_cli(
+                ["--data-dir", str(data_dir), "--out", str(tmp_path / band / "out"),
+                 "--jobs", jobs], env_extra={"PYTHONWARNINGS": "error", "PYTHONDEVMODE": "1"})
+            assert (code, stdout, stderr) == (
+                1, "", f"error: AAA: Fertility {band} Female: criterion values must be finite\n")
 
     # A GDP of 1e-100 makes x^-5 overflow, and 1e-320 makes 1/x overflow too:
     # NegPower, and then Division, have no finite design and are skipped.

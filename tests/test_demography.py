@@ -1,3 +1,4 @@
+import shutil
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from demotrend.scenarios import (
     multiplier_pathway,
 )
 
-from conftest import scalar_forecast
+from conftest import recorded_run, scalar_forecast
 
 N = len(AGE_BANDS)
 
@@ -658,3 +659,23 @@ class TestNonFiniteProjection:
         totals = project_totals(flat_state(), np.full((1, 3, 6), 0.1),
                                 np.full((1, 3, N, 2), 0.01), srb=1e100)
         assert np.isfinite(totals).all()
+
+
+class TestScaleInvariant:
+    """Doubling every base count doubles every projected total exactly: the
+    projection is linear in counts and x2 is exact in binary floating point."""
+
+    @pytest.mark.parametrize("data", ["tiny", "synth"])
+    def test_doubled_base_doubles_totals(self, data, tiny_dir, synth_dir, tmp_path):
+        data_dir = tiny_dir if data == "tiny" else synth_dir
+        doubled = tmp_path / "doubled"
+        shutil.copytree(data_dir, doubled)
+        header, *rows = (doubled / "base_pop.csv").read_text(encoding="utf-8").splitlines()
+        rows = [f"{cells},{2.0 * float(count)!r}"
+                for cells, _, count in (row.rpartition(",") for row in rows)]
+        (doubled / "base_pop.csv").write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+        totals, _ = recorded_run(data_dir, tmp_path / "once")
+        twice, _ = recorded_run(doubled, tmp_path / "twice")
+        assert twice.keys() == totals.keys() and len(totals) > 1
+        for iso3, series in totals.items():
+            assert series.shape == (3, 86) and np.array_equal(twice[iso3], 2.0 * series), iso3

@@ -15,21 +15,24 @@ from demotrend.errors import NonPositiveGdp, NoWeightData
 from demotrend.models import COEF_FIELDS, FORM_ORDER, ModelForm, PARAM_COUNT, aicc
 from demotrend.rate_forecast import (
     CapPolicy,
-    EnsembleTable,
     build_country_ensembles,
-    build_ensemble,
     build_ensembles,
     forecast_rate,
 )
 
-from conftest import TINY, oracle_prediction, scalar_forecast
+import seed_oracle
+from conftest import TINY, recorded_run, scalar_forecast, table_of
 
 # Long wiggly sample: every candidate form is admissible (n = 14 > 5 + 1).
 GDP = np.array([400.0, 550.0, 700.0, 900.0, 1150.0, 1400.0, 1700.0, 2100.0,
                 2600.0, 3200.0, 3900.0, 4700.0, 5600.0, 6600.0])
 RATE = np.array([0.242, 0.231, 0.204, 0.198, 0.172, 0.169, 0.152, 0.148,
                  0.133, 0.131, 0.120, 0.121, 0.112, 0.114])
-POINTS = np.column_stack([GDP, RATE])
+
+
+def one_series(fit_x, fit_rate, weight_x, weight_rate):
+    """The ensemble of one series, built on its own."""
+    return build_ensembles(fit_x, [fit_rate], weight_x, [weight_rate]).ensemble(0)
 
 
 class TestCapPolicy:
@@ -44,25 +47,24 @@ class TestCapPolicy:
 
 class TestBuildEnsemble:
     def test_all_forms_join_on_rich_sample(self):
-        ensemble = build_ensemble(POINTS, POINTS)
+        ensemble = one_series(GDP, RATE, GDP, RATE)
         assert [m.form for m in ensemble.members] == list(FORM_ORDER)
         assert sum(ensemble.weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_weights_match_criterion_values(self):
         from demotrend.models import akaike_weights
 
-        ensemble = build_ensemble(POINTS, POINTS)
+        ensemble = one_series(GDP, RATE, GDP, RATE)
         expected = akaike_weights([m.aicc for m in ensemble.members])
         assert list(ensemble.weights) == pytest.approx(expected, abs=1e-12)
 
     def test_rescoring_uses_target_points_only(self):
         """Member criterion must reflect target residuals, not the fit sample."""
-        donor = np.column_stack([GDP * 3.0, RATE * 0.5])
-        fit_points = np.vstack([POINTS, donor])
-        ensemble = build_ensemble(fit_points, POINTS)
-        n_w = POINTS.shape[0]
+        ensemble = one_series(np.concatenate([GDP, GDP * 3.0]),
+                              np.concatenate([RATE, RATE * 0.5]), GDP, RATE)
+        n_w = GDP.size
         for member in ensemble.members:
-            resid = RATE - oracle_prediction(member, GDP)
+            resid = RATE - seed_oracle.raw_prediction(member, GDP)
             rss = float(resid @ resid)
             assert member.aicc == pytest.approx(
                 aicc(rss, n_w, member.k_params), rel=1e-12)
@@ -72,44 +74,39 @@ class TestBuildEnsemble:
 
     def test_small_scoring_sample_drops_big_forms(self):
         # 5 scoring points: forms with k >= 4 have n <= k+1 -> excluded
-        small = POINTS[:5]
-        ensemble = build_ensemble(POINTS, small)
+        ensemble = one_series(GDP, RATE, GDP[:5], RATE[:5])
         forms = {m.form for m in ensemble.members}
         assert ModelForm.NULL in forms and ModelForm.LINEAR in forms
         assert all(PARAM_COUNT[m.form] + 1 < 5 for m in ensemble.members)
 
     def test_two_point_sample_falls_back_to_null(self):
-        tiny = POINTS[:2]
-        ensemble = build_ensemble(tiny, tiny)
+        ensemble = one_series(GDP[:2], RATE[:2], GDP[:2], RATE[:2])
         (member,) = ensemble.members
         assert member.form is ModelForm.NULL
         assert ensemble.weights == (1.0,)
         assert member.aicc == math.inf
-        assert member.ybar == pytest.approx(tiny[:, 1].mean())
+        assert member.ybar == pytest.approx(RATE[:2].mean())
 
     def test_empty_weight_points_rejected(self):
         with pytest.raises(NoWeightData):
-            build_ensemble(POINTS, np.empty((0, 2)))
+            one_series(GDP, RATE, [], [])
 
     def test_deterministic(self):
-        a = build_ensemble(POINTS, POINTS)
-        b = build_ensemble(POINTS, POINTS)
+        a = one_series(GDP, RATE, GDP, RATE)
+        b = one_series(GDP, RATE, GDP, RATE)
         assert a.members == b.members
         assert a.weights == b.weights
 
 
 class TestForecastRate:
     def setup_method(self):
-        self.ensemble = build_ensemble(POINTS, POINTS)
+        self.ensemble = one_series(GDP, RATE, GDP, RATE)
         self.cap = CapPolicy()
 
     def test_weighted_average_of_members(self):
-        from demotrend.models import predict
-
         got = forecast_rate(self.ensemble, 1000.0, Variable.MORTALITY, self.cap)
-        expected = sum(w * predict(m, 1000.0)
-                       for m, w in zip(self.ensemble.members, self.ensemble.weights))
-        assert got == pytest.approx(expected, rel=1e-12)
+        expected = scalar_forecast(self.ensemble, [1000.0], False, self.cap.fertility_cap_gdp)
+        assert got == pytest.approx(expected[0], rel=1e-12)
 
     def test_forecast_never_negative(self):
         for gdp in (1.0, 10.0, 1e4, 1e6, 1e9):
@@ -174,7 +171,7 @@ class TestForecastPathway:
     def test_pathway_covers_cap_and_negative_members(self, countries):
         cap = CapPolicy().fertility_cap_gdp
         assert self.GDP.min() < cap < self.GDP.max()
-        assert any((oracle_prediction(m, self.GDP) < 0.0).any()
+        assert any((seed_oracle.raw_prediction(m, self.GDP) < 0.0).any()
                    for built in countries
                    for ensemble in [*built.fertility.values(), *built.mortality.values()]
                    for m in ensemble.members)
@@ -190,20 +187,6 @@ class TestForecastPathway:
         gdp[40] = bad
         with pytest.raises(NonPositiveGdp):
             forecast_rates(countries[0], gdp, CapPolicy())
-
-
-def table_of(forms, coefs):
-    """Row i is an ensemble of ``forms[i]`` alone, weight 1; every form of
-    ``forms`` has row i's coefficients ``coefs[i]``, in the ensemble or not."""
-    shape = (len(forms), len(FORM_ORDER))
-    member, coef, weight = np.zeros(shape, dtype=bool), np.full((*shape, 4), np.nan), np.zeros(shape)
-    for row, form in enumerate(forms):
-        member[row, FORM_ORDER.index(form)] = True
-        for other in forms:
-            coef[row, FORM_ORDER.index(other)] = coefs[row]
-    weight[member] = 1.0
-    return EnsembleTable(member=member, coef=coef, weight=weight, sigma=np.ones(shape),
-                         aicc=np.zeros(shape), n_fit=np.full(len(forms), 10))
 
 
 class TestTableForecast:
@@ -225,7 +208,7 @@ class TestTableForecast:
 
     def test_unit_exponent_equals_scalar_forecast(self):
         # At these x, x ** -1.0 with an array exponent differs in the last
-        # bit from the scalar exponent that oracle_prediction uses.
+        # bit from the scalar exponent that the seed's raw_prediction uses.
         x = np.array([2.2, 5.1, 15.3])
         table = table_of([ModelForm.NEG_POWER] * 3, [[0.0, 1.0, 1.0, math.nan],
                                                      [2.0, 7.0, 1.0, math.nan],
@@ -352,24 +335,20 @@ class TestSharedSexFits:
         for band in ("5-9", "60-64"):
             series = build_augmented_series("AAA", ["BBB"], Variable.MORTALITY, band,
                                             mixed_dataset, sex=sex)
-            per_sex = build_ensemble(np.column_stack([series.fit_gdp, series.fit_rate]),
-                                     np.column_stack([series.weight_gdp, series.weight_rate]))
+            per_sex = one_series(series.fit_gdp, series.fit_rate,
+                                 series.weight_gdp, series.weight_rate)
             assert built.mortality[(band, sex)] == per_sex
 
 
-def one_series_ensemble(dataset, iso3, donors, variable, band, sex):
-    series = build_augmented_series(iso3, donors, variable, band, dataset, sex=sex)
-    return build_ensemble(np.column_stack([series.fit_gdp, series.fit_rate]),
-                          np.column_stack([series.weight_gdp, series.weight_rate]))
-
-
-def assert_built_per_series(dataset, iso3, donors, built):
-    for band in FERTILE_BANDS:
-        assert built.fertility[band] == one_series_ensemble(
-            dataset, iso3, donors, Variable.FERTILITY, band, None)
-    for (band, sex), ensemble in built.mortality.items():  # Both rows only
-        assert ensemble == one_series_ensemble(
-            dataset, iso3, donors, Variable.MORTALITY, band, Sex.BOTH)
+def assert_equal_to_the_seed(data_dir, built: dict):
+    """The ensembles of each (iso3, donors) of ``built`` equal the frozen
+    seed's one-series builds on ``data_dir``: each member's form,
+    coefficients, sigma and criterion value, and each weight, with ``==``."""
+    dataset, cache = seed_oracle.load_dataset(data_dir), {}
+    for (iso3, donors), ensembles in built.items():
+        seed = seed_oracle.build_country_ensembles(dataset, iso3, donors, cache)
+        for ours, theirs in zip((ensembles.fertility, ensembles.mortality), seed):
+            assert {key: (e.members, e.weights) for key, e in ours.items()} == theirs, iso3
 
 
 def assert_rows_equal_one_series_builds(fit_x, fit_rates, weight_x, weight_rates):
@@ -379,7 +358,7 @@ def assert_rows_equal_one_series_builds(fit_x, fit_rates, weight_x, weight_rates
     gdp = np.geomspace(50.0, 2e5, 40)
     got = table.forecast(gdp)
     for row, (fy, wy) in enumerate(zip(fit_rates, weight_rates)):
-        one = build_ensemble(np.column_stack([fit_x, fy]), np.column_stack([weight_x, wy]))
+        one = one_series(fit_x, fy, weight_x, wy)
         assert table.ensemble(row) == one
         assert np.array_equal(got[row], scalar_forecast(one, gdp, False, 3e4))
     return table
@@ -444,14 +423,13 @@ class TestBuildEnsembles:
         monkeypatch.setattr(rate_forecast, "build_ensembles", counting)
         built = build_country_ensembles(dataset, "AAA", ["BBB"])
         assert sorted(groups) == [1, 1, 1, 1, len(FERTILE_BANDS) - 4 + len(AGE_BANDS)]
-        assert_built_per_series(dataset, "AAA", ["BBB"], built)
+        assert_equal_to_the_seed(data, {("AAA", ("BBB",)): built})
 
     def test_warm_cache_holding_part_of_the_keys(self, tiny_dataset):
         donor_sets = [("AAA", ["BBB"]), ("AAA", []), ("BBB", [])]
         cold: dict = {}
         expected = [build_country_ensembles(tiny_dataset, iso3, donors, cache=cold)
                     for iso3, donors in donor_sets]
-        assert_built_per_series(tiny_dataset, "AAA", ["BBB"], expected[0])
         warm = {key: cold[key] for key in list(cold)[::2]}
         held = dict(warm)
         built = [build_country_ensembles(tiny_dataset, iso3, donors, cache=warm)
@@ -468,3 +446,14 @@ class TestBuildEnsembles:
             build_ensembles(GDP, [RATE, RATE], GDP, [RATE])
         with pytest.raises(NoWeightData):
             build_ensembles(GDP, [RATE], [], [[]])
+
+
+class TestSeedEnsembles:
+    """Every ensemble that a ``sweep:0:2:1`` run builds equals the frozen seed's."""
+
+    @pytest.mark.parametrize("data", ["tiny", "synth"])
+    def test_equal_to_the_seed(self, data, tiny_dir, synth_dir, tmp_path):
+        data_dir = tiny_dir if data == "tiny" else synth_dir
+        _, built = recorded_run(data_dir, tmp_path / "out")
+        assert len(built) > len({iso3 for iso3, _ in built})  # donor sets move with m
+        assert_equal_to_the_seed(data_dir, built)
