@@ -116,12 +116,16 @@ def forecast_rates(ensembles: CountryEnsembles, gdp: np.ndarray,
     The GDP is checked and capped once, and each form is evaluated once
     over all of the country's series. Forecast mortality is truncated at
     1.0: the ensembles are fitted to probabilities, but an extrapolated
-    curve must not leave [0, 1].
+    curve must not leave [0, 1]. A rate forecast that is not finite raises
+    ``NonFiniteResult``.
     """
     gdp, fertility_x = model_inputs(gdp, cap)
     x = np.repeat(gdp[None, :], len(ensembles.table.weight), axis=0)
     x[ensembles.fertility_rows] = fertility_x
     rates = ensembles.table.forecast(x).T
+    bad = np.flatnonzero(~np.isfinite(rates).all(axis=1))
+    if bad.size:
+        raise NonFiniteResult(f"rate forecast is not finite at GDP per capita {gdp[bad[0]]}")
     mortality = np.empty((gdp.size, N_BANDS, 2))
     np.minimum(rates[:, ensembles.mortality_rows], 1.0, out=mortality)
     return np.ascontiguousarray(rates[:, ensembles.fertility_rows]), mortality
@@ -130,7 +134,8 @@ def forecast_rates(ensembles: CountryEnsembles, gdp: np.ndarray,
 def pathway_rates(base: PopulationState, ensembles: CountryEnsembles, pathway,
                   cap: CapPolicy, horizon: int = 2100) -> tuple[np.ndarray, np.ndarray]:
     """The rates of each step from the base year to ``horizon``: asfr (T, 6)
-    and q (T, 21, 2), the step from year t at the pathway's GDP in year t."""
+    and q (T, 21, 2), the step from year t at the pathway's GDP in year t. A
+    ``NonFiniteResult`` names the pathway's country and scenario."""
     if base.year != pathway.start_year:
         raise ValueError(f"base year {base.year} does not match pathway start "
                          f"{pathway.start_year}")
@@ -139,7 +144,10 @@ def pathway_rates(base: PopulationState, ensembles: CountryEnsembles, pathway,
     steps = horizon - base.year
     if steps:
         pathway.gdp(horizon - 1)  # PathwayGap when the pathway ends too early
-    return forecast_rates(ensembles, pathway.values[:steps], cap)
+    try:
+        return forecast_rates(ensembles, pathway.values[:steps], cap)
+    except NonFiniteResult as exc:
+        raise NonFiniteResult(f"{pathway.iso3}/{pathway.scenario_id}: {exc}") from None
 
 
 def project_country(base: PopulationState, ensembles: CountryEnsembles, pathway,

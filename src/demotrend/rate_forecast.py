@@ -113,15 +113,18 @@ class EnsembleTable(Record, frozen=True, eq=False):
 
         Each member's prediction is clamped below at zero, weighted and
         added in ``FORM_ORDER``. A form outside an ensemble is skipped, not
-        weighted by 0: ``0 * inf`` is NaN.
+        weighted by 0: ``0 * inf`` is NaN. A prediction that overflows, at a
+        GDP far below the fitted data, gives an infinite or NaN forecast
+        without a numpy warning.
         """
         total = np.zeros(np.broadcast_shapes((len(self.weight), 1), np.shape(x)))
-        for j, form in enumerate(FORM_ORDER):
-            members = self.member[:, j, None]
-            if members.any():
-                value = predict_rows(form, self.coef[:, j], x)
-                np.add(total, self.weight[:, j, None] * np.where(value > 0.0, value, 0.0),
-                       out=total, where=members)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, form in enumerate(FORM_ORDER):
+                members = self.member[:, j, None]
+                if members.any():
+                    value = predict_rows(form, self.coef[:, j], x)
+                    np.add(total, self.weight[:, j, None] * np.where(value > 0.0, value, 0.0),
+                           out=total, where=members)
         return total
 
 

@@ -1,3 +1,4 @@
+import functools
 import re
 import sys
 from pathlib import Path
@@ -39,6 +40,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 TESTS = Path(__file__).parent
 TINY = TESTS / "fixtures" / "tiny"
+SYNTH = seed_oracle.load("perfbench_synth", seed_oracle.PERFBENCH / "synth.py")
 
 AGE_BANDS = [f"{lo}-{lo + 4}" for lo in range(0, 100, 5)] + ["100+"]
 
@@ -57,14 +59,14 @@ def tiny_dataset():
 def synth_dir(tmp_path_factory) -> Path:
     """The benchmark's synth-mixed shape at four ladder countries: sexed and
     Both-only mortality, donor sets that change with m, seed 0."""
-    synth = seed_oracle.load("perfbench_synth", seed_oracle.PERFBENCH / "synth.py")
-    return synth.write_dataset(tmp_path_factory.mktemp("synth") / "data",
-                               synth.ladder_countries(4), "mixed", 0)
+    return SYNTH.write_dataset(tmp_path_factory.mktemp("synth") / "data",
+                               SYNTH.ladder_countries(4), "mixed", 0)
 
 
 def recorded_run(data_dir, out_dir):
-    """An in-process ``sweep:0:2:1`` run: each country's totals (S, T+1), and
-    the ensembles of each distinct (iso3, donors) that it builds."""
+    """An in-process ``sweep:0:2:1`` run that dumps ``donors.csv``: each
+    country's totals (S, T+1), and the ensembles of each distinct (iso3,
+    donors) that it builds."""
     totals, ensembles = {}, {}
     project_one, build = cli._project_one, cli.build_country_ensembles
 
@@ -81,8 +83,23 @@ def recorded_run(data_dir, out_dir):
         patch.setattr(cli, "_project_one", recording_project)
         patch.setattr(cli, "build_country_ensembles", recording_build)
         cli.run(cli.RunConfig(data_dir=str(data_dir), out_dir=str(out_dir),
-                              scenario="sweep:0:2:1", out_format="csv"))
+                              scenario="sweep:0:2:1", out_format="csv", dump_donors=True))
     return totals, ensembles
+
+
+@pytest.fixture(scope="session")
+def seed_sweeps(tiny_dir, synth_dir, tmp_path_factory):
+    """By data set, "tiny" or "synth": this package's ``sweep:0:2:1`` run and
+    the seed's ``seed_oracle.project`` of it, each as (totals by iso3,
+    ``donors.csv`` lines, ensembles by (iso3, donors)), made once a session."""
+    @functools.cache
+    def sweeps(data):
+        data_dir = tiny_dir if data == "tiny" else synth_dir
+        out = tmp_path_factory.mktemp(data) / "out"
+        totals, ensembles = recorded_run(data_dir, out)
+        donors = (out / "donors.csv").read_text(encoding="utf-8").splitlines()[1:]
+        return (totals, donors, ensembles), seed_oracle.project(data_dir, "sweep:0:2:1")
+    return sweeps
 
 
 FERTILE_BANDS = AGE_BANDS[3:9]
@@ -132,23 +149,6 @@ def table_of(forms, coefs):
     weight[member] = 1.0
     return EnsembleTable(member=member, coef=coef, weight=weight, sigma=np.ones(shape),
                          aicc=np.zeros(shape), n_fit=np.full(len(forms), 10))
-
-
-def scalar_forecast(ensemble, gdp, fertility, cap_gdp):
-    """Oracle for the pathway forecast: one GDP value at a time, in Python floats.
-
-    Each member's raw prediction at the (capped, for fertility) GDP value is
-    clamped at zero and the weighted values are summed in member order.
-    """
-    out = []
-    for g in gdp:
-        x = min(float(g), cap_gdp) if fertility else float(g)
-        total = 0.0
-        for member, weight in zip(ensemble.members, ensemble.weights):
-            value = float(seed_oracle.raw_prediction(member, [x])[0])
-            total += weight * (value if value > 0.0 else 0.0)
-        out.append(total)
-    return out
 
 
 def run_cli(args, env_extra=None, cwd=None):

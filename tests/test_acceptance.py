@@ -26,7 +26,6 @@ from demotrend.core import (
     FEMALE_COL,
     FERTILE_SLICE,
     MALE_COL,
-    Sex,
     Variable,
 )
 from demotrend.demography import (

@@ -3,12 +3,7 @@ import enum
 import numpy as np
 import pytest
 
-from demotrend.augmentation import (
-    AugmentedSeries,
-    DonorRule,
-    build_augmented_series,
-    select_donors,
-)
+from demotrend.augmentation import DonorRule, build_augmented_series, select_donors
 from demotrend.core import AGE_BANDS, FERTILE_BANDS, SEX_COLUMNS, Sex, Variable
 from demotrend.data_ingest import load_dataset
 from demotrend.errors import NoTargetData

@@ -23,7 +23,7 @@ from demotrend.cli import RunConfig, UsageError, _build_parser, _config_from_arg
 from demotrend.models import COEF_FIELDS, FORM_ORDER
 from demotrend.report import SCOPE_KINDS
 
-from conftest import TINY, minimal_rows, run_cli, write_rows
+from conftest import SYNTH, TINY, minimal_rows, run_cli, write_rows
 
 
 @pytest.fixture(scope="module")
@@ -399,14 +399,101 @@ class TestDeterminism:
                 (tmp_path / "j3" / name).read_bytes(), name
 
 
+class TestSeedProjection:
+    """Every country's (S, T+1) totals and donor lists of a ``sweep:0:2:1``
+    run equal the frozen seed's ``cli._project_one``, with ``==``: a one-ulp
+    change from ingest to projection fails here, where the 6 printed digits
+    of the outputs would hide it."""
+
+    @pytest.mark.parametrize("data", ["tiny", "synth"])
+    def test_totals_and_donors_equal_the_seed(self, data, seed_sweeps):
+        (totals, donors, _), (seed_totals, seed_donors, _) = seed_sweeps(data)
+        assert totals.keys() == seed_totals.keys() and len(totals) > 1
+        for iso3, series in totals.items():
+            assert series.shape == (3, 86) and np.array_equal(series, seed_totals[iso3]), iso3
+        assert donors == seed_donors and donors
+
+
+def sweep_outputs(data_dir, out, jobs=1):
+    """Each output file's bytes, by name, of an in-process ``sweep:0:2:1`` run
+    with every scope and both dumps."""
+    from demotrend import cli
+
+    config = tiny_config(out, jobs, data_dir=str(data_dir), aggregate=SCOPE_KINDS)
+    return {p.name: p.read_bytes() for p in cli.run(config)}
+
+
+@pytest.fixture(scope="module")
+def ladder_run(tmp_path_factory):
+    """An eight-country synth-mixed ladder set, and its ``sweep_outputs`` by
+    ``--jobs``."""
+    root = tmp_path_factory.mktemp("ladder")
+    data_dir = SYNTH.write_dataset(root / "data", SYNTH.ladder_countries(8), "mixed", 0)
+    return data_dir, {jobs: sweep_outputs(data_dir, root / f"j{jobs}", jobs) for jobs in (1, 2)}
+
+
+class TestLocalityInvariant:
+    """Removing a country that no other country borrows as a donor leaves the
+    rows of every other country byte-identical: its ``country``-scope
+    trajectories, sensitivity, donors and ensembles."""
+
+    @staticmethod
+    def rows(outputs, keep):
+        return [line for name, column in (("trajectories.csv", 0), ("sensitivity.csv", 0),
+                                          ("donors.csv", 1), ("ensembles.csv", 1))
+                for line in outputs[name].splitlines() if line.split(b",")[column] in keep]
+
+    def test_other_countries_rows_unchanged(self, ladder_run, tmp_path):
+        data_dir, full = ladder_run
+        countries = {line.split(b",")[0]
+                     for line in (data_dir / "countries.csv").read_bytes().splitlines()[1:]}
+        borrowed = {line.split(b",")[2] for line in full[1]["donors.csv"].splitlines()[1:]}
+        assert len(countries - borrowed) == 3  # the three poorest rungs
+        for gone in sorted(countries - borrowed):
+            without = tmp_path / gone.decode()
+            without.mkdir()
+            for src in data_dir.iterdir():
+                lines = src.read_bytes().splitlines(keepends=True)
+                (without / src.name).write_bytes(
+                    b"".join(line for line in lines if not line.startswith(gone + b",")))
+            keep = countries - {gone}
+            for jobs in (1, 2):
+                outputs = sweep_outputs(without, without / f"j{jobs}", jobs)
+                assert self.rows(outputs, keep) == self.rows(full[jobs], keep), (gone, jobs)
+                assert not self.rows(outputs, {gone})
+
+
+class TestOrderInvariant:
+    """Shuffling the data rows of every input file changes no output byte but
+    the input digests and the data directory of ``run_manifest.json``."""
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_rows_change_no_output_byte(self, tmp_path_factory, seed):
+        rng = np.random.default_rng(seed)
+        root = tmp_path_factory.mktemp("shuffled")
+        for src in TINY.iterdir():
+            header, *rows = src.read_text(encoding="utf-8").splitlines()
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+            (root / src.name).write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+        runs = [sweep_outputs(data_dir, root / name)
+                for name, data_dir in (("tiny", TINY), ("shuffled", root))]
+        for outputs in runs:
+            manifest = json.loads(outputs.pop("run_manifest.json"))
+            del manifest["inputs"], manifest["config"]["data_dir"]
+            outputs["run_manifest.json"] = manifest
+        assert runs[0] == runs[1] and len(runs[0]) == 9
+
+
 def tiny_with(tmp_path, name, line, replacement):
-    """A copy of the tiny fixture with one whole ``line`` of ``name`` replaced."""
+    """A copy of the tiny fixture with each whole line of ``name`` that the
+    pattern ``line`` matches replaced (``re.sub``) by ``replacement``."""
     data_dir = tmp_path / "tiny"
     shutil.copytree(TINY, data_dir)
     path = data_dir / name
-    text = path.read_text()
-    assert f"\n{line}\n" in text
-    path.write_text(text.replace(f"\n{line}\n", f"\n{replacement}\n"))
+    text, count = re.subn(f"(?m)^{line}$", replacement, path.read_text())
+    assert count
+    path.write_text(text)
     return data_dir
 
 
@@ -422,7 +509,10 @@ class TestWarningsAsErrors:
         # A subnormal anchor's growth ratio overflows between anchors.
         ("gdp_baseline.csv", "AAA,2025,1661.44", "AAA,2025,1e-320",
          (1, "error: AAA/baseline: pathway values must be positive and finite\n")),
-    ], ids=["tiny", "gdp-1e200", "gdp-1e307", "anchor-1e-320"])
+        # Anchors of 1e-300 overflow the NegPower rate forecasts.
+        ("gdp_baseline.csv", r"(\w+,\d+),.*", r"\1,1e-300",
+         (1, "error: AAA/m0.0: rate forecast is not finite at GDP per capita 1e-300\n")),
+    ], ids=["tiny", "gdp-1e200", "gdp-1e307", "anchor-1e-320", "anchors-1e-300"])
     def test_sweep_warns_nothing_and_jobs_write_the_same_bytes(self, tmp_path, name, line,
                                                                replacement, expected):
         data_dir = TINY if name is None else tiny_with(tmp_path, name, line, replacement)

@@ -32,7 +32,8 @@ from demotrend.scenarios import (
     multiplier_pathway,
 )
 
-from conftest import recorded_run, scalar_forecast
+import seed_oracle
+from conftest import recorded_run
 
 N = len(AGE_BANDS)
 
@@ -361,11 +362,11 @@ class TestProjectCountry:
         assert [y for y, _ in trajectory] == list(range(2015, 2101))
         state = base
         for gdp, (year, got) in zip(pathway.values, trajectory[1:]):
-            asfr = [scalar_forecast(built.fertility[band], [gdp], True,
-                                    cap.fertility_cap_gdp)[0]
+            asfr = [seed_oracle.forecast(built.fertility[band], [gdp], True,
+                                         cap.fertility_cap_gdp)[0]
                     for band in FERTILE_BANDS]
-            q = [[min(scalar_forecast(built.mortality[(band, sex)], [gdp], False,
-                                      cap.fertility_cap_gdp)[0], 1.0)
+            q = [[min(seed_oracle.forecast(built.mortality[(band, sex)], [gdp], False,
+                                           cap.fertility_cap_gdp)[0], 1.0)
                   for sex in (Sex.FEMALE, Sex.MALE)]
                  for band in AGE_BANDS]
             state = step_year(state, VitalRates(asfr=np.array(asfr), mortality=np.array(q)))
@@ -433,36 +434,6 @@ class TestProjectionProperties:
             np.testing.assert_allclose(parts, world, rtol=1e-12)
 
 
-def oracle_step(state, rates, srb):
-    """``step_year`` as it was before the batched projector, one state at a
-    time: the oracle for ``step_year`` and ``project_totals``."""
-    counts = state.counts
-    q = np.asarray(rates.mortality, dtype=float)
-    asfr = np.asarray(rates.asfr, dtype=float)
-    if q.shape != (N, 2) or asfr.shape != (FERTILE_SLICE.stop - FERTILE_SLICE.start,):
-        raise InvalidRate("rate arrays have wrong shape")
-    if (q < 0.0).any() or (q > 1.0).any():
-        raise InvalidRate("mortality probabilities must lie in [0, 1]")
-    if (asfr < 0.0).any():
-        raise InvalidRate("fertility rates must be non-negative")
-    if (counts < 0.0).any():
-        raise NegativeState(f"{state.iso3} {state.year}: negative cohort count")
-    if not srb > 0.0:
-        raise InvalidRate(f"sex ratio at birth must be positive, got {srb}")
-
-    survivors = counts * (1.0 - q)
-    graduating = survivors / 5.0
-    aged = survivors - graduating
-    aged[1:] += graduating[:-1]
-    aged[-1] += graduating[-1]  # 100+ has no outflow
-
-    births = float(asfr @ survivors[FERTILE_SLICE, FEMALE_COL])
-    aged[0, FEMALE_COL] += births / (1.0 + srb)
-    aged[0, MALE_COL] += births * srb / (1.0 + srb)
-
-    return PopulationState(iso3=state.iso3, year=state.year + 1, counts=aged)
-
-
 def outcome(run):
     """``run()``'s result, or the class and message of what it raised."""
     try:
@@ -472,7 +443,7 @@ def outcome(run):
 
 
 class TestProjectTotals:
-    """The batched projector against S one-scenario runs of the oracle step."""
+    """The batched projector against S one-scenario runs of the seed's step."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -514,14 +485,14 @@ class TestProjectTotals:
                     rates = VitalRates(asfr=asfr[s, t], mortality=q[s, t])
                     got = step(state, rates, srb)
                     if step is step_year:  # every state, cell for cell
-                        want = oracle_step(state, rates, srb)
+                        want = seed_oracle.step_year(state, rates, srb)
                         assert got.year == want.year
                         assert (got.counts == want.counts).all(), (s, t)
                     state = got
                     totals[s, t + 1] = state.counts.sum()
             return totals
 
-        want = outcome(lambda: oracle(oracle_step))
+        want = outcome(lambda: oracle(seed_oracle.step_year))
         got = outcome(lambda: project_totals(base, asfr, q, srb))
         if isinstance(want, tuple):
             assert got == want
@@ -568,7 +539,7 @@ class TestProjectTotals:
             for s in range(2):
                 state = base
                 for t in range(3):
-                    state = oracle_step(state, VitalRates(asfr[s, t], q[s, t]), srb)
+                    state = seed_oracle.step_year(state, VitalRates(asfr[s, t], q[s, t]), srb)
 
         assert outcome(oracle) == expected
 

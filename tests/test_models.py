@@ -607,7 +607,12 @@ class TestSeedOracle:
             assert_rows_match_seed(form, x, rows)
 
     def test_loaded_seed_shadows_nothing(self):
-        assert seed_oracle._models.__file__.startswith(str(seed_oracle.SEED))
+        seed = {name: module for name, module in list(sys.modules.items())
+                if name.startswith("seed_demotrend.")}
+        assert {f"seed_demotrend.{name}" for name in ("models", "cli", "demography",
+                                                       "scenarios", "report")} <= seed.keys()
+        for name, module in seed.items():
+            assert Path(module.__file__).resolve().is_relative_to(seed_oracle.SEED), name
         src = seed_oracle.PERFBENCH.parent / "src"
         assert Path(models.__file__).resolve().is_relative_to(src)
         for name, module in list(sys.modules.items()):

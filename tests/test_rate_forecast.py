@@ -21,7 +21,7 @@ from demotrend.rate_forecast import (
 )
 
 import seed_oracle
-from conftest import TINY, recorded_run, scalar_forecast, table_of
+from conftest import TINY, table_of
 
 # Long wiggly sample: every candidate form is admissible (n = 14 > 5 + 1).
 GDP = np.array([400.0, 550.0, 700.0, 900.0, 1150.0, 1400.0, 1700.0, 2100.0,
@@ -105,7 +105,7 @@ class TestForecastRate:
 
     def test_weighted_average_of_members(self):
         got = forecast_rate(self.ensemble, 1000.0, Variable.MORTALITY, self.cap)
-        expected = scalar_forecast(self.ensemble, [1000.0], False, self.cap.fertility_cap_gdp)
+        expected = seed_oracle.forecast(self.ensemble, [1000.0], False, self.cap.fertility_cap_gdp)
         assert got == pytest.approx(expected[0], rel=1e-12)
 
     def test_forecast_never_negative(self):
@@ -159,12 +159,12 @@ class TestForecastPathway:
             asfr, mortality = forecast_rates(built, self.GDP, cap)
             if variable is Variable.FERTILITY:
                 for i, band in enumerate(FERTILE_BANDS):
-                    expected = scalar_forecast(built.fertility[band], self.GDP, True,
-                                               cap.fertility_cap_gdp)
+                    expected = seed_oracle.forecast(built.fertility[band], self.GDP, True,
+                                                    cap.fertility_cap_gdp)
                     assert np.array_equal(asfr[:, i], expected)
             else:
                 for (band, sex), ensemble in built.mortality.items():
-                    expected = scalar_forecast(ensemble, self.GDP, False, cap.fertility_cap_gdp)
+                    expected = seed_oracle.forecast(ensemble, self.GDP, False, cap.fertility_cap_gdp)
                     got = mortality[:, AGE_BANDS.index(band), SEX_COLUMNS.index(sex)]
                     assert np.array_equal(got, np.minimum(expected, 1.0))
 
@@ -198,11 +198,10 @@ class TestTableForecast:
         # their ensemble. Adding 0 * inf for that form would give NaN.
         coefs = [[0.0, 1e308, math.nan, math.nan]] * 2
         table = table_of([ModelForm.LINEAR, ModelForm.NEG_LOG], coefs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = table.forecast(np.array([10.0, 1e-300]))
-            one = forecast_rate(table.ensemble(0), 10.0, Variable.MORTALITY, CapPolicy())
-            expected = [scalar_forecast(table.ensemble(row), [10.0, 1e-300], False, 3e4)
-                        for row in range(2)]
+        got = table.forecast(np.array([10.0, 1e-300]))  # with no numpy warning
+        one = forecast_rate(table.ensemble(0), 10.0, Variable.MORTALITY, CapPolicy())
+        expected = [seed_oracle.forecast(table.ensemble(row), [10.0, 1e-300], False, 3e4)
+                    for row in range(2)]
         assert (got[:, 0] == math.inf).all() and one == math.inf
         assert np.array_equal(got, expected)
 
@@ -215,7 +214,7 @@ class TestTableForecast:
                                                      [1.0, 3.0, 0.5, math.nan]])
         got = table.forecast(x)
         for row in range(3):
-            expected = scalar_forecast(table.ensemble(row), x, False, 3e4)
+            expected = seed_oracle.forecast(table.ensemble(row), x, False, 3e4)
             assert np.array_equal(got[row], expected), row
 
 
@@ -340,15 +339,14 @@ class TestSharedSexFits:
             assert built.mortality[(band, sex)] == per_sex
 
 
-def assert_equal_to_the_seed(data_dir, built: dict):
+def assert_equal_to_the_seed(built: dict, seed: dict):
     """The ensembles of each (iso3, donors) of ``built`` equal the frozen
-    seed's one-series builds on ``data_dir``: each member's form,
+    seed's one-series builds ``seed``, keyed alike: each member's form,
     coefficients, sigma and criterion value, and each weight, with ``==``."""
-    dataset, cache = seed_oracle.load_dataset(data_dir), {}
-    for (iso3, donors), ensembles in built.items():
-        seed = seed_oracle.build_country_ensembles(dataset, iso3, donors, cache)
-        for ours, theirs in zip((ensembles.fertility, ensembles.mortality), seed):
-            assert {key: (e.members, e.weights) for key, e in ours.items()} == theirs, iso3
+    assert built.keys() == seed.keys()
+    for key, ensembles in built.items():
+        for ours, theirs in zip((ensembles.fertility, ensembles.mortality), seed[key]):
+            assert {band: (e.members, e.weights) for band, e in ours.items()} == theirs, key
 
 
 def assert_rows_equal_one_series_builds(fit_x, fit_rates, weight_x, weight_rates):
@@ -360,7 +358,7 @@ def assert_rows_equal_one_series_builds(fit_x, fit_rates, weight_x, weight_rates
     for row, (fy, wy) in enumerate(zip(fit_rates, weight_rates)):
         one = one_series(fit_x, fy, weight_x, wy)
         assert table.ensemble(row) == one
-        assert np.array_equal(got[row], scalar_forecast(one, gdp, False, 3e4))
+        assert np.array_equal(got[row], seed_oracle.forecast(one, gdp, False, 3e4))
     return table
 
 
@@ -423,7 +421,8 @@ class TestBuildEnsembles:
         monkeypatch.setattr(rate_forecast, "build_ensembles", counting)
         built = build_country_ensembles(dataset, "AAA", ["BBB"])
         assert sorted(groups) == [1, 1, 1, 1, len(FERTILE_BANDS) - 4 + len(AGE_BANDS)]
-        assert_equal_to_the_seed(data, {("AAA", ("BBB",)): built})
+        seed = seed_oracle.build_country_ensembles(seed_oracle.load_dataset(data), "AAA", ["BBB"])
+        assert_equal_to_the_seed({("AAA", ("BBB",)): built}, {("AAA", ("BBB",)): seed})
 
     def test_warm_cache_holding_part_of_the_keys(self, tiny_dataset):
         donor_sets = [("AAA", ["BBB"]), ("AAA", []), ("BBB", [])]
@@ -452,8 +451,7 @@ class TestSeedEnsembles:
     """Every ensemble that a ``sweep:0:2:1`` run builds equals the frozen seed's."""
 
     @pytest.mark.parametrize("data", ["tiny", "synth"])
-    def test_equal_to_the_seed(self, data, tiny_dir, synth_dir, tmp_path):
-        data_dir = tiny_dir if data == "tiny" else synth_dir
-        _, built = recorded_run(data_dir, tmp_path / "out")
+    def test_equal_to_the_seed(self, data, seed_sweeps):
+        (_, _, built), (_, _, seed) = seed_sweeps(data)
         assert len(built) > len({iso3 for iso3, _ in built})  # donor sets move with m
-        assert_equal_to_the_seed(data_dir, built)
+        assert_equal_to_the_seed(built, seed)

@@ -15,14 +15,11 @@ from demotrend.errors import EmptyScope, IoFailure, NonFiniteResult, ZeroBaselin
 from demotrend.report import (
     GROUPINGS,
     SCOPE_KINDS,
-    SUMMARY_YEARS,
     AggregateSeries,
     RunResult,
     Scope,
     WORLD,
-    _color,
     _ticks,
-    _write_lines,
     aggregate,
     emit_outputs,
     find_peak,
@@ -30,6 +27,8 @@ from demotrend.report import (
     scopes_for,
     sensitivity_ratio,
 )
+
+import seed_oracle
 
 
 def country_map(dataset):
@@ -336,123 +335,6 @@ class TestEmitOutputs:
         assert sids == ["m0.0"] * 6 + ["m1.0"] * 6 + ["m2.0"] * 6
 
 
-# The trajectory, summary and chart writers that formatted one value at a
-# time, verbatim: the oracle for the whole-array writers.
-def per_value_write_trajectories(result, out):
-    lines = ["scope,scenario_id,year,population"]
-    for sid in result.scenario_ids:
-        for series in result.aggregates[sid]:
-            for i, value in enumerate(series.values):
-                lines.append(f"{series.scope.label},{sid},"
-                             f"{series.start_year + i},{fmt_millions(value)}")
-    return _write_lines(out / "trajectories.csv", lines)
-
-
-def per_value_write_summary(result, out):
-    lines = ["scenario_id,scope,pop2015,pop2050,pop2100,peak_pop,peak_year"]
-    for sid in result.scenario_ids:
-        for series in result.aggregates[sid]:
-            cells = [sid, series.scope.label]
-            for year in SUMMARY_YEARS:
-                idx = series.year_index(year)
-                cells.append("" if idx is None else fmt_millions(series.values[idx]))
-            peak = find_peak(series)
-            cells.append(fmt_millions(peak.peak_population))
-            cells.append(str(peak.peak_year))
-            lines.append(",".join(cells))
-    return _write_lines(out / "summary.csv", lines)
-
-
-# The sensitivity and line writers that built whole files, verbatim: the
-# oracles for the streaming ones.
-def per_value_write_sensitivity(result, out):
-    lines = ["iso3,ratio"]
-    for iso3, ratio in result.sensitivity:
-        lines.append(f"{iso3},{ratio:.6g}")
-    return _write_lines(out / "sensitivity.csv", lines)
-
-
-def whole_file_write_lines(path, lines):
-    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-    return path
-
-
-def per_value_svg_chart(title, panels):
-    """Multi-panel line chart; one legend shared by all panels."""
-    panel_w, panel_h = 430, 290
-    margin_l, margin_r, margin_t, margin_b = 64, 14, 30, 36
-    cols = 1 if len(panels) == 1 else 2
-    rows = (len(panels) + cols - 1) // cols
-    labels = []
-    for _, series_list in panels:
-        for label, _, _ in series_list:
-            if label not in labels:
-                labels.append(label)
-    legend_w = 110 if len(labels) > 1 else 0
-    width = cols * panel_w + legend_w + 16
-    height = rows * panel_h + 34
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<text x="{width / 2:.2f}" y="20" font-family="sans-serif" '
-             f'font-size="14" font-weight="bold" text-anchor="middle">{title}</text>']
-    for p, (panel_title, series_list) in enumerate(panels):
-        ox = (p % cols) * panel_w
-        oy = 34 + (p // cols) * panel_h
-        x0, y0 = ox + margin_l, oy + margin_t
-        plot_w = panel_w - margin_l - margin_r
-        plot_h = panel_h - margin_t - margin_b
-        year_lo = min(s[1] for s in series_list)
-        year_hi = max(s[1] + s[2].size - 1 for s in series_list)
-        vmax = max(float(s[2].max()) for s in series_list) / 1e6
-        ticks = _ticks(vmax * 1.02)
-        top = ticks[-1]
-
-        def sx(year):
-            return x0 + (year - year_lo) / max(year_hi - year_lo, 1) * plot_w
-
-        def sy(millions):
-            return y0 + plot_h - millions / top * plot_h
-
-        parts.append(f'<text x="{ox + panel_w / 2:.2f}" y="{oy + 18}" '
-                     f'font-family="sans-serif" font-size="12" '
-                     f'text-anchor="middle">{panel_title}</text>')
-        parts.append(f'<rect x="{x0}" y="{y0}" width="{plot_w}" height="{plot_h}" '
-                     f'fill="none" stroke="#444" stroke-width="1"/>')
-        for tick in ticks:
-            y = sy(tick)
-            parts.append(f'<line x1="{x0}" y1="{y:.2f}" x2="{x0 + plot_w}" '
-                         f'y2="{y:.2f}" stroke="#ddd" stroke-width="0.5"/>')
-            parts.append(f'<text x="{x0 - 6}" y="{y + 3.5:.2f}" font-family="sans-serif" '
-                         f'font-size="10" text-anchor="end">{tick:g}</text>')
-        for year in range(year_lo, year_hi + 1):
-            if year % 20 == 0:
-                x = sx(year)
-                parts.append(f'<text x="{x:.2f}" y="{y0 + plot_h + 14}" '
-                             f'font-family="sans-serif" font-size="10" '
-                             f'text-anchor="middle">{year}</text>')
-        parts.append(f'<text x="{ox + 16}" y="{y0 + plot_h / 2:.2f}" '
-                     f'font-family="sans-serif" font-size="10" text-anchor="middle" '
-                     f'transform="rotate(-90 {ox + 16} {y0 + plot_h / 2:.2f})">'
-                     f'millions</text>')
-        for label, start_year, values in series_list:
-            color = _color(labels.index(label))
-            points = " ".join(f"{sx(start_year + i):.2f},{sy(v / 1e6):.2f}"
-                              for i, v in enumerate(values))
-            parts.append(f'<polyline points="{points}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.4"/>')
-    if legend_w:
-        lx = cols * panel_w + 12
-        for i, label in enumerate(labels):
-            ly = 44 + i * 16
-            parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" '
-                         f'y2="{ly - 4}" stroke="{_color(i)}" stroke-width="2"/>')
-            parts.append(f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-                         f'font-size="11">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
 EDGE_SCOPES = [WORLD, Scope("income", "High"), Scope("income", "Low"),
                Scope("income", "UpperMiddle"), Scope("region", "SouthAsia"),
                Scope("region", "NorthAmerica"), Scope("country", "AAA")]
@@ -481,7 +363,7 @@ def edge_values(rng, size, peak):
 
 
 class TestWholeArrayWriters:
-    """Trajectories, summary and charts keep the bytes of the per-value writers."""
+    """Trajectories, summary and charts keep the bytes of the seed's per-value writers."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -528,14 +410,13 @@ class TestWholeArrayWriters:
 
 
 def assert_per_value_bytes(result, tmp_path_factory):
+    """``emit_outputs`` writes the bytes of the seed's writers, which format
+    one value at a time and write each file whole."""
     written = emit_outputs(result, tmp_path_factory.mktemp("whole"))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(report, "_write_trajectories", per_value_write_trajectories)
-        patch.setattr(report, "_write_summary", per_value_write_summary)
-        patch.setattr(report, "_write_sensitivity", per_value_write_sensitivity)
-        patch.setattr(report, "_svg_chart", per_value_svg_chart)
-        patch.setattr(report, "_write_lines", whole_file_write_lines)
-        patch.setitem(globals(), "_write_lines", whole_file_write_lines)  # the oracles' writer
+        for name in ("_write_trajectories", "_write_summary", "_write_sensitivity",
+                     "_svg_chart", "_write_lines"):
+            patch.setattr(report, name, getattr(seed_oracle.report, name))
         expected = emit_outputs(result, tmp_path_factory.mktemp("per_value"))
     assert [p.name for p in written] == [p.name for p in expected]
     for got, want in zip(written, expected):

@@ -21,6 +21,8 @@ from demotrend.scenarios import (
     sweep_multipliers,
 )
 
+import seed_oracle
+
 DECADAL_YEARS = list(range(2015, 2096, 10)) + [2100]
 
 
@@ -161,25 +163,6 @@ class TestMultiplierPathway:
             multiplier_pathway(base, 2.0)  # growth factor 1 + 2(-0.9) < 0
 
 
-def looped_multiplier_pathway(base, m):
-    """``multiplier_pathway`` as one Python step per year: the oracle for the
-    cumulative product."""
-    if m < 0.0:
-        raise ValueError(f"growth multiplier must be non-negative, got {m}")
-    values = np.empty_like(base.values)
-    values[0] = base.values[0]
-    for i in range(base.values.size - 1):
-        r = base.values[i + 1] / base.values[i] - 1.0
-        growth = 1.0 + m * r
-        if growth <= 0.0:
-            raise NonPositiveResult(
-                f"{base.iso3}: multiplier {m} drives GDP non-positive in year "
-                f"{base.start_year + i + 1}")
-        values[i + 1] = values[i] * growth
-    return GdpPathway(iso3=base.iso3, scenario_id=scenario_label(m),
-                      start_year=base.start_year, values=values)
-
-
 @st.composite
 def random_baselines(draw):
     """Baselines through random anchors 1-10 years apart, GDP over 50-200,000,
@@ -197,7 +180,7 @@ class TestMultiplierMatchesLoop:
            m=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 50.0)))
     def test_same_bits_and_errors(self, base, m):
         try:
-            expected = looped_multiplier_pathway(base, m)
+            expected = seed_oracle.multiplier_pathway(base, m)
         except NonPositiveResult as exc:
             with pytest.raises(NonPositiveResult) as caught:
                 multiplier_pathway(base, m)
