@@ -143,7 +143,8 @@ def run(config: RunConfig) -> list[Path]:
     # _project_one is looked up at each run: a patched one reaches the workers.
     project = functools.partial(_project_one, dataset, scenario_list, config)
     scenario_ids = [sid for sid, _ in scenario_list]
-    country_totals: dict[str, dict[str, np.ndarray]] = {sid: {} for sid in scenario_ids}
+    # (S, N, T+1), laid out country by country: filling one touches only its pages.
+    totals = np.empty((len(countries), len(plan), config.horizon - BASE_YEAR + 1)).swapaxes(0, 1)
     out = Path(config.out_dir)
     with undo_on_failure(out) as written:
         with contextlib.ExitStack() as stack:
@@ -161,22 +162,21 @@ def run(config: RunConfig) -> list[Path]:
                     _forked_map(project, countries, min(config.jobs, len(countries)))))
             else:
                 per_country = map(project, countries)
-            for iso3, totals, *texts in per_country:
-                for sid, series in zip(scenario_ids, totals):
-                    country_totals[sid][iso3] = series
+            for i, (series, *texts) in enumerate(per_country):
+                totals[:, i] = series
                 for handle, text in zip(dumps, texts):
                     if handle is not None:
                         handle.write(text)
 
         scopes = scopes_for(config.aggregate, dataset)
-        aggregates = {
-            sid: [aggregate(country_totals[sid], scope, dataset.country_map, sid, BASE_YEAR)
-                  for scope in scopes]
-            for sid in scenario_ids
-        }
-        sensitivity = _sensitivity_rows(scenario_ids, country_totals, config.horizon)
-        result = RunResult(start_year=BASE_YEAR, scenario_ids=scenario_ids,
-                           aggregates=aggregates, sensitivity=sensitivity)
+        records = [dataset.country_map[iso3] for iso3 in countries]
+        scope_totals = np.empty((len(scenario_ids), len(scopes), totals.shape[2]))
+        for k, scope in enumerate(scopes):  # filled in place: no second copy is held
+            scope_totals[:, k] = aggregate(totals, scope, records)
+        sensitivity = _sensitivity_rows(scenario_ids, countries, totals, config.horizon)
+        del totals  # freed before the report is written, which needs only the scope sums
+        result = RunResult(start_year=BASE_YEAR, scenario_ids=scenario_ids, scopes=scopes,
+                           totals=scope_totals, sensitivity=sensitivity)
         written[:0] = emit_outputs(result, out, config.out_format)
         written.append(_write_manifest(config, digests, out))
     return written
@@ -273,7 +273,7 @@ def _pickled_failure(exc: BaseException) -> bytes:
 
 
 def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str):
-    """All scenarios for one country: the (S, T+1) totals, then the
+    """All scenarios for one country: its (S, T+1) totals, then the
     ``donors.csv`` and ``ensembles.csv`` text (empty unless dumped). The
     scenarios are projected ``SCENARIO_CHUNK`` at a time, each in its own row."""
     base = dataset.base_population(iso3)
@@ -302,18 +302,16 @@ def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str
             if config.dump_ensembles:
                 ensemble_lines.extend(f"{sid},{iso3},{line}\n" for line in ensembles.dump_lines)
         totals.append(project_totals(base, asfr, q, config.srb, [sid for sid, _ in chunk]))
-    return iso3, np.concatenate(totals), "".join(donor_lines), "".join(ensemble_lines)
+    return np.concatenate(totals), "".join(donor_lines), "".join(ensemble_lines)
 
 
-def _sensitivity_rows(scenario_ids, country_totals, horizon):
-    """Per-country sensitivity at 2050, with m1.0 as the reference."""
-    ids = [scenario_label(m) for m in (0.0, 1.0, 2.0)]
+def _sensitivity_rows(scenario_ids, countries, totals, horizon):
+    """Per-country sensitivity at 2050 from the (S, N, T+1) totals, m1.0 the reference."""
+    ids = [scenario_label(m) for m in (0.0, 2.0, 1.0)]  # in sensitivity_ratio's order
     if horizon < SENSITIVITY_YEAR or not set(ids) <= set(scenario_ids):
         return None
-    idx = SENSITIVITY_YEAR - BASE_YEAR
-    low, reference, high = (country_totals[sid] for sid in ids)
-    return [(iso3, sensitivity_ratio(low[iso3][idx], high[iso3][idx], reference[iso3][idx]))
-            for iso3 in sorted(reference)]
+    pops = totals[:, :, SENSITIVITY_YEAR - BASE_YEAR][[scenario_ids.index(sid) for sid in ids]]
+    return [(iso3, sensitivity_ratio(*pop)) for iso3, pop in zip(countries, pops.T)]
 
 
 def _input_digests(data_dir: str) -> dict[str, str]:

@@ -14,7 +14,7 @@ import numpy as np
 from .core import AGE_BANDS, FEMALE_COL, FERTILE_BANDS, FERTILE_SLICE, MALE_COL, Record
 from .data_ingest import PopulationState
 from .errors import InvalidRate, NegativeState, NonFiniteResult
-from .rate_forecast import CapPolicy, CountryEnsembles, model_inputs
+from .rate_forecast import CapPolicy, CountryEnsembles, checked_forecast, model_inputs
 
 N_BANDS = len(AGE_BANDS)
 
@@ -122,10 +122,7 @@ def forecast_rates(ensembles: CountryEnsembles, gdp: np.ndarray,
     gdp, fertility_x = model_inputs(gdp, cap)
     x = np.repeat(gdp[None, :], len(ensembles.table.weight), axis=0)
     x[ensembles.fertility_rows] = fertility_x
-    rates = ensembles.table.forecast(x).T
-    bad = np.flatnonzero(~np.isfinite(rates).all(axis=1))
-    if bad.size:
-        raise NonFiniteResult(f"rate forecast is not finite at GDP per capita {gdp[bad[0]]}")
+    rates = checked_forecast(ensembles.table, x, gdp).T
     mortality = np.empty((gdp.size, N_BANDS, 2))
     np.minimum(rates[:, ensembles.mortality_rows], 1.0, out=mortality)
     return np.ascontiguousarray(rates[:, ensembles.fertility_rows]), mortality

@@ -17,7 +17,8 @@ import numpy as np
 from .augmentation import build_augmented_series
 from .core import AGE_BANDS, FERTILE_BANDS, SEX_COLUMNS, Record, Sex, Variable
 from .data_ingest import Dataset
-from .errors import DegenerateX, InsufficientData, NonFiniteInput, NonPositiveGdp, NoWeightData
+from .errors import (DegenerateX, InsufficientData, NonFiniteInput, NonFiniteResult,
+                     NonPositiveGdp, NoWeightData)
 from .models import (
     COEF_FIELDS,
     FORM_ORDER,
@@ -244,12 +245,22 @@ def model_inputs(gdp, cap: CapPolicy) -> tuple[np.ndarray, np.ndarray]:
     return gdp, np.minimum(gdp, cap.fertility_cap_gdp)
 
 
+def checked_forecast(table: EnsembleTable, x, gdp: np.ndarray) -> np.ndarray:
+    """``table.forecast(x)`` at the model inputs ``x`` of the GDP values ``gdp`` (T,);
+    a forecast that is not finite raises ``NonFiniteResult`` at the first such GDP."""
+    rates = table.forecast(x)
+    bad = np.flatnonzero(~np.isfinite(rates).all(axis=0))
+    if bad.size:
+        raise NonFiniteResult(f"rate forecast is not finite at GDP per capita {gdp[bad[0]]}")
+    return rates
+
+
 def forecast_rate(ensemble: RateEnsemble, gdp: float, variable: Variable,
                   cap: CapPolicy) -> float:
-    """Weighted ensemble forecast of one series at one GDP level."""
+    """One series' weighted ensemble forecast at one GDP level, checked by ``checked_forecast``."""
     mortality_x, fertility_x = model_inputs([gdp], cap)
     x = fertility_x if variable is Variable.FERTILITY else mortality_x
-    return ensemble.table.forecast(x).item()
+    return checked_forecast(ensemble.table, x, mortality_x).item()
 
 
 def build_country_ensembles(dataset: Dataset, iso3: str, donors,

@@ -68,24 +68,6 @@ class Scope(Record, frozen=True):
 WORLD = Scope("world")
 
 
-class AggregateSeries(Record, eq=False):
-    scope: Scope
-    scenario_id: str
-    start_year: int
-    values: np.ndarray  # persons
-
-    def year_index(self, year: int) -> int | None:
-        idx = year - self.start_year
-        return idx if 0 <= idx < self.values.size else None
-
-
-class PeakSummary(Record, frozen=True):
-    scope: Scope
-    scenario_id: str
-    peak_population: float
-    peak_year: int
-
-
 def scopes_for(kinds, dataset: Dataset) -> list[Scope]:
     """Ordered scope list for the requested kinds, non-empty scopes only."""
     records = list(dataset.countries)
@@ -100,23 +82,17 @@ def scopes_for(kinds, dataset: Dataset) -> list[Scope]:
     return scopes
 
 
-def aggregate(country_totals, scope: Scope, countries, scenario_id: str,
-              start_year: int) -> AggregateSeries:
-    """Sum per-country series over a scope's members in sorted iso3 order."""
-    members = sorted(iso3 for iso3 in country_totals if scope.matches(countries[iso3]))
+def aggregate(country_totals: np.ndarray, scope: Scope, countries) -> np.ndarray:
+    """The (S, T+1) sum over a scope of ``country_totals`` (S, N, T+1), whose N
+    countries' records are ``countries``. Members are added one at a time in sorted
+    iso3 order: each scenario has the bits of ``np.vstack`` of its rows summed."""
+    members = sorted((c.iso3, i) for i, c in enumerate(countries) if scope.matches(c))
     if not members:
         raise EmptyScope(f"no countries in scope {scope.label!r}")
-    stacked = np.vstack([country_totals[iso3] for iso3 in members])
-    return AggregateSeries(scope=scope, scenario_id=scenario_id,
-                           start_year=start_year, values=stacked.sum(axis=0))
-
-
-def find_peak(series: AggregateSeries) -> PeakSummary:
-    """Maximum of the series; ties resolve to the earliest year."""
-    idx = int(np.argmax(series.values))
-    return PeakSummary(scope=series.scope, scenario_id=series.scenario_id,
-                       peak_population=float(series.values[idx]),
-                       peak_year=series.start_year + idx)
+    total = country_totals[:, members[0][1]].copy()
+    for _, i in members[1:]:
+        total += country_totals[:, i]
+    return total
 
 
 def sensitivity_ratio(pop_m0_2050: float, pop_m2_2050: float,
@@ -128,11 +104,13 @@ def sensitivity_ratio(pop_m0_2050: float, pop_m2_2050: float,
 
 
 class RunResult(Record, eq=False):
-    """Everything emit_outputs needs, already in presentation order."""
+    """Everything emit_outputs needs, already in presentation order: ``totals``
+    (S, K, T+1) holds the persons of each scenario and scope from ``start_year`` on."""
 
     start_year: int
     scenario_ids: list[str]
-    aggregates: dict[str, list[AggregateSeries]]
+    scopes: list[Scope]
+    totals: np.ndarray
     sensitivity: list[tuple[str, float]] | None = None
 
 
@@ -151,12 +129,13 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
     """
     if not result.scenario_ids:
         raise EmptyScope("no scenarios to report")
-    for sid in result.scenario_ids:
-        for series in result.aggregates[sid]:
-            bad = np.flatnonzero(~np.isfinite(series.values))
-            if bad.size:
-                raise NonFiniteResult.at(f"{series.scope.label}/{sid}",
-                                         series.start_year + int(bad[0]))
+    totals = result.totals
+    # min and max carry any NaN, and take no (S, K, T+1) temporary as isfinite does.
+    if totals.size and not np.isfinite([totals.min(), totals.max()]).all():
+        finite = np.isfinite(totals)  # the first False, in (scenario, scope, year) order
+        s, k, t = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NonFiniteResult.at(f"{result.scopes[k].label}/{result.scenario_ids[s]}",
+                                 result.start_year + int(t))
     out = Path(out_dir)
     with undo_on_failure(out) as written:
         out.mkdir(parents=True, exist_ok=True)
@@ -201,30 +180,32 @@ def _write_lines(path: Path, lines) -> Path:
     return path
 
 
+def _series(result: RunResult):
+    """(scenario id, scope, values) of each series, in file order."""
+    for sid, by_scope in zip(result.scenario_ids, result.totals):
+        yield from ((sid, scope, values) for scope, values in zip(result.scopes, by_scope))
+
+
 def _write_trajectories(result: RunResult, out: Path) -> Path:
     def blocks():  # one write per series, of its at most 86 lines
         yield "scope,scenario_id,year,population"
-        for sid in result.scenario_ids:
-            for series in result.aggregates[sid]:
-                prefix = f"{series.scope.label},{sid}"
-                yield "\n".join(f"{prefix},{year},{millions:.6g}" for year, millions in
-                                 enumerate((series.values / 1e6).tolist(), series.start_year))
+        for sid, scope, values in _series(result):
+            prefix = f"{scope.label},{sid}"
+            yield "\n".join(f"{prefix},{year},{millions:.6g}" for year, millions in
+                             enumerate((values / 1e6).tolist(), result.start_year))
     return _write_lines(out / "trajectories.csv", blocks())
 
 
 def _write_summary(result: RunResult, out: Path) -> Path:
+    shown = [year - result.start_year for year in SUMMARY_YEARS]
+
     def lines():
         yield "scenario_id,scope,pop2015,pop2050,pop2100,peak_pop,peak_year"
-        for sid in result.scenario_ids:
-            for series in result.aggregates[sid]:
-                cells = [sid, series.scope.label]
-                for year in SUMMARY_YEARS:
-                    idx = series.year_index(year)
-                    cells.append("" if idx is None else fmt_millions(series.values[idx]))
-                peak = find_peak(series)
-                cells.append(fmt_millions(peak.peak_population))
-                cells.append(str(peak.peak_year))
-                yield ",".join(cells)
+        for sid, scope, values in _series(result):
+            peak = int(values.argmax())  # ties resolve to the earliest year
+            yield ",".join([sid, scope.label, *(
+                fmt_millions(values[i]) if 0 <= i < values.size else "" for i in shown),
+                fmt_millions(values[peak]), str(result.start_year + peak)])
     return _write_lines(out / "summary.csv", lines())
 
 
@@ -234,17 +215,13 @@ def _write_sensitivity(result: RunResult, out: Path) -> Path:
 
 
 def _write_figures(result: RunResult, out: Path) -> list[Path]:
-    by_scope: dict[Scope, list[tuple[str, int, np.ndarray]]] = {}
-    for sid in result.scenario_ids:
-        for s in result.aggregates[sid]:
-            by_scope.setdefault(s.scope, []).append((s.scenario_id, s.start_year, s.values))
     paths = []
     for kind, name, title in FIGURES:
-        keys = GROUPINGS[kind][1] if kind in GROUPINGS else [None]
-        panels = [(scope.label, by_scope[scope])
-                  for scope in (Scope(kind, key) for key in keys) if scope in by_scope]
+        panels = [(scope.label, result.totals[:, k])
+                  for k, scope in enumerate(result.scopes) if scope.kind == kind]
         if panels:
-            paths.append(_write_lines(out / name, [_svg_chart(title, panels)]))
+            chart = _svg_chart(title, result.scenario_ids, result.start_year, panels)
+            paths.append(_write_lines(out / name, [chart]))
     return paths
 
 
@@ -265,17 +242,13 @@ def _ticks(high: float, n: int = 4) -> list[float]:
     return [i * step for i in range(int(round(top / step)) + 1)]
 
 
-def _svg_chart(title: str, panels) -> str:
-    """Multi-panel line chart; one legend shared by all panels."""
+def _svg_chart(title: str, labels: list[str], start_year: int, panels) -> str:
+    """Multi-panel line chart; one legend shared by all panels. A panel is its title
+    and the (S, T) persons of the lines of the S ``labels``, from ``start_year`` on."""
     panel_w, panel_h = 430, 290
     margin_l, margin_r, margin_t, margin_b = 64, 14, 30, 36
     cols = 1 if len(panels) == 1 else 2
     rows = (len(panels) + cols - 1) // cols
-    labels = []
-    for _, series_list in panels:
-        for label, _, _ in series_list:
-            if label not in labels:
-                labels.append(label)
     legend_w = 110 if len(labels) > 1 else 0
     width = cols * panel_w + legend_w + 16
     height = rows * panel_h + 34
@@ -284,16 +257,14 @@ def _svg_chart(title: str, panels) -> str:
              f'<rect width="{width}" height="{height}" fill="white"/>',
              f'<text x="{width / 2:.2f}" y="20" font-family="sans-serif" '
              f'font-size="14" font-weight="bold" text-anchor="middle">{title}</text>']
-    for p, (panel_title, series_list) in enumerate(panels):
+    for p, (panel_title, lines) in enumerate(panels):
         ox = (p % cols) * panel_w
         oy = 34 + (p // cols) * panel_h
         x0, y0 = ox + margin_l, oy + margin_t
         plot_w = panel_w - margin_l - margin_r
         plot_h = panel_h - margin_t - margin_b
-        year_lo = min(s[1] for s in series_list)
-        year_hi = max(s[1] + s[2].size - 1 for s in series_list)
-        vmax = max(float(s[2].max()) for s in series_list) / 1e6
-        ticks = _ticks(vmax * 1.02)
+        year_lo, year_hi = start_year, start_year + lines.shape[1] - 1
+        ticks = _ticks(float(lines.max()) / 1e6 * 1.02)
         top = ticks[-1]
 
         def sx(year):
@@ -323,13 +294,11 @@ def _svg_chart(title: str, panels) -> str:
                      f'font-family="sans-serif" font-size="10" text-anchor="middle" '
                      f'transform="rotate(-90 {ox + 16} {y0 + plot_h / 2:.2f})">'
                      f'millions</text>')
-        for label, start_year, values in series_list:
-            color = _color(labels.index(label))
-            xs = sx(np.arange(start_year, start_year + values.size)).tolist()
-            ys = sy(values / 1e6).tolist()
-            points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        xs = sx(np.arange(year_lo, year_hi + 1)).tolist()
+        for i, values in enumerate(lines):
+            points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, sy(values / 1e6).tolist()))
             parts.append(f'<polyline points="{points}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.4"/>')
+                         f'stroke="{_color(i)}" stroke-width="1.4"/>')
     if legend_w:
         lx = cols * panel_w + 12
         for i, label in enumerate(labels):

@@ -72,7 +72,7 @@ def recorded_run(data_dir, out_dir):
 
     def recording_project(*args):
         result = project_one(*args)
-        totals[result[0]] = result[1]
+        totals[args[-1]] = result[0]  # args end with the iso3
         return result
 
     def recording_build(dataset, iso3, donors, cache=None):

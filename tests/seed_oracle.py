@@ -164,3 +164,14 @@ def project(data_dir, scenario: str):
         _cli.build_country_ensembles = build
         _cli._WORKER.clear()
     return totals, donors, ensembles
+
+
+def run_result(result):
+    """This package's ``report.RunResult`` as the seed's: one
+    ``AggregateSeries`` per scenario and scope of its (S, K, T+1) totals."""
+    scopes = [report.Scope(scope.kind, scope.key) for scope in result.scopes]
+    aggregates = {sid: [report.AggregateSeries(scope, sid, result.start_year, values)
+                        for scope, values in zip(scopes, by_scope)]
+                  for sid, by_scope in zip(result.scenario_ids, result.totals)}
+    return report.RunResult(result.start_year, result.scenario_ids, aggregates,
+                            result.sensitivity)

@@ -431,13 +431,15 @@ def test_criterion_7_aggregation_partition(tiny_dataset):
         trajectory = project_country(state, ensembles, pathway, CapPolicy())
         totals[iso3] = np.array([total_population(s) for _, s in trajectory])
 
-    world = aggregate(totals, Scope("world"), records, "baseline", 2015).values
+    world = aggregate(np.array([[*totals.values()]]), Scope("world"),
+                      [records[iso3] for iso3 in totals])[0]
     assert world.size == 86  # every year 2015-2100
 
     for kind in ("income", "region", "country"):
         scopes = scopes_for([kind], tiny_dataset)
         assert scopes
-        part = np.sum([aggregate(totals, s, records, "baseline", 2015).values
+        part = np.sum([aggregate(np.array([[*totals.values()]]), s,
+                                 [records[iso3] for iso3 in totals])[0]
                        for s in scopes], axis=0)
         rel = np.abs(part - world) / world
         assert float(rel.max()) <= 1e-6, kind

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demotrend.cli import RunConfig, UsageError, _build_parser, _config_from_args, _scenario_plan
@@ -497,9 +497,17 @@ def tiny_with(tmp_path, name, line, replacement):
     return data_dir
 
 
+def extreme_cell(seed):
+    """A data row number and a value drawn log-uniform from 5e-324 (subnormal)
+    to 1.7e308."""
+    rng = np.random.default_rng(seed)
+    return int(rng.integers(1 << 20)), 10.0 ** rng.uniform(-323.3, 308.23)
+
+
 class TestWarningsAsErrors:
-    """A full sweep with every scope and both dumps, serial and forked, under
-    ``-X dev -W error``: the command line that CI smoke-runs."""
+    """Runs with warnings as errors: a full sweep with every scope and both
+    dumps, serial and forked, under ``-X dev -W error`` (the command line that
+    CI smoke-runs), and runs with one extreme input cell."""
 
     @pytest.mark.parametrize("name,line,replacement,expected", [
         (None, None, None, (0, "")),
@@ -528,6 +536,30 @@ class TestWarningsAsErrors:
             outputs.append({p.name: p.read_bytes() for p in out.glob("*")})
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) == (9 if expected[0] == 0 else 0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(["rates.csv", "gdp_hist.csv", "gdp_baseline.csv", "base_pop.csv"]),
+           cell=st.integers(0, 2**32 - 1).map(extreme_cell))
+    @example("rates.csv", (0, 1e200))  # AAA's 1950 fertility rate at 15-19
+    @example("base_pop.csv", (0, 1.7e308))
+    @example("gdp_baseline.csv", (10, 1e-300))  # BBB's 2015 anchor
+    def test_one_extreme_cell(self, tmp_path_factory, name, cell):
+        """One numeric cell of the tiny fixture at an extreme value: the run
+        exits 0 or 1, no warning reaches stderr, and no output cell is nan or
+        inf."""
+        row, value = cell
+        rows = (TINY / name).read_text().splitlines()[1:]
+        key = rows[row % len(rows)].rsplit(",", 1)[0]
+        data_dir = tiny_with(tmp_path_factory.mktemp("cell"), name, re.escape(key) + ",.*",
+                             f"{key},{value!r}")
+        out = data_dir.parent / "out"
+        code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out), "--scenario",
+                                   "sweep:0:2:1", "--format", "csv"],
+                                  env_extra={"PYTHONWARNINGS": "error"})
+        assert code in (0, 1) and "Warning" not in stderr, stderr
+        written = {cell for path in out.glob("*.csv")
+                   for line in path.read_text().splitlines() for cell in line.split(",")}
+        assert not written & {"nan", "inf", "-inf"}
 
 
 def jittered_tiny(seed, data_dir):

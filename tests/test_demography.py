@@ -424,7 +424,8 @@ class TestProjectionProperties:
             totals[c.iso3] = np.array([total_population(s) for _, s in trajectory])
 
         def series(scope):
-            return aggregate(totals, scope, tiny_dataset.country_map, "test", 2015).values
+            return aggregate(np.array([[*totals.values()]]), scope,
+                             [tiny_dataset.country_map[iso3] for iso3 in totals])[0]
 
         world = series(WORLD)
         assert np.array_equal(sum(series(s) for s in scopes_for(["country"], tiny_dataset)),

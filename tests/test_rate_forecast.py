@@ -11,7 +11,7 @@ from demotrend.augmentation import build_augmented_series
 from demotrend.core import FERTILE_BANDS, AGE_BANDS, SEX_COLUMNS, Sex, Variable
 from demotrend.data_ingest import load_dataset
 from demotrend.demography import forecast_rates
-from demotrend.errors import NonPositiveGdp, NoWeightData
+from demotrend.errors import NonFiniteResult, NonPositiveGdp, NoWeightData
 from demotrend.models import COEF_FIELDS, FORM_ORDER, ModelForm, PARAM_COUNT, aicc
 from demotrend.rate_forecast import (
     CapPolicy,
@@ -199,10 +199,12 @@ class TestTableForecast:
         coefs = [[0.0, 1e308, math.nan, math.nan]] * 2
         table = table_of([ModelForm.LINEAR, ModelForm.NEG_LOG], coefs)
         got = table.forecast(np.array([10.0, 1e-300]))  # with no numpy warning
-        one = forecast_rate(table.ensemble(0), 10.0, Variable.MORTALITY, CapPolicy())
+        with pytest.raises(NonFiniteResult, match="^rate forecast is not finite at GDP per "
+                                                  "capita 10.0$"):
+            forecast_rate(table.ensemble(0), 10.0, Variable.MORTALITY, CapPolicy())
         expected = [seed_oracle.forecast(table.ensemble(row), [10.0, 1e-300], False, 3e4)
                     for row in range(2)]
-        assert (got[:, 0] == math.inf).all() and one == math.inf
+        assert (got[:, 0] == math.inf).all()
         assert np.array_equal(got, expected)
 
     def test_unit_exponent_equals_scalar_forecast(self):

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,18 +12,17 @@ from hypothesis import strategies as st
 
 from demotrend import report
 from demotrend.core import IncomeGroup, Region
+from demotrend.data_ingest import CountryRecord
 from demotrend.errors import EmptyScope, IoFailure, NonFiniteResult, ZeroBaseline
 from demotrend.report import (
     GROUPINGS,
     SCOPE_KINDS,
-    AggregateSeries,
     RunResult,
     Scope,
     WORLD,
     _ticks,
     aggregate,
     emit_outputs,
-    find_peak,
     fmt_millions,
     scopes_for,
     sensitivity_ratio,
@@ -31,17 +31,12 @@ from demotrend.report import (
 import seed_oracle
 
 
-def country_map(dataset):
-    return {c.iso3: c for c in dataset.countries}
-
-
-def toy_totals():
-    years = 6
-    return {
-        "AAA": np.array([10.0, 11.0, 12.0, 13.0, 12.5, 12.0]) * 1e6,
-        "BBB": np.array([50.0, 51.0, 52.0, 51.0, 50.0, 49.0]) * 1e6,
-        "CCC": np.array([30.0, 30.0, 30.0, 30.0, 30.0, 30.0]) * 1e6,
-    }, years
+def toy_totals(dataset):
+    """(1, 3, 6) totals of AAA, BBB and CCC, and their records in that order."""
+    totals = np.array([[[10.0, 11.0, 12.0, 13.0, 12.5, 12.0],
+                        [50.0, 51.0, 52.0, 51.0, 50.0, 49.0],
+                        [30.0, 30.0, 30.0, 30.0, 30.0, 30.0]]]) * 1e6
+    return totals, [dataset.country_map[iso3] for iso3 in ("AAA", "BBB", "CCC")]
 
 
 class TestScope:
@@ -52,7 +47,7 @@ class TestScope:
         assert Scope("country", "AAA").label == "AAA"
 
     def test_matching(self, tiny_dataset):
-        records = country_map(tiny_dataset)
+        records = tiny_dataset.country_map
         assert WORLD.matches(records["AAA"])
         assert Scope("income", "Low").matches(records["AAA"])
         assert not Scope("income", "Low").matches(records["CCC"])
@@ -100,64 +95,73 @@ class TestScopesFor:
 
 class TestAggregate:
     def test_world_is_sum_of_countries(self, tiny_dataset):
-        totals, _ = toy_totals()
-        world = aggregate(totals, WORLD, country_map(tiny_dataset), "baseline", 2015)
-        expected = totals["AAA"] + totals["BBB"] + totals["CCC"]
-        assert np.array_equal(world.values, expected)
+        totals, records = toy_totals(tiny_dataset)
+        world = aggregate(totals, WORLD, records)
+        expected = totals[:, 0] + totals[:, 1] + totals[:, 2]
+        assert np.array_equal(world, expected)
 
     def test_scope_filtering(self, tiny_dataset):
-        totals, _ = toy_totals()
-        low = aggregate(totals, Scope("income", "Low"), country_map(tiny_dataset),
-                        "baseline", 2015)
-        assert np.array_equal(low.values, totals["AAA"])
+        totals, records = toy_totals(tiny_dataset)
+        low = aggregate(totals, Scope("income", "Low"), records)
+        assert np.array_equal(low, totals[:, 0])
 
     def test_empty_scope_raises(self, tiny_dataset):
-        totals, _ = toy_totals()
+        totals, records = toy_totals(tiny_dataset)
         with pytest.raises(EmptyScope):
-            aggregate(totals, Scope("income", "LowerMiddle"),
-                      country_map(tiny_dataset), "baseline", 2015)
+            aggregate(totals, Scope("income", "LowerMiddle"), records)
 
     def test_summation_order_fixed(self, tiny_dataset):
-        """Same totals presented in any dict order give bitwise-equal sums."""
-        totals, _ = toy_totals()
+        """Same totals presented in any row order give bitwise-equal sums."""
+        totals, records = toy_totals(tiny_dataset)
         # adversarial values where summation order changes the float result
-        totals["AAA"] = totals["AAA"] + 1e-7
-        totals["BBB"] = totals["BBB"] * (1 + 1e-15)
-        reordered = {k: totals[k] for k in ["CCC", "AAA", "BBB"]}
-        a = aggregate(totals, WORLD, country_map(tiny_dataset), "baseline", 2015)
-        b = aggregate(reordered, WORLD, country_map(tiny_dataset), "baseline", 2015)
-        assert np.array_equal(a.values, b.values)
+        totals[:, 0] += 1e-7
+        totals[:, 1] *= 1 + 1e-15
+        order = [2, 0, 1]
+        a = aggregate(totals, WORLD, records)
+        b = aggregate(totals[:, order], WORLD, [records[i] for i in order])
+        assert np.array_equal(a, b)
 
-    def test_year_index(self, tiny_dataset):
-        totals, _ = toy_totals()
-        world = aggregate(totals, WORLD, country_map(tiny_dataset), "baseline", 2015)
-        assert world.year_index(2015) == 0
-        assert world.year_index(2020) == 5
-        assert world.year_index(2021) is None
-        assert world.year_index(2014) is None
+    @pytest.mark.parametrize("scenarios,years", [(1, 2), (1, 86), (7, 41), (60, 2), (60, 86)])
+    def test_equals_the_seed_scenario_by_scenario(self, scenarios, years):
+        """Each scope's sum over 60 countries, in rows not in iso3 order, is
+        the seed's ``aggregate`` in every scenario: world, income and region
+        scopes of many members, and country scopes of one."""
+        rng = np.random.default_rng(scenarios * 100 + years)
+        records = [CountryRecord(f"C{i:02d}", "", rng.choice(list(IncomeGroup)),
+                                 rng.choice(list(Region))) for i in rng.permutation(60)]
+        by_iso3 = {c.iso3: c for c in records}
+        totals = 10.0 ** rng.uniform(2.0, 10.0, (scenarios, 60, years))
+        scopes = scopes_for(SCOPE_KINDS, SimpleNamespace(countries=records))
+        assert len(scopes) > 60
+        for scope in scopes:
+            got = aggregate(totals, scope, records)
+            seed_scope = seed_oracle.report.Scope(scope.kind, scope.key)
+            for s in range(scenarios):
+                rows = {c.iso3: totals[s, i] for i, c in enumerate(records)}
+                want = seed_oracle.report.aggregate(rows, seed_scope, by_iso3, "m", 2015).values
+                assert (got[s] == want).all(), (scope, s)
 
 
 class TestFindPeak:
-    def make(self, values):
-        return AggregateSeries(scope=WORLD, scenario_id="baseline",
-                               start_year=2015, values=np.asarray(values, float))
+    """The summary's peak population and year: the ``argmax`` of each series."""
 
-    def test_interior_peak(self):
-        peak = find_peak(self.make([1.0, 3.0, 2.0]))
-        assert peak.peak_year == 2016
-        assert peak.peak_population == 3.0
+    def peak(self, tmp_path, millions):
+        result = RunResult(2015, ["baseline"], [WORLD], np.array([[millions]]) * 1e6)
+        emit_outputs(result, tmp_path, out_format="csv")
+        cells = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
+        return float(cells[5]), int(cells[6])
 
-    def test_tie_resolves_to_earliest(self):
-        peak = find_peak(self.make([1.0, 5.0, 2.0, 5.0, 3.0]))
-        assert peak.peak_year == 2016
+    def test_interior_peak(self, tmp_path):
+        assert self.peak(tmp_path, [1.0, 3.0, 2.0]) == (3.0, 2016)
 
-    def test_monotone_growth_peaks_at_end(self):
-        peak = find_peak(self.make([1.0, 2.0, 3.0]))
-        assert peak.peak_year == 2017
+    def test_tie_resolves_to_earliest(self, tmp_path):
+        assert self.peak(tmp_path, [1.0, 5.0, 2.0, 5.0, 3.0]) == (5.0, 2016)
 
-    def test_monotone_decline_peaks_at_start(self):
-        peak = find_peak(self.make([3.0, 2.0, 1.0]))
-        assert peak.peak_year == 2015
+    def test_monotone_growth_peaks_at_end(self, tmp_path):
+        assert self.peak(tmp_path, [1.0, 2.0, 3.0]) == (3.0, 2017)
+
+    def test_monotone_decline_peaks_at_start(self, tmp_path):
+        assert self.peak(tmp_path, [3.0, 2.0, 1.0]) == (3.0, 2015)
 
 
 class TestSensitivityRatio:
@@ -185,16 +189,11 @@ class TestFormatting:
 
 
 def toy_result(tiny_dataset, sensitivity=None):
-    totals, _ = toy_totals()
-    records = country_map(tiny_dataset)
-    scopes = scopes_for(["world", "income", "region", "country"], tiny_dataset)
-    scenario_ids = ["baseline"]
-    aggregates = {
-        "baseline": [aggregate(totals, s, records, "baseline", 2015)
-                     for s in scopes]
-    }
-    return RunResult(start_year=2015, scenario_ids=scenario_ids,
-                     aggregates=aggregates, sensitivity=sensitivity)
+    totals, records = toy_totals(tiny_dataset)
+    scopes = scopes_for(SCOPE_KINDS, tiny_dataset)
+    return RunResult(start_year=2015, scenario_ids=["baseline"], scopes=scopes,
+                     totals=np.stack([aggregate(totals, s, records) for s in scopes], axis=1),
+                     sensitivity=sensitivity)
 
 
 class TestEmitOutputs:
@@ -245,19 +244,21 @@ class TestEmitOutputs:
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_figure_panels_in_presentation_order(self, tiny_dataset, tmp_path):
-        """Panels follow the scope table, not the order of the result's series."""
-        shuffled = toy_result(tiny_dataset)
-        shuffled.aggregates["baseline"].reverse()
-        emit_outputs(toy_result(tiny_dataset), tmp_path / "ordered")
-        emit_outputs(shuffled, tmp_path / "shuffled")
+        """A figure's panels are its kind's scopes in the order of
+        ``result.scopes``, which ``scopes_for`` gives in the scope table's order."""
+        ordered = toy_result(tiny_dataset)
+        reverse = RunResult(2015, ordered.scenario_ids, ordered.scopes[::-1],
+                            ordered.totals[:, ::-1])
+        emit_outputs(ordered, tmp_path / "ordered")
+        emit_outputs(reverse, tmp_path / "reverse")
         for name, titles in (
                 ("figure_income_groups.svg",
                  ["High income", "Low income", "Upper-middle income"]),
                 ("figure_regions.svg",
                  ["Sub-Saharan Africa", "East Asia and Pacific", "North America"])):
-            svg = (tmp_path / "shuffled" / name).read_text()
-            assert re.findall(r'font-size="12" text-anchor="middle">([^<]*)<', svg) == titles
-            assert svg == (tmp_path / "ordered" / name).read_text()
+            for out, expected in (("ordered", titles), ("reverse", titles[::-1])):
+                svg = (tmp_path / out / name).read_text()
+                assert re.findall(r'font-size="12" text-anchor="middle">([^<]*)<', svg) == expected
 
     def test_svg_is_self_contained(self, tiny_dataset, tmp_path):
         emit_outputs(toy_result(tiny_dataset), tmp_path / "out")
@@ -270,7 +271,7 @@ class TestEmitOutputs:
             assert forbidden not in svg
 
     def test_no_scenarios_rejected(self, tmp_path):
-        result = RunResult(start_year=2015, scenario_ids=[], aggregates={})
+        result = RunResult(start_year=2015, scenario_ids=[], scopes=[], totals=np.empty((0, 0, 6)))
         with pytest.raises(EmptyScope):
             emit_outputs(result, tmp_path / "out")
 
@@ -279,11 +280,21 @@ class TestEmitOutputs:
     def test_non_finite_series_rejected_before_writing(self, tiny_dataset, tmp_path, bad,
                                                        out_format):
         result = toy_result(tiny_dataset)
-        result.aggregates["baseline"][2].values[3:] = bad
+        result.totals[0, 2, 3:] = bad
         with pytest.raises(NonFiniteResult, match="^Low income/baseline: projected "
                                             "population is not finite in 2018$"):
             emit_outputs(result, tmp_path / "out", out_format)
         assert not (tmp_path / "out").exists()
+
+    def test_first_non_finite_value_in_scenario_scope_year_order(self, tiny_dataset, tmp_path):
+        base = toy_result(tiny_dataset)
+        totals = np.repeat(base.totals, 3, axis=0)
+        totals[2, 0, 0] = totals[1, 4, 1] = np.inf
+        totals[1, 3, 5] = np.nan
+        result = RunResult(2015, ["m0.0", "m1.0", "m2.0"], base.scopes, totals)
+        with pytest.raises(NonFiniteResult, match="^Upper-middle income/m1.0: projected "
+                                            "population is not finite in 2020$"):
+            emit_outputs(result, tmp_path / "out")
 
     def test_failure_removes_partial_outputs(self, tiny_dataset, tmp_path, monkeypatch):
         import demotrend.report as report_mod
@@ -321,14 +332,10 @@ class TestEmitOutputs:
         assert left == {"": [], "a": ["a"], "a/b": ["a", "a/b"]}[existing]
 
     def test_multi_scenario_ordering(self, tiny_dataset, tmp_path):
-        totals, _ = toy_totals()
-        records = country_map(tiny_dataset)
-        aggregates = {
-            sid: [aggregate(totals, WORLD, records, sid, 2015)]
-            for sid in ("m0.0", "m1.0", "m2.0")
-        }
+        totals, records = toy_totals(tiny_dataset)
+        world = aggregate(np.repeat(totals, 3, axis=0), WORLD, records)
         result = RunResult(start_year=2015, scenario_ids=["m0.0", "m1.0", "m2.0"],
-                           aggregates=aggregates)
+                           scopes=[WORLD], totals=world[:, None])
         emit_outputs(result, tmp_path / "out", out_format="csv")
         lines = (tmp_path / "out" / "trajectories.csv").read_text().splitlines()
         sids = [line.split(",")[1] for line in lines[1:]]
@@ -371,24 +378,21 @@ class TestWholeArrayWriters:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scenario_ids = [f"m{i}.0" for i in range(data.draw(st.integers(1, 3)))]
         scopes = EDGE_SCOPES[:data.draw(st.integers(1, len(EDGE_SCOPES)))]
-        aggregates = {sid: [] for sid in scenario_ids}
-        for scope in scopes:
+        size = data.draw(st.integers(1, 86))
+        totals = np.empty((len(scenario_ids), len(scopes), size))
+        for k in range(len(scopes)):
             peak = 10.0 ** rng.uniform(4.0, 10.0)  # every series of a chart panel peaks here
-            for sid in scenario_ids:
-                values = edge_values(rng, data.draw(st.integers(1, 86)), peak)
-                values[rng.integers(values.size)] = peak
-                aggregates[sid].append(AggregateSeries(scope, sid, 2015, values))
-        result = RunResult(start_year=2015, scenario_ids=scenario_ids, aggregates=aggregates)
-        assert_per_value_bytes(result, tmp_path_factory)
+            for s in range(len(scenario_ids)):
+                totals[s, k] = edge_values(rng, size, peak)
+                totals[s, k, rng.integers(size)] = peak
+        assert_per_value_bytes(RunResult(2015, scenario_ids, scopes, totals), tmp_path_factory)
 
     def test_every_series_length(self, tmp_path_factory):
         # Each length sets the x scale of a panel; both chart columns are covered.
         rng = np.random.default_rng(11)
         for size in range(1, 87):
-            aggregates = {"m1.0": [AggregateSeries(scope, "m1.0", 2015,
-                                                   edge_values(rng, size, 3e9))
-                                   for scope in EDGE_SCOPES[:3]]}
-            result = RunResult(start_year=2015, scenario_ids=["m1.0"], aggregates=aggregates)
+            totals = np.array([[edge_values(rng, size, 3e9) for _ in EDGE_SCOPES[:3]]])
+            result = RunResult(2015, ["m1.0"], EDGE_SCOPES[:3], totals)
             assert_per_value_bytes(result, tmp_path_factory)
 
     def test_many_scenarios_over_every_scope_kind(self, tmp_path_factory):
@@ -396,28 +400,23 @@ class TestWholeArrayWriters:
         country scopes: many series blocks per file, and many lines per chart."""
         rng = np.random.default_rng(23)
         scenario_ids = [f"m{i / 20:g}" for i in range(60)]
-        aggregates = {sid: [] for sid in scenario_ids}
-        for scope in EDGE_SCOPES:
+        totals = np.empty((60, len(EDGE_SCOPES), 86))
+        for k in range(len(EDGE_SCOPES)):
             peak = 10.0 ** rng.uniform(4.0, 10.0)
-            for sid in scenario_ids:
-                values = edge_values(rng, 86, peak)
-                values[rng.integers(values.size)] = peak
-                aggregates[sid].append(AggregateSeries(scope, sid, 2015, values))
+            for s in range(60):
+                totals[s, k] = edge_values(rng, 86, peak)
+                totals[s, k, rng.integers(86)] = peak
         sensitivity = [(f"C{i:02d}", ratio) for i, ratio in enumerate(rng.uniform(0, 2, 40))]
-        result = RunResult(start_year=2015, scenario_ids=scenario_ids, aggregates=aggregates,
-                           sensitivity=sensitivity)
+        result = RunResult(2015, scenario_ids, EDGE_SCOPES, totals, sensitivity)
         assert_per_value_bytes(result, tmp_path_factory)
 
 
 def assert_per_value_bytes(result, tmp_path_factory):
-    """``emit_outputs`` writes the bytes of the seed's writers, which format
-    one value at a time and write each file whole."""
+    """``emit_outputs`` writes the bytes of the seed's ``emit_outputs``, whose
+    writers format one value at a time and write each file whole."""
     written = emit_outputs(result, tmp_path_factory.mktemp("whole"))
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("_write_trajectories", "_write_summary", "_write_sensitivity",
-                     "_svg_chart", "_write_lines"):
-            patch.setattr(report, name, getattr(seed_oracle.report, name))
-        expected = emit_outputs(result, tmp_path_factory.mktemp("per_value"))
+    expected = seed_oracle.report.emit_outputs(seed_oracle.run_result(result),
+                                               tmp_path_factory.mktemp("per_value"))
     assert [p.name for p in written] == [p.name for p in expected]
     for got, want in zip(written, expected):
         assert got.read_bytes() == want.read_bytes(), got.name
@@ -432,9 +431,8 @@ class TestEmitMemory:
         scopes = [WORLD, Scope("income", "Low"), Scope("region", "SouthAsia"),
                   Scope("country", "AAA")]
         scenario_ids = [f"m{i / 100:g}" for i in range(scenarios)]
-        aggregates = {sid: [AggregateSeries(scope, sid, 2015, rng.uniform(1e6, 1e10, 86))
-                            for scope in scopes] for sid in scenario_ids}
-        result = RunResult(start_year=2015, scenario_ids=scenario_ids, aggregates=aggregates,
+        result = RunResult(start_year=2015, scenario_ids=scenario_ids, scopes=scopes,
+                           totals=rng.uniform(1e6, 1e10, (scenarios, len(scopes), 86)),
                            sensitivity=[("AAA", 0.25), ("BBB", 0.125)])
         tracemalloc.start()
         try:
