@@ -7,6 +7,7 @@ byte-identical files regardless of the worker count.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import functools
 import gc
@@ -56,6 +57,7 @@ SENSITIVITY_YEAR = 2050
 # Scenarios projected together: a wide sweep's rate arrays are filled and
 # stepped this many scenarios at a time, so their size stays bounded.
 SCENARIO_CHUNK = 64
+_BLOCK = 1 << 16  # bytes of a worker's dump spool copied to its dump file at a time
 CGROUP_DIR = Path("/sys/fs/cgroup")  # where --jobs auto looks for a CPU quota
 _SIGKILL = 9  # signal.SIGKILL on every POSIX system; importing signal takes about 1 ms
 
@@ -162,11 +164,11 @@ def run(config: RunConfig) -> list[Path]:
                     _forked_map(project, countries, min(config.jobs, len(countries)))))
             else:
                 per_country = map(project, countries)
-            for i, (series, *texts) in enumerate(per_country):
+            for i, (series, *dumped) in enumerate(per_country):
                 totals[:, i] = series
-                for handle, text in zip(dumps, texts):
+                for handle, lines in zip(dumps, dumped):
                     if handle is not None:
-                        handle.write(text)
+                        handle.writelines(lines)
 
         scopes = scopes_for(config.aggregate, dataset)
         records = [dataset.country_map[iso3] for iso3 in countries]
@@ -183,15 +185,18 @@ def run(config: RunConfig) -> list[Path]:
 
 
 def _forked_map(project, countries: list[str], jobs: int):
-    """``project(iso3)`` for each country, yielded in country order, computed
-    by ``jobs`` forked workers that inherit ``project``.
+    """``project(iso3)`` for each country, yielded in country order as its
+    totals and the text of each dump file, computed by ``jobs`` forked
+    workers that inherit ``project``.
 
-    Worker w projects ``countries[w::jobs]`` in order. It pickles each
-    result, or its first failure, which ends its work, into its own unlinked
-    spool file, so it never waits for the parent. Country i is read from its
-    worker's spool once that worker has been reaped. An ``OSError`` while
-    making the spools or workers is a ``RuntimeError``. Every way out of
-    this generator kills and reaps the workers and closes the spools.
+    Worker w projects ``countries[w::jobs]`` in order. It writes a country's
+    dump lines to its own unlinked spool per dump file, then pickles the
+    totals and the byte count of each dump, or its first failure, which ends
+    its work, into its own unlinked spool file, so it never waits for the
+    parent. Country i is read from its worker's spools once that worker has
+    been reaped, its dump text ``_BLOCK`` bytes at a time. An ``OSError``
+    while making the spools or workers is a ``RuntimeError``. Every way out
+    of this generator kills and reaps the workers and closes the spools.
     """
     pids: list[int] = []
     reaped = 0  # pids[:reaped] have exited and been waited for
@@ -199,6 +204,8 @@ def _forked_map(project, countries: list[str], jobs: int):
         with contextlib.ExitStack() as stack:
             try:
                 spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(jobs)]
+                dump_spools = [[stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                                for _ in _DUMPS] for _ in range(jobs)]
                 # Workers then share the parent's heap without copying it: collections
                 # in a worker skip frozen objects. Thawing would also thaw the heap
                 # that the entry point froze, so only a heap frozen here is thawed.
@@ -210,7 +217,7 @@ def _forked_map(project, countries: list[str], jobs: int):
                         if pid == 0:
                             code = 1
                             try:
-                                _work(project, countries[worker::jobs], spool)
+                                _work(project, countries[worker::jobs], spool, dump_spools[worker])
                                 code = 0
                             finally:
                                 os._exit(code)
@@ -220,8 +227,10 @@ def _forked_map(project, countries: list[str], jobs: int):
                         gc.unfreeze()
             except OSError as exc:
                 raise RuntimeError(f"could not start --jobs workers: {exc}") from exc
+            offsets = [[0] * len(_DUMPS) for _ in range(jobs)]  # of the next dump bytes to read
             for index, iso3 in enumerate(countries):
-                spool = spools[index % jobs]
+                worker = index % jobs
+                spool = spools[worker]
                 if index < jobs:
                     os.waitpid(pids[index], 0)
                     reaped = index + 1
@@ -236,7 +245,13 @@ def _forked_map(project, countries: list[str], jobs: int):
                     if value is None:
                         raise remote
                     raise value from remote
-                yield value
+                series, counts = value
+                dumped = []
+                for d, count in enumerate(counts):
+                    blocks = _blocks(dump_spools[worker][d].fileno(), offsets[worker][d], count)
+                    dumped.append(codecs.iterdecode(blocks, "utf-8"))
+                    offsets[worker][d] += count
+                yield series, *dumped
     finally:
         for pid in pids[reaped:]:
             os.kill(pid, _SIGKILL)
@@ -244,12 +259,27 @@ def _forked_map(project, countries: list[str], jobs: int):
             os.waitpid(pid, 0)
 
 
-def _work(project, countries: list[str], spool) -> None:
-    """A forked worker: project each of ``countries`` in order and spool its
-    result, up to and including the first failure."""
+def _blocks(fd: int, offset: int, count: int):
+    """The ``count`` bytes of file ``fd`` from ``offset`` on, ``_BLOCK`` at a time."""
+    end = offset + count
+    for start in range(offset, end, _BLOCK):
+        yield os.pread(fd, min(_BLOCK, end - start), start)
+
+
+def _work(project, countries: list[str], spool, dump_spools) -> None:
+    """A forked worker: project each of ``countries`` in order, write its dump
+    lines to ``dump_spools`` and spool its totals and the byte count of each
+    dump, up to and including the first failure."""
     for iso3 in countries:
         try:
-            blob, failed = pickle.dumps((project(iso3), None), pickle.HIGHEST_PROTOCOL), False
+            series, *dumped = project(iso3)
+            counts = []
+            for dump, lines in zip(dump_spools, dumped):
+                start = dump.buffer.tell()
+                dump.writelines(lines)
+                dump.flush()
+                counts.append(dump.buffer.tell() - start)
+            blob, failed = pickle.dumps(((series, counts), None), pickle.HIGHEST_PROTOCOL), False
         except BaseException as exc:
             blob, failed = _pickled_failure(exc), True
         spool.write(blob)
@@ -273,9 +303,10 @@ def _pickled_failure(exc: BaseException) -> bytes:
 
 
 def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str):
-    """All scenarios for one country: its (S, T+1) totals, then the
-    ``donors.csv`` and ``ensembles.csv`` text (empty unless dumped). The
-    scenarios are projected ``SCENARIO_CHUNK`` at a time, each in its own row."""
+    """All scenarios for one country: its (S, T+1) totals, then the lines of
+    ``donors.csv`` and of ``ensembles.csv``, each a lazy iterable (empty
+    unless dumped), so no dump is held whole. The scenarios are projected
+    ``SCENARIO_CHUNK`` at a time, each in its own row."""
     base = dataset.base_population(iso3)
     cap = CapPolicy(config.fertility_cap)
     # select_donors skips a country without GDP rows in its window.
@@ -284,8 +315,7 @@ def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str
     cache: dict = {}
     steps = config.horizon - base.year
     totals = []
-    donor_lines: list[str] = []
-    ensemble_lines: list[str] = []
+    made = []  # (scenario id, donors, ensembles) of each scenario, for the dumps
     for start in range(0, len(scenarios), SCENARIO_CHUNK):
         chunk = scenarios[start:start + SCENARIO_CHUNK]
         asfr = np.empty((len(chunk), steps, len(FERTILE_BANDS)))
@@ -297,12 +327,13 @@ def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str
             donors = select_donors(rule, candidates)
             ensembles = build_country_ensembles(dataset, iso3, donors, cache)
             asfr[i], q[i] = pathway_rates(base, ensembles, pathway, cap, config.horizon)
-            if config.dump_donors:
-                donor_lines.extend(f"{sid},{iso3},{donor}\n" for donor in donors)
-            if config.dump_ensembles:
-                ensemble_lines.extend(f"{sid},{iso3},{line}\n" for line in ensembles.dump_lines)
+            made.append((sid, donors, ensembles))
         totals.append(project_totals(base, asfr, q, config.srb, [sid for sid, _ in chunk]))
-    return np.concatenate(totals), "".join(donor_lines), "".join(ensemble_lines)
+    donor_lines = (f"{sid},{iso3},{donor}\n" for sid, donors, _ in made for donor in donors)
+    ensemble_lines = (f"{sid},{iso3},{line}\n"
+                      for sid, _, ensembles in made for line in ensembles.dump_lines)
+    return (np.concatenate(totals), donor_lines if config.dump_donors else (),
+            ensemble_lines if config.dump_ensembles else ())
 
 
 def _sensitivity_rows(scenario_ids, countries, totals, horizon):

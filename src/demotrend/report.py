@@ -251,7 +251,7 @@ def _svg_chart(title: str, labels: list[str], start_year: int, panels) -> str:
     rows = (len(panels) + cols - 1) // cols
     legend_w = 110 if len(labels) > 1 else 0
     width = cols * panel_w + legend_w + 16
-    height = rows * panel_h + 34
+    height = max(rows * panel_h + 34, 44 + 16 * len(labels))  # the legend's 16 px per label
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>',

@@ -100,7 +100,13 @@ def multiplier_pathway(base: GdpPathway, m: float) -> GdpPathway:
     v = base.values
     # An overflow to inf is reported by GdpPathway's finite check, not as a warning.
     with np.errstate(over="ignore"):
-        growth = 1.0 + m * (v[1:] / v[:-1] - 1.0)
+        ratio = v[1:] / v[:-1]
+        growth = 1.0 + m * (ratio - 1.0)
+        if m <= 1.0:
+            # The factor is then at least min(1, ratio) > 0, but 1 + m * (ratio - 1)
+            # rounds to 0 where ratio is below 2**-54; only those entries are redone.
+            low = growth <= 0.0
+            growth[low] = (1.0 - m) + m * ratio[low]
         crash = np.flatnonzero(growth <= 0.0)
         if crash.size:
             raise NonPositiveResult(

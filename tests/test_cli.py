@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -520,7 +521,11 @@ class TestWarningsAsErrors:
         # Anchors of 1e-300 overflow the NegPower rate forecasts.
         ("gdp_baseline.csv", r"(\w+,\d+),.*", r"\1,1e-300",
          (1, "error: AAA/m0.0: rate forecast is not finite at GDP per capita 1e-300\n")),
-    ], ids=["tiny", "gdp-1e200", "gdp-1e307", "anchor-1e-320", "anchors-1e-300"])
+        # Growth ratios near 1e-24 up to 2025: m1.0 follows them, m1.1 cannot.
+        ("gdp_baseline.csv", "CCC,2025,37291.28", "CCC,2025,1.78e-233",
+         (1, "error: CCC: multiplier 1.1 drives GDP non-positive in year 2016\n")),
+    ], ids=["tiny", "gdp-1e200", "gdp-1e307", "anchor-1e-320", "anchors-1e-300",
+            "anchor-1.78e-233"])
     def test_sweep_warns_nothing_and_jobs_write_the_same_bytes(self, tmp_path, name, line,
                                                                replacement, expected):
         data_dir = TINY if name is None else tiny_with(tmp_path, name, line, replacement)
@@ -1075,6 +1080,38 @@ class TestScenarioChunks:
         assert not (tmp_path / "out").exists()
 
 
+class TestDumpMemory:
+    """The dump files are streamed: a run holds no country's ``donors.csv`` or
+    ``ensembles.csv`` rows whole, so dumping does not grow its memory."""
+
+    def traced_peak(self, out, jobs, dumps):
+        """The traced peak of an in-process 200-scenario sweep. The dump rows do
+        not depend on the horizon; a short one keeps the run short."""
+        from demotrend import cli
+
+        config = cli.RunConfig(data_dir=str(TINY), out_dir=str(out), scenario="sweep:0:1.99:0.01",
+                               horizon=2016, aggregate=("world",), out_format="csv", jobs=jobs,
+                               dump_donors=dumps, dump_ensembles=dumps)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cli.run(config)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_dumps_add_under_1_mib_to_the_traced_peak(self, tmp_path, jobs):
+        """A 25 MB ensembles.csv: the run that joined a country's rows into one
+        string, and pickled it from a worker, peaked 24-29 MiB above the run
+        without dumps; the streamed one takes under 0.2 MiB more."""
+        plain = self.traced_peak(tmp_path / "plain", jobs, False)
+        dumped = self.traced_peak(tmp_path / "dumped", jobs, True)
+        assert (tmp_path / "dumped" / "ensembles.csv").stat().st_size > 20_000_000
+        assert dumped - plain < 1 << 20
+
+
 def tiny_without_20_24_fertility(tmp_path, *countries):
     """A copy of the tiny fixture in which each of ``countries`` fails to fit."""
     data_dir = tmp_path / "tiny"
@@ -1379,6 +1416,55 @@ class TestForkedWorkers:
                                                              "without a result for BBB$"):
             cli.run(tiny_config(tmp_path / "out", 2))
         assert not (tmp_path / "out").exists()
+        assert_no_child()
+        assert open_fds() == before
+
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_worker_killed_mid_dump_is_an_internal_error(self, tmp_path, monkeypatch, capsys,
+                                                         jobs):
+        """The worker of BBB is killed after 100 of BBB's ensembles.csv rows:
+        exit 3, and the dump files got AAA's rows, whole, and none of BBB's
+        before they were removed."""
+        from demotrend import cli
+
+        project_one = cli._project_one
+
+        def dies_mid_dump(dataset, scenarios, config, iso3):
+            series, donors, ensembles = project_one(dataset, scenarios, config, iso3)
+            if iso3 != "BBB":
+                return series, donors, ensembles
+
+            def killing():
+                for n, line in enumerate(ensembles):
+                    if n == 100:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    yield line
+            return series, donors, killing()
+
+        expected = {}
+        for path in cli.run(tiny_config(tmp_path / "serial", 1)):
+            if path.name in ("donors.csv", "ensembles.csv"):
+                header, *rows = path.read_text(encoding="utf-8").splitlines(True)
+                expected[path.name] = header + "".join(r for r in rows if r.split(",")[1] == "AAA")
+        unlink, reached = Path.unlink, {}
+
+        def reading_unlink(path, missing_ok=False):
+            if path.name in expected:
+                reached[path.name] = path.read_text(encoding="utf-8")
+            unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(cli, "_project_one", dies_mid_dump)
+        monkeypatch.setattr(Path, "unlink", reading_unlink)
+        out = tmp_path / "out"
+        before = open_fds()
+        with deadline(30):
+            code = cli.main(["--data-dir", str(TINY), "--out", str(out), "--scenario", "sweep:0:2:1",
+                             "--jobs", jobs, "--dump-donors", "--dump-ensembles"])
+        stderr = capsys.readouterr().err
+        assert code == 3
+        assert stderr.endswith("RuntimeError: a --jobs worker exited without a result for BBB\n")
+        assert reached == expected
+        assert not out.exists()
         assert_no_child()
         assert open_fds() == before
 

@@ -270,6 +270,19 @@ class TestEmitOutputs:
         for forbidden in ("<script", "<image", "href="):
             assert forbidden not in svg
 
+    @pytest.mark.parametrize("panels", [1, 2, 3, 7])
+    def test_every_legend_entry_lies_inside_the_figure(self, panels):
+        """21 scenarios, the default sweep: each legend entry's line and text,
+        11 px type on a 16 px pitch, end above the figure's bottom edge."""
+        labels = [f"m{i / 10:g}" for i in range(21)]
+        lines = np.linspace(1e6, 2e6, 21 * 86).reshape(21, 86)
+        svg = report._svg_chart("World", labels, 2015, [(f"P{i}", lines) for i in range(panels)])
+        height = float(re.search(r'<svg [^>]* height="([^"]+)"', svg).group(1))
+        entries = re.findall(r'<text x="[^"]+" y="([^"]+)" font-family="sans-serif" '
+                             r'font-size="11">([^<]*)<', svg)
+        assert [label for _, label in entries] == labels
+        assert all(float(y) + 4 <= height for y, _ in entries)
+
     def test_no_scenarios_rejected(self, tmp_path):
         result = RunResult(start_year=2015, scenario_ids=[], scopes=[], totals=np.empty((0, 0, 6)))
         with pytest.raises(EmptyScope):
@@ -413,13 +426,29 @@ class TestWholeArrayWriters:
 
 def assert_per_value_bytes(result, tmp_path_factory):
     """``emit_outputs`` writes the bytes of the seed's ``emit_outputs``, whose
-    writers format one value at a time and write each file whole."""
+    writers format one value at a time and write each file whole, except that
+    a figure is tall enough for its legend."""
     written = emit_outputs(result, tmp_path_factory.mktemp("whole"))
     expected = seed_oracle.report.emit_outputs(seed_oracle.run_result(result),
                                                tmp_path_factory.mktemp("per_value"))
     assert [p.name for p in written] == [p.name for p in expected]
     for got, want in zip(written, expected):
-        assert got.read_bytes() == want.read_bytes(), got.name
+        want = want.read_bytes()
+        if got.suffix == ".svg":
+            want = legend_height(want, len(result.scenario_ids))
+        assert got.read_bytes() == want, got.name
+
+
+def legend_height(svg, scenarios):
+    """The seed's figure ``svg`` with its height raised, where the legend of
+    ``scenarios`` entries needs it, to 16 px per entry from y = 44."""
+    head, rect, rest = svg.split(b"\n", 2)
+    height = re.search(rb' height="(\d+)"', head).group(1)
+    needed = str(max(int(height), 44 + 16 * scenarios)).encode()
+    head = head.replace(b' height="%s"' % height, b' height="%s"' % needed)
+    head = head.replace(b' %s">' % height, b' %s">' % needed)  # the viewBox's last number
+    rect = rect.replace(b' height="%s"' % height, b' height="%s"' % needed)
+    return b"\n".join((head, rect, rest))
 
 
 class TestEmitMemory:

@@ -132,6 +132,21 @@ class TestMultiplierPathway:
             same = multiplier_pathway(base, 1.0)
             assert np.allclose(same.values, base.values, rtol=1e-12, atol=0.0), iso3
 
+    def test_one_keeps_a_baseline_whose_growth_rounds_to_zero(self):
+        """CCC's 2025 anchor of the tiny fixture at 1.78e-233: every year to
+        2025 shrinks GDP by a ratio near 1e-24, for which 1 + m * (ratio - 1)
+        rounds to 0 at m = 1. m1.0 still follows the baseline; m1.1 crashes."""
+        years = [2015, 2025, 2035, 2045, 2055, 2065, 2075, 2085, 2095, 2100]
+        values = [35000.0, 1.78e-233, 39732.55, 42333.64, 45105.02, 48057.82, 51203.92,
+                  54555.99, 58127.5, 60000.0]
+        base = baseline_pathway("CCC", years, values)
+        assert (base.values[1:11] / base.values[:10] < 2.0 ** -54).all()
+        same = multiplier_pathway(base, 1.0)
+        assert np.allclose(same.values, base.values, rtol=1e-12, atol=0.0)
+        with pytest.raises(NonPositiveResult,
+                           match="^CCC: multiplier 1.1 drives GDP non-positive in year 2016$"):
+            multiplier_pathway(base, 1.1)
+
     def test_constant_growth_oracle(self):
         r = 0.02
         base = geometric_pathway(growth=1.0 + r)
