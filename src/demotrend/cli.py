@@ -7,7 +7,6 @@ byte-identical files regardless of the worker count.
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import functools
 import gc
@@ -18,6 +17,7 @@ import os
 import pickle
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,6 @@ SENSITIVITY_YEAR = 2050
 # Scenarios projected together: a wide sweep's rate arrays are filled and
 # stepped this many scenarios at a time, so their size stays bounded.
 SCENARIO_CHUNK = 64
-_BLOCK = 1 << 16  # bytes of a worker's dump spool copied to its dump file at a time
 CGROUP_DIR = Path("/sys/fs/cgroup")  # where --jobs auto looks for a CPU quota
 _SIGKILL = 9  # signal.SIGKILL on every POSIX system; importing signal takes about 1 ms
 
@@ -186,38 +185,43 @@ def run(config: RunConfig) -> list[Path]:
 
 def _forked_map(project, countries: list[str], jobs: int):
     """``project(iso3)`` for each country, yielded in country order as its
-    totals and the text of each dump file, computed by ``jobs`` forked
+    totals and the lines of each dump file, computed by ``jobs`` forked
     workers that inherit ``project``.
 
     Worker w projects ``countries[w::jobs]`` in order. It writes a country's
-    dump lines to its own unlinked spool per dump file, then pickles the
-    totals and the byte count of each dump, or its first failure, which ends
-    its work, into its own unlinked spool file, so it never waits for the
-    parent. Country i is read from its worker's spools once that worker has
-    been reaped, its dump text ``_BLOCK`` bytes at a time. An ``OSError``
-    while making the spools or workers is a ``RuntimeError``. Every way out
-    of this generator kills and reaps the workers and closes the spools.
+    dump lines, donors then ensembles, to its own unlinked text spool, then
+    pickles the totals and the line count of each dump, or its first failure,
+    which ends its work, into its own unlinked result spool, so it never waits
+    for the parent. Once a worker has been reaped, both its spools are read
+    front to back: a country's record, then that many lines of each dump.
+    This rests on two contracts: every dump item is one ``\\n``-terminated
+    line (iso3 validation keeps CR and LF out of the rows), and the caller
+    consumes each yielded dump fully and in order before asking for the next
+    country. An ``OSError`` while making the spools or workers is a
+    ``RuntimeError``. Every way out of this generator kills and reaps the
+    workers and closes the spools.
     """
     pids: list[int] = []
     reaped = 0  # pids[:reaped] have exited and been waited for
     try:
         with contextlib.ExitStack() as stack:
             try:
-                spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(jobs)]
-                dump_spools = [[stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-                                for _ in _DUMPS] for _ in range(jobs)]
+                spools = [(stack.enter_context(tempfile.TemporaryFile()),
+                           stack.enter_context(tempfile.TemporaryFile(
+                               "w+", encoding="utf-8", newline="\n")))
+                          for _ in range(jobs)]
                 # Workers then share the parent's heap without copying it: collections
                 # in a worker skip frozen objects. Thawing would also thaw the heap
                 # that the entry point froze, so only a heap frozen here is thawed.
                 thaw = not gc.get_freeze_count()
                 gc.freeze()
                 try:
-                    for worker, spool in enumerate(spools):
+                    for worker, (spool, text) in enumerate(spools):
                         pid = os.fork()
                         if pid == 0:
                             code = 1
                             try:
-                                _work(project, countries[worker::jobs], spool, dump_spools[worker])
+                                _work(project, countries[worker::jobs], spool, text)
                                 code = 0
                             finally:
                                 os._exit(code)
@@ -227,14 +231,13 @@ def _forked_map(project, countries: list[str], jobs: int):
                         gc.unfreeze()
             except OSError as exc:
                 raise RuntimeError(f"could not start --jobs workers: {exc}") from exc
-            offsets = [[0] * len(_DUMPS) for _ in range(jobs)]  # of the next dump bytes to read
             for index, iso3 in enumerate(countries):
-                worker = index % jobs
-                spool = spools[worker]
+                spool, text = spools[index % jobs]
                 if index < jobs:
                     os.waitpid(pids[index], 0)
                     reaped = index + 1
                     spool.seek(0)
+                    text.seek(0)
                 try:
                     value, failure = pickle.load(spool)
                 except (EOFError, pickle.UnpicklingError):
@@ -246,12 +249,7 @@ def _forked_map(project, countries: list[str], jobs: int):
                         raise remote
                     raise value from remote
                 series, counts = value
-                dumped = []
-                for d, count in enumerate(counts):
-                    blocks = _blocks(dump_spools[worker][d].fileno(), offsets[worker][d], count)
-                    dumped.append(codecs.iterdecode(blocks, "utf-8"))
-                    offsets[worker][d] += count
-                yield series, *dumped
+                yield series, *(islice(text, n) for n in counts)
     finally:
         for pid in pids[reaped:]:
             os.kill(pid, _SIGKILL)
@@ -259,26 +257,15 @@ def _forked_map(project, countries: list[str], jobs: int):
             os.waitpid(pid, 0)
 
 
-def _blocks(fd: int, offset: int, count: int):
-    """The ``count`` bytes of file ``fd`` from ``offset`` on, ``_BLOCK`` at a time."""
-    end = offset + count
-    for start in range(offset, end, _BLOCK):
-        yield os.pread(fd, min(_BLOCK, end - start), start)
-
-
-def _work(project, countries: list[str], spool, dump_spools) -> None:
+def _work(project, countries: list[str], spool, text) -> None:
     """A forked worker: project each of ``countries`` in order, write its dump
-    lines to ``dump_spools`` and spool its totals and the byte count of each
-    dump, up to and including the first failure."""
+    lines to ``text`` and spool its totals and the line count of each dump,
+    up to and including the first failure."""
     for iso3 in countries:
         try:
             series, *dumped = project(iso3)
-            counts = []
-            for dump, lines in zip(dump_spools, dumped):
-                start = dump.buffer.tell()
-                dump.writelines(lines)
-                dump.flush()
-                counts.append(dump.buffer.tell() - start)
+            counts = [sum(1 for _ in map(text.write, lines)) for lines in dumped]
+            text.flush()
             blob, failed = pickle.dumps(((series, counts), None), pickle.HIGHEST_PROTOCOL), False
         except BaseException as exc:
             blob, failed = _pickled_failure(exc), True
@@ -359,21 +346,9 @@ def _input_digests(data_dir: str) -> dict[str, str]:
 
 def _write_manifest(config: RunConfig, digests: dict[str, str], out: Path) -> Path:
     # jobs and out_dir are omitted: they cannot change the results.
-    manifest = {
-        "config": {
-            "aggregate": list(config.aggregate),
-            "data_dir": config.data_dir,
-            "dump_donors": config.dump_donors,
-            "dump_ensembles": config.dump_ensembles,
-            "fertility_cap": config.fertility_cap,
-            "format": config.out_format,
-            "horizon": config.horizon,
-            "scenario": config.scenario,
-            "srb": config.srb,
-        },
-        "inputs": digests,
-        "version": __version__,
-    }
+    settings = {"format" if name == "out_format" else name: getattr(config, name)
+                for name in RunConfig._fields if name not in ("jobs", "out_dir")}
+    manifest = {"config": settings, "inputs": digests, "version": __version__}
     return _write_lines(out / "run_manifest.json",
                         [json.dumps(manifest, indent=2, sort_keys=True)])
 

@@ -148,6 +148,14 @@ class TestManifest:
         assert "jobs" not in config
         assert "out_dir" not in config
 
+    def test_config_records_every_setting_that_can_change_results(self, baseline_run):
+        """The settings are read from ``RunConfig``'s fields: a new one is
+        recorded without naming it, and only jobs and out_dir are left out."""
+        config = json.loads((baseline_run / "run_manifest.json").read_text())["config"]
+        fields = set(RunConfig._fields) - {"jobs", "out_dir", "out_format"}
+        assert set(config) == fields | {"format"}
+        assert config["format"] == "csv+svg"
+
     def test_input_digests(self, baseline_run):
         manifest = json.loads((baseline_run / "run_manifest.json").read_text())
         assert sorted(manifest["inputs"]) == [
@@ -266,21 +274,6 @@ class TestDeterminism:
         for name in names_a:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
-
-    def test_openblas_thread_count_invisible(self, tmp_path):
-        # The README suggests OPENBLAS_NUM_THREADS=1 to save CPU; it must not
-        # change a byte of any output.
-        args = ["--data-dir", str(TINY), "--scenario", "sweep:0:2:1",
-                "--dump-donors", "--dump-ensembles"]
-        code1, _, err1 = run_cli([*args, "--out", str(tmp_path / "default")])
-        code2, _, err2 = run_cli([*args, "--out", str(tmp_path / "one")],
-                                 env_extra={"OPENBLAS_NUM_THREADS": "1"})
-        assert code1 == 0 and code2 == 0, err1 + err2
-        names = sorted(p.name for p in (tmp_path / "default").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
-        for name in names:
-            assert (tmp_path / "default" / name).read_bytes() == \
-                (tmp_path / "one" / name).read_bytes(), name
 
     def test_import_leaves_worker_pools_unloaded(self):
         """Single-job runs never pay for importing ``concurrent.futures``, and
@@ -1336,6 +1329,28 @@ class TestForkedWorkers:
         for name in names:
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / jobs / name).read_bytes(), name
+
+    def test_multibyte_iso3_writes_the_same_bytes(self, tmp_path):
+        """ÅAA in place of AAA: its two-byte first character passes through
+        the workers' text spools to both dumps and the country scope, and
+        every worker count writes the same bytes."""
+        from demotrend import cli
+
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for path in TINY.glob("*.csv"):
+            (data_dir / path.name).write_text(
+                path.read_text(encoding="utf-8").replace("AAA", "ÅAA"), encoding="utf-8")
+        trees = [{p.name: p.read_bytes() for p in cli.run(tiny_config(
+            tmp_path / f"j{jobs}", jobs, data_dir=str(data_dir), scenario="sweep",
+            aggregate=SCOPE_KINDS))} for jobs in (1, 2, 3)]
+        assert trees[1] == trees[0] and trees[2] == trees[0]
+        text = {name: trees[0][name].decode("utf-8")
+                for name in ("donors.csv", "ensembles.csv", "trajectories.csv")}
+        assert "AAA" not in "".join(text.values())
+        assert ",ÅAA," in text["donors.csv"] and ",ÅAA," in text["ensembles.csv"]
+        assert "\nÅAA,m1.0,2015," in text["trajectories.csv"]
+        assert_no_child()
 
     def test_jobs_run_imports_no_pool_modules(self, tmp_path):
         script = ("import sys\n"
