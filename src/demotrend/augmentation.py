@@ -46,14 +46,6 @@ class AugmentedSeries(Record, eq=False):
     weight_gdp: np.ndarray
     weight_rate: np.ndarray
 
-    @property
-    def n_fit(self) -> int:
-        return int(self.fit_gdp.size)
-
-    @property
-    def n_weight(self) -> int:
-        return int(self.weight_gdp.size)
-
 
 def select_donors(rule: DonorRule, candidates) -> list[str]:
     """Qualifying donor iso3 codes, sorted.

@@ -35,10 +35,6 @@ class GdpPathway(Record, eq=False):
             raise NonPositiveResult(f"{self.iso3}/{self.scenario_id}: "
                                     "pathway values must be positive and finite")
 
-    @property
-    def end_year(self) -> int:
-        return self.start_year + self.values.size - 1
-
     def gdp(self, year: int) -> float:
         idx = year - self.start_year
         if idx < 0 or idx >= self.values.size:

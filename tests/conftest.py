@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 import sys
 from pathlib import Path
@@ -43,6 +44,25 @@ TINY = TESTS / "fixtures" / "tiny"
 SYNTH = seed_oracle.load("perfbench_synth", seed_oracle.PERFBENCH / "synth.py")
 
 AGE_BANDS = [f"{lo}-{lo + 4}" for lo in range(0, 100, 5)] + ["100+"]
+
+
+def world_like(n: int) -> list:
+    """n ``SYNTH.Country`` records spread like the world's incomes: 2015 GDP at
+    the midpoints of n equal log steps from 400 to 90,000, 1950 GDP e^1.3
+    below it, and 2100 GDP e^1.6, e^1.0 or e^0.6 above it for 2015 GDP under
+    5,000, under 20,000 and above. Unlike ``SYNTH.ladder_countries``, a
+    country may borrow many donors, and a donor threshold may lie near a
+    country."""
+    step = math.log(90_000 / 400) / n
+    countries = []
+    for i in range(n):
+        gdp = 400 * math.exp(step * (i + 0.5))
+        rise = 1.6 if gdp < 5_000 else 1.0 if gdp < 20_000 else 0.6
+        countries.append(SYNTH.Country(
+            iso3="W" + chr(65 + i // 26) + chr(65 + i % 26), income=SYNTH._income_group(gdp),
+            region=SYNTH.REGIONS[i % len(SYNTH.REGIONS)], gdp1950=gdp * math.exp(-1.3),
+            gdp2015=gdp, gdp2100=gdp * math.exp(rise)))
+    return countries
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 """The frozen seed program, ``perfbench/reference/demotrend``, as a bit oracle.
 
-The seed's one-row ``fit`` solves every knot and exponent candidate with
-``np.linalg.lstsq``, its ensembles are built one series at a time, and it
-projects one state and one year at a time, so this package's batched,
-screened fits, its ensembles and every country's projected totals must
-equal the seed's bit for bit. The seed is imported read-only (no bytecode is
+The seed reads its inputs one row at a time, its one-row ``fit`` solves
+every knot and exponent candidate with ``np.linalg.lstsq``, its ensembles
+are built one series at a time, and it projects one state and one year at a
+time, so this package's columnar datasets, its batched, screened fits, its
+ensembles and every country's projected totals must equal the seed's bit
+for bit. The seed is imported read-only (no bytecode is
 written) as the package ``seed_demotrend``, by file location with no
 ``sys.path`` entry, so it never shadows ``demotrend``. Its calls run with
 floating-point warnings silenced, since it warns where this package does
@@ -48,10 +49,10 @@ def load(name: str, path: Path, package: bool = False):
 
 
 load("seed_demotrend", SEED, package=True)
-(_models, _data_ingest, _rate_forecast, _errors, _demography, _scenarios, report,
- _cli) = (load(f"seed_demotrend.{name}", SEED / f"{name}.py")
-          for name in ("models", "data_ingest", "rate_forecast", "errors", "demography",
-                       "scenarios", "report", "cli"))
+(_models, _data_ingest, _augmentation, _rate_forecast, _errors, _demography, _scenarios,
+ report, _cli) = (load(f"seed_demotrend.{name}", SEED / f"{name}.py")
+                  for name in ("models", "data_ingest", "augmentation", "rate_forecast", "errors",
+                               "demography", "scenarios", "report", "cli"))
 
 
 def _quiet(call, *args):
@@ -112,6 +113,24 @@ def forecast(ensemble, gdp, fertility: bool, cap_gdp: float) -> list[float]:
 def load_dataset(data_dir):
     """The seed's reading of an input directory."""
     return _quiet(_data_ingest.load_dataset, data_dir)
+
+
+def _enum(member):
+    """This package's ``Variable`` or ``Sex`` member (or None) as the seed's."""
+    return None if member is None else getattr(_data_ingest, type(member).__name__)(member.value)
+
+
+def rate_series(dataset, iso3: str, variable, age_group: str, sex=None):
+    """The seed's ``rate_series`` of its ``dataset``."""
+    return dataset.rate_series(iso3, _enum(variable), age_group, _enum(sex))
+
+
+def augmented_series(dataset, target: str, donors, variable, age_group: str, sex=None):
+    """The seed's ``build_augmented_series`` on its ``dataset``, as (fit_gdp,
+    fit_rate, weight_gdp, weight_rate)."""
+    series = _quiet(_augmentation.build_augmented_series, target, donors, _enum(variable),
+                    age_group, dataset, _enum(sex))
+    return series.fit_gdp, series.fit_rate, series.weight_gdp, series.weight_rate
 
 
 def build_country_ensembles(dataset, iso3: str, donors, cache: dict | None = None):

@@ -79,8 +79,7 @@ class TestAugmentedSeries:
         series = build_augmented_series("AAA", [], Variable.FERTILITY, "20-24",
                                         tiny_dataset)
         # annual interpolation of five-yearly 1950-2015 observations
-        assert series.n_fit == 66
-        assert series.n_weight == 66
+        assert series.fit_gdp.size == series.weight_gdp.size == 66
         assert np.array_equal(series.fit_gdp, series.weight_gdp)
         assert np.array_equal(series.fit_rate, series.weight_rate)
 
@@ -89,11 +88,11 @@ class TestAugmentedSeries:
                                        tiny_dataset)
         augmented = build_augmented_series("AAA", ["BBB"], Variable.FERTILITY,
                                            "20-24", tiny_dataset)
-        assert augmented.n_fit == alone.n_fit + 26  # donor window 1990-2015
-        assert augmented.n_weight == alone.n_weight
+        assert augmented.fit_gdp.size == alone.fit_gdp.size + 26  # donor window 1990-2015
+        assert augmented.weight_gdp.size == alone.weight_gdp.size
         assert np.array_equal(augmented.weight_gdp, alone.weight_gdp)
         # target pairs come first, donor pairs after
-        assert np.array_equal(augmented.fit_gdp[:alone.n_fit], alone.fit_gdp)
+        assert np.array_equal(augmented.fit_gdp[:alone.fit_gdp.size], alone.fit_gdp)
 
     def test_interpolation_matches_numpy_oracle(self, tiny_dataset):
         series = build_augmented_series("AAA", [], Variable.FERTILITY, "20-24",
@@ -129,7 +128,7 @@ class TestAugmentedSeries:
                                             "20-24", tiny_dataset)
         alone = build_augmented_series("AAA", [], Variable.FERTILITY, "20-24",
                                        tiny_dataset)
-        assert with_ghost.n_fit == alone.n_fit
+        assert with_ghost.fit_gdp.size == alone.fit_gdp.size
 
     def test_mutating_weight_sample_leaves_fit_sample(self, tiny_dataset):
         series = build_augmented_series("AAA", [], Variable.FERTILITY, "20-24",

@@ -24,7 +24,7 @@ from demotrend.cli import RunConfig, UsageError, _build_parser, _config_from_arg
 from demotrend.models import COEF_FIELDS, FORM_ORDER
 from demotrend.report import SCOPE_KINDS
 
-from conftest import SYNTH, TINY, minimal_rows, run_cli, write_rows
+from conftest import SYNTH, TINY, minimal_rows, run_cli, world_like, write_rows
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +391,15 @@ class TestDeterminism:
         for name in names:
             assert (tmp_path / "j1" / name).read_bytes() == \
                 (tmp_path / "j3" / name).read_bytes(), name
+
+    def test_worker_count_invisible_with_several_donors(self, tmp_path):
+        """The tiny and four-country sets give a country at most one donor per
+        scenario; a world-like set gives it up to six."""
+        data_dir = SYNTH.write_dataset(tmp_path / "data", world_like(12), "mixed", 0)
+        outputs = {jobs: sweep_outputs(data_dir, tmp_path / f"j{jobs}", jobs) for jobs in (1, 3)}
+        assert outputs[1] == outputs[3]
+        donors = [tuple(line.split(b",")[:2]) for line in outputs[1]["donors.csv"].splitlines()]
+        assert max(map(donors.count, donors)) > 1
 
 
 class TestSeedProjection:

@@ -40,7 +40,7 @@ class TestGdpPathwayType:
     def test_lookup_and_bounds(self):
         p = geometric_pathway()
         assert p.gdp(2015) == 1000.0
-        assert p.end_year == 2100
+        assert p.values.size == 86  # 2015-2100
         assert p.max_gdp() == pytest.approx(1000.0 * 1.02 ** 85)
         with pytest.raises(PathwayGap):
             p.gdp(2014)
@@ -247,7 +247,7 @@ class TestConvergencePathway:
         """Truncating the horizon must not steepen the convergence path."""
         short = convergence_pathway("AAA", 1400.0, end=2050)
         full = convergence_pathway("AAA", 1400.0)
-        assert short.end_year == 2050
+        assert short.values.size == 36  # 2015-2050
         assert np.allclose(short.values, full.values[:short.values.size],
                            rtol=1e-15)
 
