@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .augmentation import DonorRule, select_donors
 from .core import AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, Record
-from .data_ingest import HEADERS, Dataset, load_dataset
+from .data_ingest import Dataset, load_dataset
 from .demography import pathway_rates, project_totals
 from .errors import DemotrendError, SchemaViolation
 from .rate_forecast import DUMP_COLUMNS, CapPolicy, build_country_ensembles
@@ -38,17 +38,6 @@ from .scenarios import (
     scenario_label,
     sweep_multipliers,
 )
-
-# CPython's own SHA-256, not hashlib's: importing hashlib maps OpenSSL's
-# libcrypto (3.6 MiB of RSS) into the run and every --jobs worker. Both give
-# standard SHA-256; hashlib is only for builds without the built-in module.
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
 
 # Name and header of donors.csv and ensembles.csv.
 _DUMPS = (("donors.csv", "scenario_id,target_iso3,donor_iso3"),
@@ -130,7 +119,6 @@ def run(config: RunConfig) -> list[Path]:
     """Execute one full projection run; returns the written paths."""
     plan = _scenario_plan(config.scenario)
     dataset = load_dataset(config.data_dir)
-    digests = _input_digests(config.data_dir)  # of the bytes just read, not a later rewrite
     for rejection in dataset.rejections:
         print(f"warning: {rejection}", file=sys.stderr)
     baselines = build_baselines(dataset, BASE_YEAR, config.horizon)
@@ -179,7 +167,7 @@ def run(config: RunConfig) -> list[Path]:
         result = RunResult(start_year=BASE_YEAR, scenario_ids=scenario_ids, scopes=scopes,
                            totals=scope_totals, sensitivity=sensitivity)
         written[:0] = emit_outputs(result, out, config.out_format)
-        written.append(_write_manifest(config, digests, out))
+        _write_manifest(config, dataset.digests, out, written)
     return written
 
 
@@ -332,25 +320,14 @@ def _sensitivity_rows(scenario_ids, countries, totals, horizon):
     return [(iso3, sensitivity_ratio(*pop)) for iso3, pop in zip(countries, pops.T)]
 
 
-def _input_digests(data_dir: str) -> dict[str, str]:
-    """The hex SHA-256 of each input file, read 64 KiB at a time."""
-    digests = {}
-    for name in sorted(HEADERS):
-        digest = sha256()
-        with open(Path(data_dir) / name, "rb") as handle:
-            while block := handle.read(1 << 16):
-                digest.update(block)
-        digests[name] = digest.hexdigest()
-    return digests
-
-
-def _write_manifest(config: RunConfig, digests: dict[str, str], out: Path) -> Path:
+def _write_manifest(config: RunConfig, digests: dict[str, str], out: Path,
+                    written: list[Path]) -> None:
     # jobs and out_dir are omitted: they cannot change the results.
     settings = {"format" if name == "out_format" else name: getattr(config, name)
                 for name in RunConfig._fields if name not in ("jobs", "out_dir")}
     manifest = {"config": settings, "inputs": digests, "version": __version__}
-    return _write_lines(out / "run_manifest.json",
-                        [json.dumps(manifest, indent=2, sort_keys=True)])
+    _write_lines(out / "run_manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)],
+                 written)
 
 
 def _scenario_plan(token: str) -> list[tuple[str, float | None]]:

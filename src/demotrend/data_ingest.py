@@ -10,17 +10,19 @@ Input directory layout::
 
 Loading is strict about schema and value ranges but tolerant of rows whose
 iso3 code is not in the country register: those rows are dropped and
-reported as diagnostics rather than aborting the load. Each file is read
-CHUNK_ROWS rows at a time into column arrays: a text column as integer
-codes into one str per distinct value, a numeric column as int64 or
-float64, so no Python object per cell outlives its chunk. Each file is
-checked a whole column at a time, and the error on its earliest bad line
-is reported. Observation series are stored raw, as (years, values) arrays;
-interpolation between observed years is the consumer's job.
+reported as diagnostics rather than aborting the load. Each file's bytes
+are read once, hashed, and parsed CHUNK_ROWS rows at a time into column
+arrays: a text column as integer codes into one str per distinct value, a
+numeric column as int64 or float64, so no Python object per cell outlives
+its chunk. Each file is checked a whole column at a time, and the error on
+its earliest bad line is reported. Observation series are stored raw, as
+(years, values) arrays; interpolation between observed years is the
+consumer's job.
 """
 from __future__ import annotations
 
 import csv
+import io
 from functools import cached_property
 from itertools import compress, islice
 from pathlib import Path
@@ -39,6 +41,17 @@ from .core import (
     Variable,
 )
 from .errors import MissingFile, NonPositiveGdp, SchemaViolation, UnknownCountry
+
+# CPython's own SHA-256, not hashlib's: importing hashlib maps OpenSSL's
+# libcrypto (3.6 MiB of RSS) into the run and every --jobs worker. Both give
+# standard SHA-256; hashlib is only for builds without the built-in module.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 HEADERS = {
     "countries.csv": ["iso3", "name", "income_group", "region"],
@@ -83,11 +96,12 @@ class PopulationState(Record, eq=False):
             raise ValueError(f"counts must have shape ({len(AGE_BANDS)}, 2)")
 
 
-class Dataset(Record, eq=False, factories={"rejections": list, "memo": dict},
+class Dataset(Record, eq=False, factories={"rejections": list, "digests": dict, "memo": dict},
               hidden=("memo",)):
     """The validated inputs. ``rate_index`` is keyed by (iso3, variable, age
-    band, sex), the other indexes by iso3; ``memo`` holds what consumers
-    derive from the series, once per dataset."""
+    band, sex), the other indexes by iso3; ``digests`` holds the hex SHA-256
+    of the bytes parsed from each file, by file name; ``memo`` holds what
+    consumers derive from the series, once per dataset."""
 
     countries: list[CountryRecord]
     rate_index: dict[tuple, Series]
@@ -95,6 +109,7 @@ class Dataset(Record, eq=False, factories={"rejections": list, "memo": dict},
     gdp_baseline_index: dict[str, Series]
     base_pop_index: dict[str, PopulationState]
     rejections: list[UnknownCountry]
+    digests: dict[str, str]
     memo: dict
 
     @cached_property
@@ -159,13 +174,13 @@ _ALLOWED = {"variable": [v.value for v in Variable], "age_group": AGE_BANDS,
 
 def load_dataset(data_dir) -> Dataset:
     """Read, validate, and cross-reference the five input files, in that order."""
-    root = Path(data_dir)
-    countries = _load_countries(_Rows(root, "countries.csv"))
+    root, digests = Path(data_dir), {}
+    countries = _load_countries(_Rows(root, "countries.csv", digests))
     known, rejections = [c.iso3 for c in countries], []
-    indexes = [load(_Rows(root, name, known, rejections)) for load, name in (
+    indexes = [load(_Rows(root, name, digests, known, rejections)) for load, name in (
         (_load_rates, "rates.csv"), (_load_gdp, "gdp_hist.csv"),
         (_load_gdp, "gdp_baseline.csv"), (_load_base_pop, "base_pop.csv"))]
-    return Dataset(countries, *indexes, rejections=rejections)
+    return Dataset(countries, *indexes, rejections=rejections, digests=digests)
 
 
 class _Text:
@@ -229,19 +244,20 @@ class _Numbers:
 
 class _Rows:
     """The data rows of one file as columns, less the rows of countries
-    outside ``known`` (added to ``rejections`` in file order). Each ``check``
-    flags the rows failing one rule; ``raise_first`` raises the failure on
-    the earliest row, and on that row the failure of the first check made.
-    """
+    outside ``known`` (added to ``rejections`` in file order); its digest
+    goes into ``digests``. Each ``check`` flags the rows failing one rule;
+    ``raise_first`` raises the failure on the earliest row, and on that row
+    the failure of the first check made."""
 
-    def __init__(self, root: Path, name: str, known: list[str] | None = None,
+    def __init__(self, root: Path, name: str, digests: dict[str, str],
+                 known: list[str] | None = None,
                  rejections: list[UnknownCountry] | None = None):
         self.name = name
         self.columns = [_Numbers(_NUMERIC[header]) if header in _NUMERIC else
                         _Text(known if header == "iso3" and known is not None else
                               _ALLOWED.get(header, ()))
                         for header in HEADERS[name]]
-        self.lines = _read(root, name, self.columns, known, rejections)
+        self.lines, digests[name] = _read(root, name, self.columns, known, rejections)
         self._first = None  # (row, exception) of the earliest failure
 
     def check(self, bad, reason: str, *cells, error=SchemaViolation) -> None:
@@ -283,18 +299,20 @@ class _Rows:
 
 
 def _read(root: Path, name: str, columns: list, known: list[str] | None,
-          rejections: list[UnknownCountry] | None) -> np.ndarray:
+          rejections: list[UnknownCountry] | None) -> tuple[np.ndarray, str]:
     """Fill ``columns`` from the non-blank data rows of one file, CHUNK_ROWS
-    rows at a time, and return the physical line each row ends on."""
+    rows at a time; return the physical line each row ends on and the hex
+    SHA-256 of the bytes parsed. A byte that is not UTF-8, or a row that csv
+    cannot split, is a ``SchemaViolation`` on the line where it is met."""
     path = root / name
     if not path.is_file():
         raise MissingFile(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaViolation(name, 0, "file is empty") from None
+    data = path.read_bytes()
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise SchemaViolation(name, 0, "file is empty")
         if header != HEADERS[name]:
             raise SchemaViolation(name, 1,
                                   f"expected header {','.join(HEADERS[name])!r}, "
@@ -320,11 +338,20 @@ def _read(root: Path, name: str, columns: list, known: list[str] | None,
                 column.extend(cells, len(lines) // 8)
             lines += np.array(line_of, dtype="q").tobytes()
             del line_of, rows
+    except UnicodeDecodeError:
+        try:
+            data.decode("utf-8")  # whose error, unlike the text layer's, has the file's offsets
+        except UnicodeDecodeError as exc:
+            line = len((data[:exc.start] + b".").splitlines())  # the line the byte is on
+            raise SchemaViolation(name, line, f"byte 0x{data[exc.start]:02x} is not UTF-8 "
+                                              f"({exc.reason})") from None
+    except csv.Error as exc:
+        raise SchemaViolation(name, reader.line_num, str(exc)) from None
     if empty:
         raise SchemaViolation(name, 0, "file contains no data rows")
     for column in columns:
         column.finish()
-    return np.frombuffer(lines, dtype="q")
+    return np.frombuffer(lines, dtype="q"), sha256(data).hexdigest()
 
 
 def _converted(convert, text):

@@ -123,9 +123,9 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
 
     A series that is not finite raises ``NonFiniteResult`` before any file
     is written. Files are written series by series. Returns the written
-    paths. On any failure, an interrupt included, the files written so far,
-    a partial one too, and the directories this call made are removed; an
-    ``OSError`` propagates as ``IoFailure``.
+    paths. On any failure, an interrupt included, the files opened so far,
+    a partial one too, and the directories this call made are removed
+    (``undo_on_failure``); an ``OSError`` propagates as ``IoFailure``.
     """
     if not result.scenario_ids:
         raise EmptyScope("no scenarios to report")
@@ -139,12 +139,12 @@ def emit_outputs(result: RunResult, out_dir, out_format: str = "csv+svg") -> lis
     out = Path(out_dir)
     with undo_on_failure(out) as written:
         out.mkdir(parents=True, exist_ok=True)
-        written.append(_write_trajectories(result, out))
-        written.append(_write_summary(result, out))
+        _write_trajectories(result, out, written)
+        _write_summary(result, out, written)
         if result.sensitivity is not None:
-            written.append(_write_sensitivity(result, out))
+            _write_sensitivity(result, out, written)
         if out_format == "csv+svg":
-            written.extend(_write_figures(result, out))
+            _write_figures(result, out, written)
     return written
 
 
@@ -169,15 +169,12 @@ def undo_on_failure(out: Path):
         raise
 
 
-def _write_lines(path: Path, lines) -> Path:
-    handle = open(path, "w", encoding="utf-8")
-    try:
-        with handle:
-            handle.writelines(f"{line}\n" for line in lines)
-    except BaseException:  # a partly written file goes too
-        path.unlink(missing_ok=True)
-        raise
-    return path
+def _write_lines(path: Path, lines, written: list[Path]) -> None:
+    """Write ``lines`` to ``path``, which joins ``written`` once it is open,
+    before its first byte, so ``undo_on_failure`` removes a partial file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        written.append(path)
+        handle.writelines(f"{line}\n" for line in lines)
 
 
 def _series(result: RunResult):
@@ -186,17 +183,17 @@ def _series(result: RunResult):
         yield from ((sid, scope, values) for scope, values in zip(result.scopes, by_scope))
 
 
-def _write_trajectories(result: RunResult, out: Path) -> Path:
+def _write_trajectories(result: RunResult, out: Path, written: list[Path]) -> None:
     def blocks():  # one write per series, of its at most 86 lines
         yield "scope,scenario_id,year,population"
         for sid, scope, values in _series(result):
             prefix = f"{scope.label},{sid}"
             yield "\n".join(f"{prefix},{year},{millions:.6g}" for year, millions in
                              enumerate((values / 1e6).tolist(), result.start_year))
-    return _write_lines(out / "trajectories.csv", blocks())
+    _write_lines(out / "trajectories.csv", blocks(), written)
 
 
-def _write_summary(result: RunResult, out: Path) -> Path:
+def _write_summary(result: RunResult, out: Path, written: list[Path]) -> None:
     shown = [year - result.start_year for year in SUMMARY_YEARS]
 
     def lines():
@@ -206,23 +203,21 @@ def _write_summary(result: RunResult, out: Path) -> Path:
             yield ",".join([sid, scope.label, *(
                 fmt_millions(values[i]) if 0 <= i < values.size else "" for i in shown),
                 fmt_millions(values[peak]), str(result.start_year + peak)])
-    return _write_lines(out / "summary.csv", lines())
+    _write_lines(out / "summary.csv", lines(), written)
 
 
-def _write_sensitivity(result: RunResult, out: Path) -> Path:
-    return _write_lines(out / "sensitivity.csv", ["iso3,ratio", *(
-        f"{iso3},{ratio:.6g}" for iso3, ratio in result.sensitivity)])
+def _write_sensitivity(result: RunResult, out: Path, written: list[Path]) -> None:
+    _write_lines(out / "sensitivity.csv", ["iso3,ratio", *(
+        f"{iso3},{ratio:.6g}" for iso3, ratio in result.sensitivity)], written)
 
 
-def _write_figures(result: RunResult, out: Path) -> list[Path]:
-    paths = []
+def _write_figures(result: RunResult, out: Path, written: list[Path]) -> None:
     for kind, name, title in FIGURES:
         panels = [(scope.label, result.totals[:, k])
                   for k, scope in enumerate(result.scopes) if scope.kind == kind]
         if panels:
             chart = _svg_chart(title, result.scenario_ids, result.start_year, panels)
-            paths.append(_write_lines(out / name, [chart]))
-    return paths
+            _write_lines(out / name, [chart], written)
 
 
 def _color(i: int) -> str:

@@ -169,9 +169,9 @@ class TestManifest:
         hashlib, to the same bytes."""
         script = ("import sys\n"
                   "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
-                  "from demotrend import cli\n"
+                  "from demotrend import cli, data_ingest\n"
                   "import hashlib\n"
-                  "assert cli.sha256 is hashlib.sha256, cli.sha256\n"
+                  "assert data_ingest.sha256 is hashlib.sha256, data_ingest.sha256\n"
                   f"code = cli.main(['--data-dir', {str(TINY)!r}, '--out', "
                   f"{str(tmp_path / 'out')!r}, '--dump-donors', '--dump-ensembles'])\n"
                   "assert code == 0, code\n")
@@ -193,8 +193,8 @@ class TestManifest:
                   "stand_in = types.ModuleType('_sha2')\n"
                   "stand_in.sha256 = builtin.sha256\n"
                   "sys.modules['_sha2'], sys.modules['_sha256'] = stand_in, None\n"
-                  "from demotrend import cli\n"
-                  "assert cli.sha256 is stand_in.sha256, cli.sha256\n"
+                  "from demotrend import cli, data_ingest\n"
+                  "assert data_ingest.sha256 is stand_in.sha256, data_ingest.sha256\n"
                   f"code = cli.main(['--data-dir', {str(TINY)!r}, '--out', "
                   f"{str(tmp_path / 'out')!r}, '--dump-donors', '--dump-ensembles'])\n"
                   "assert code == 0, code\n")
@@ -223,6 +223,27 @@ class TestManifest:
         manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
         assert rates.read_text() == "rewritten during the run\n"
         assert manifest["inputs"]["rates.csv"] == loaded
+
+    def test_digests_are_of_the_bytes_parsed(self, tmp_path, monkeypatch):
+        """An input rewritten after ingest has parsed it, while ingest still
+        reads the later files, keeps the digest of the bytes parsed."""
+        from demotrend import cli, data_ingest
+
+        data_dir = tmp_path / "data"
+        shutil.copytree(TINY, data_dir)
+        rates = data_dir / "rates.csv"
+        parsed = hashlib.sha256(rates.read_bytes()).hexdigest()
+        load_gdp = data_ingest._load_gdp
+
+        def rewrite_then_load(rows):
+            rates.write_text("rewritten during ingest\n")
+            return load_gdp(rows)
+
+        monkeypatch.setattr(data_ingest, "_load_gdp", rewrite_then_load)
+        cli.run(cli.RunConfig(data_dir=str(data_dir), out_dir=str(tmp_path / "out")))
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert rates.read_text() == "rewritten during ingest\n"
+        assert manifest["inputs"]["rates.csv"] == parsed
 
     def test_version_matches_package(self, baseline_run):
         import demotrend
@@ -275,11 +296,17 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
-    def test_import_leaves_worker_pools_unloaded(self):
+    def test_import_leaves_worker_pools_unloaded(self, tmp_path):
         """Single-job runs never pay for importing ``concurrent.futures``, and
-        runs without an internal error never import ``traceback``."""
+        runs without an internal error never import ``traceback``. Neither
+        the import nor ingest, which hashes each input, loads OpenSSL."""
         script = ("import sys\n"
                   "import demotrend.cli\n"
+                  "from demotrend.data_ingest import load_dataset\n"
+                  f"load_dataset({str(TINY)!r})\n"
+                  f"code = demotrend.cli.main(['--data-dir', {str(TINY)!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}])\n"
+                  "assert code == 0, code\n"
                   "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
                   "assert 'traceback' not in sys.modules, 'traceback was imported'\n"
                   "loaded = {'_hashlib', 'ssl'} & set(sys.modules)\n"
@@ -914,6 +941,14 @@ class TestFlagDefaults:
             assert flag_help in text
 
 
+def assert_one_error_line(data_dir, out, message):
+    """A run on ``data_dir`` exits 1 with ``error: message`` as its whole
+    stderr, no traceback, and leaves no ``out``."""
+    code, _, stderr = run_cli(["--data-dir", str(data_dir), "--out", str(out)])
+    assert (code, stderr) == (1, f"error: {message}\n")
+    assert not out.exists()
+
+
 class TestDataErrors:
     def test_mortality_rate_above_one(self, tmp_path):
         data_dir = tmp_path / "tiny"
@@ -927,6 +962,25 @@ class TestDataErrors:
                                    "--out", str(tmp_path / "out")])
         assert code == 1
         assert f"rates.csv:{row + 1}:" in stderr and "1.7" in stderr
+
+    def test_undecodable_byte_is_a_data_error(self, tmp_path):
+        data_dir = tmp_path / "tiny"
+        shutil.copytree(TINY, data_dir)
+        rates = data_dir / "rates.csv"
+        line = rates.read_bytes().count(b"\n") + 1  # the line after the last newline
+        rates.write_bytes(rates.read_bytes() + b"\xff")
+        assert_one_error_line(data_dir, tmp_path / "out",
+                              f"rates.csv:{line}: byte 0xff is not UTF-8 (invalid start byte)")
+
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path):
+        data_dir = tmp_path / "tiny"
+        shutil.copytree(TINY, data_dir)
+        countries = data_dir / "countries.csv"
+        lines = countries.read_text().splitlines()
+        lines[2] = lines[2].replace(lines[2].split(",")[1], "N" * 200_000)
+        countries.write_text("\n".join(lines) + "\n")
+        assert_one_error_line(data_dir, tmp_path / "out",
+                              "countries.csv:3: field larger than field limit (131072)")
 
     def test_missing_input_file(self, tmp_path):
         rows = minimal_rows()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import random
 import tempfile
 import tracemalloc
@@ -36,6 +37,12 @@ class TestHappyPath:
     def test_tiny_fixture_loads(self, tiny_dataset):
         assert sorted(c.iso3 for c in tiny_dataset.countries) == ["AAA", "BBB", "CCC"]
         assert tiny_dataset.rejections == []
+
+    def test_digests_of_the_files_read(self, tiny_dataset):
+        assert tiny_dataset.digests == {
+            name: hashlib.sha256((TINY / name).read_bytes()).hexdigest()
+            for name in ("countries.csv", "rates.csv", "gdp_hist.csv", "gdp_baseline.csv",
+                         "base_pop.csv")}
 
     def test_rate_series_sorted_oldest_first(self, tmp_path):
         def mutate(rows):
@@ -437,6 +444,18 @@ class TestErrorLocation:
 
         assert load_mutated(tmp_path, mutate).countries[0].name == "Ale\nph"
 
+    def test_undecodable_byte_counts_physical_lines(self, tmp_path):
+        """CRLF and a lone CR each end one line, as csv counts them; a
+        character cut short at the end of the file is on the last line."""
+        rates = write_rows(tmp_path, minimal_rows()) / "rates.csv"
+        header, first, *rest = rates.read_bytes().splitlines()
+        rates.write_bytes(b"\r\n".join([header, first]) + b"\r" + b"\n".join(rest)
+                          + b"\n\xe2\x82")
+        with pytest.raises(SchemaViolation) as err:
+            load_dataset(rates.parent)
+        assert str(err.value) == (f"rates.csv:{RATES_END}: "
+                                  "byte 0xe2 is not UTF-8 (unexpected end of data)")
+
     def test_field_count_checked_before_values(self, tmp_path):
         def mutate(rows):
             rows["rates.csv"].insert(2, "AAA,1949,Fertility,20-24,Female,0.2")
@@ -744,6 +763,34 @@ class TestAgainstRowLoader:
             expected = ingest_error(seed_oracle.load_dataset, data)
             assert (type(error), str(error)) == (type(expected), str(expected))
         assert error.line > CHUNK_ROWS
+
+    # Byte-level faults, with the exception the seed lets escape for each, so
+    # the messages are pinned here: (file, row, column, the cell's bytes,
+    # the seed's exception, the reason).
+    BYTE_FAULTS = {
+        "undecodable byte": ("rates.csv", CHUNK_ROWS + 3, 5, b"0.1\xff2", UnicodeDecodeError,
+                             "byte 0xff is not UTF-8 (invalid start byte)"),
+        "field over the csv limit": ("countries.csv", 4, 1, b"N" * 200_000, csv.Error,
+                                     "field larger than field limit (131072)"),
+    }
+
+    @pytest.mark.parametrize("fault", BYTE_FAULTS)
+    def test_byte_level_fault_is_a_schema_violation(self, tmp_path, fault):
+        """The bad rates.csv byte lies past the first 8 KiB that the text
+        layer decodes at once: its line is counted from the file's start."""
+        name, at, column, cell, seed_error, reason = self.BYTE_FAULTS[fault]
+        rows = generated_rows()
+        rows[name][at][column] = "MARKED"
+        data = write_generated(tmp_path, rows)
+        line = line_of(data, name, rows[name][at])
+        path = data / name
+        assert path.read_bytes().count(b"MARKED") == 1
+        path.write_bytes(path.read_bytes().replace(b"MARKED", cell))
+        with pytest.raises(seed_error):
+            seed_oracle.load_dataset(data)
+        error = ingest_error(load_dataset, data)
+        assert (type(error), str(error)) == (SchemaViolation, f"{name}:{line}: {reason}")
+        assert name == "countries.csv" or path.read_bytes().index(b"\xff") > 8192
 
     def test_same_duplicate_error_across_chunks(self, tmp_path):
         """A repeat in the third chunk of a row of the first."""

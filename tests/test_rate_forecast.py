@@ -21,7 +21,7 @@ from demotrend.rate_forecast import (
 )
 
 import seed_oracle
-from conftest import TINY, table_of
+from conftest import SYNTH, TINY, table_of, world_like
 
 # Long wiggly sample: every candidate form is admissible (n = 14 > 5 + 1).
 GDP = np.array([400.0, 550.0, 700.0, 900.0, 1150.0, 1400.0, 1700.0, 2100.0,
@@ -339,6 +339,21 @@ class TestSharedSexFits:
             per_sex = one_series(series.fit_gdp, series.fit_rate,
                                  series.weight_gdp, series.weight_rate)
             assert built.mortality[(band, sex)] == per_sex
+
+    def test_every_donor_is_read(self, tmp_path):
+        """In ``world_like(12)`` with mixed mortality, WAE and its first donor
+        WAA have only Both mortality rows and its second donor WAB has sexed
+        ones, so no band is shared, as in the seed."""
+        data = SYNTH.write_dataset(tmp_path / "data", world_like(12), "mixed", 0)
+        dataset = load_dataset(data)
+        sexed = {iso3 for iso3, _ in dataset.sexed_mortality}
+        assert "WAB" in sexed and not {"WAA", "WAE"} & sexed
+        key = ("WAE", ("WAA", "WAB"))
+        built = build_country_ensembles(dataset, *key)
+        assert all(built.mortality[(band, Sex.FEMALE)] is not built.mortality[(band, Sex.MALE)]
+                   for band in AGE_BANDS)
+        seed = seed_oracle.build_country_ensembles(seed_oracle.load_dataset(data), *key)
+        assert_equal_to_the_seed({key: built}, {key: seed})
 
 
 def assert_equal_to_the_seed(built: dict, seed: dict):

@@ -150,6 +150,7 @@ class Twin:
         gdp_baseline_index: dict
         base_pop_index: dict
         rejections: list[UnknownCountry] = field(default_factory=list)
+        digests: dict = field(default_factory=dict)
         memo: dict = field(default_factory=dict, repr=False)
 
         country_map = Dataset.country_map
@@ -239,7 +240,7 @@ CASES = {
     CountryRecord: (("AAA", "Aleph", IncomeGroup.LOW, Region.SOUTH_ASIA),
                     {"region": Region.NORTH_AMERICA, "income_group": IncomeGroup.HIGH,
                      "name": "Bet", "iso3": "BBB"}, []),
-    Dataset: (([RECORD], {}, {}, {}, {}, [], {"k": 1}),
+    Dataset: (([RECORD], {}, {}, {}, {}, [], {"rates.csv": "0" * 64}, {"k": 1}),
               {"countries": [], "rate_index": {}, "gdp_hist_index": {},
                "gdp_baseline_index": {}, "base_pop_index": {}}, []),
     FitResult: ((ModelForm.NEG_POWER, 0.1, 9, 3, -4.0, 1.0, 2.0, 0.5, None, None, None),
@@ -363,8 +364,9 @@ class TestRecordSpecifics:
     def test_factories_make_a_new_default_per_instance(self):
         for cls in (Dataset, Twin.Dataset):
             a, b = cls([], {}, {}, {}, {}), cls([], {}, {}, {}, {})
-            assert a.rejections == [] and a.memo == {}
-            assert a.rejections is not b.rejections and a.memo is not b.memo
+            assert a.rejections == [] and a.digests == {} and a.memo == {}
+            assert a.rejections is not b.rejections and a.digests is not b.digests
+            assert a.memo is not b.memo
             assert "memo" not in repr(a) and "rejections=[]" in repr(a)
 
     def test_hidden_field_is_left_out_of_eq_hash_and_repr(self):

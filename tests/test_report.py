@@ -314,7 +314,7 @@ class TestEmitOutputs:
 
         result = toy_result(tiny_dataset)
 
-        def boom(result, out):
+        def boom(result, out, written):
             raise OSError("disk full")
 
         monkeypatch.setattr(report_mod, "_write_summary", boom)
@@ -332,7 +332,7 @@ class TestEmitOutputs:
                                                      monkeypatch, failure, existing):
         """A write that fails once the CSVs are written removes them and each
         directory this call made; one that existed before stays."""
-        def fails(result, out):
+        def fails(result, out, written):
             assert {p.name for p in out.iterdir()} == {"trajectories.csv", "summary.csv"}
             raise failure
 
