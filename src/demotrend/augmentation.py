@@ -32,10 +32,10 @@ class DonorRule(Record, frozen=True):
     target_pathway_max: float
 
     def __post_init__(self):
-        if self.target_gdp_2015 <= 0.0:
-            raise ValueError("target 2015 GDP must be positive")
-        if self.target_pathway_max < self.target_gdp_2015:
-            raise ValueError("pathway maximum cannot undercut the 2015 level")
+        if not (np.isfinite(self.target_gdp_2015) and self.target_gdp_2015 > 0.0):
+            raise ValueError("target 2015 GDP must be positive and finite")
+        if not self.target_pathway_max >= self.target_gdp_2015:  # NaN fails too
+            raise ValueError("pathway maximum must be a number at or above the 2015 level")
 
 
 class AugmentedSeries(Record, eq=False):
@@ -47,23 +47,25 @@ class AugmentedSeries(Record, eq=False):
     weight_rate: np.ndarray
 
 
-def select_donors(rule: DonorRule, candidates) -> list[str]:
-    """Qualifying donor iso3 codes, sorted.
+def donor_sets(candidates, floors, ceilings) -> list[list[str]]:
+    """For each (floor, ceiling) pair, the sorted iso3 codes of ``candidates``
+    (iso3 to a (years, values) GDP series) whose GDP inside ``DONOR_WINDOW``
+    lies strictly between the two, decided in one (pairs, candidates)
+    comparison. A candidate without GDP inside the window never qualifies."""
+    names = sorted(candidates)
+    low, high = np.full((2, len(names)), np.nan)  # NaN compares False: never admitted
+    for j, (years, values) in enumerate(map(candidates.get, names)):
+        window = values[(years >= DONOR_WINDOW[0]) & (years <= DONOR_WINDOW[1])]
+        if window.size:
+            low[j], high[j] = window.min(), window.max()
+    admitted = ((low > np.asarray(floors, dtype=float)[:, None])
+                & (high < np.asarray(ceilings, dtype=float)[:, None]))
+    return [[names[j] for j in np.flatnonzero(row)] for row in admitted]
 
-    ``candidates`` maps iso3 to an observed GDP series as a (years, values)
-    array pair; candidates without observations inside ``DONOR_WINDOW`` never
-    qualify. The target itself must not be among the candidates.
-    """
-    donors = []
-    for iso3 in sorted(candidates):
-        years, values = candidates[iso3]
-        inside = (years >= DONOR_WINDOW[0]) & (years <= DONOR_WINDOW[1])
-        if not inside.any():
-            continue
-        window = values[inside]
-        if window.min() > rule.target_gdp_2015 and window.max() < rule.target_pathway_max:
-            donors.append(iso3)
-    return donors
+
+def select_donors(rule: DonorRule, candidates) -> list[str]:
+    """``donor_sets`` of one rule; the target must not be among the candidates."""
+    return donor_sets(candidates, [rule.target_gdp_2015], [rule.target_pathway_max])[0]
 
 
 def build_augmented_series(target: str, donors, variable: Variable, age_group: str,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augmentation import DonorRule, select_donors
+from .augmentation import donor_sets
 from .core import AGE_BANDS, BASE_YEAR, END_YEAR, FERTILE_BANDS, Record
 from .data_ingest import Dataset, load_dataset
 from .demography import pathway_rates, project_totals
@@ -284,22 +284,20 @@ def _project_one(dataset: Dataset, scenarios: list, config: RunConfig, iso3: str
     ``SCENARIO_CHUNK`` at a time, each in its own row."""
     base = dataset.base_population(iso3)
     cap = CapPolicy(config.fertility_cap)
-    # select_donors skips a country without GDP rows in its window.
-    candidates = {other: dataset.gdp_hist_series(other)
-                  for other in sorted(dataset.country_map) if other != iso3}
+    plan = [(sid, by_iso3[iso3]) for sid, by_iso3 in scenarios]
+    # The target is not among its own candidates, so it never borrows from itself.
+    donors_of = donor_sets({other: dataset.gdp_hist_series(other)
+                            for other in dataset.country_map if other != iso3},
+                           [p.gdp(BASE_YEAR) for _, p in plan], [p.max_gdp() for _, p in plan])
     cache: dict = {}
     steps = config.horizon - base.year
     totals = []
     made = []  # (scenario id, donors, ensembles) of each scenario, for the dumps
-    for start in range(0, len(scenarios), SCENARIO_CHUNK):
-        chunk = scenarios[start:start + SCENARIO_CHUNK]
+    for start in range(0, len(plan), SCENARIO_CHUNK):
+        chunk = plan[start:start + SCENARIO_CHUNK]
         asfr = np.empty((len(chunk), steps, len(FERTILE_BANDS)))
         q = np.empty((len(chunk), steps, len(AGE_BANDS), 2))
-        for i, (sid, pathways) in enumerate(chunk):
-            pathway = pathways[iso3]
-            rule = DonorRule(target_gdp_2015=pathway.gdp(BASE_YEAR),
-                             target_pathway_max=pathway.max_gdp())
-            donors = select_donors(rule, candidates)
+        for i, ((sid, pathway), donors) in enumerate(zip(chunk, donors_of[start:])):
             ensembles = build_country_ensembles(dataset, iso3, donors, cache)
             asfr[i], q[i] = pathway_rates(base, ensembles, pathway, cap, config.horizon)
             made.append((sid, donors, ensembles))

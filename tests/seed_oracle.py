@@ -125,6 +125,13 @@ def rate_series(dataset, iso3: str, variable, age_group: str, sex=None):
     return dataset.rate_series(iso3, _enum(variable), age_group, _enum(sex))
 
 
+def select_donors(floor: float, ceiling: float, candidates) -> list[str]:
+    """The seed's donors among ``candidates`` (iso3 to a (years, values) GDP
+    series) for a target whose 2015 GDP is ``floor`` and whose pathway peaks
+    at ``ceiling``."""
+    return _quiet(_augmentation.select_donors, _augmentation.DonorRule(floor, ceiling), candidates)
+
+
 def augmented_series(dataset, target: str, donors, variable, age_group: str, sex=None):
     """The seed's ``build_augmented_series`` on its ``dataset``, as (fit_gdp,
     fit_rate, weight_gdp, weight_rate)."""

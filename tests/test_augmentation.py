@@ -1,13 +1,17 @@
 import enum
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from demotrend.augmentation import DonorRule, build_augmented_series, select_donors
+from demotrend.augmentation import DonorRule, build_augmented_series, donor_sets, select_donors
 from demotrend.core import AGE_BANDS, FERTILE_BANDS, SEX_COLUMNS, Sex, Variable
 from demotrend.data_ingest import load_dataset
 from demotrend.errors import NoTargetData
 
+import seed_oracle
 from conftest import TINY
 
 
@@ -23,6 +27,9 @@ class TestDonorRule:
             DonorRule(target_gdp_2015=0.0, target_pathway_max=6000.0)
         with pytest.raises(ValueError):
             DonorRule(target_gdp_2015=1400.0, target_pathway_max=1000.0)
+        for gdp_2015, top in ((math.nan, 5.0), (math.inf, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                DonorRule(target_gdp_2015=gdp_2015, target_pathway_max=top)
 
     def test_strict_inequalities(self):
         years = np.array([1990.0, 2015.0])
@@ -72,6 +79,45 @@ class TestDonorRule:
         donors = select_donors(DonorRule(1400.0, 6000.0),
                                {"ZZZ": good, "MMM": good, "BBB": good})
         assert donors == ["BBB", "MMM", "ZZZ"]
+
+
+@st.composite
+def donor_cases(draw):
+    """Candidates and 1-150 (floor, ceiling) pairs, floor <= ceiling, drawn
+    from a few shared GDP levels, so that a window minimum or maximum often
+    equals a floor or a ceiling and a floor often equals its ceiling. A
+    candidate's years may miss the 1990-2015 window, or touch it only at
+    1990 or only at 2015."""
+    levels = st.sampled_from(draw(st.lists(st.floats(1.0, 1e5), min_size=1, max_size=5)))
+    year = st.sampled_from([1960.0, 1989.0, 1990.0, 1991.0, 2003.0, 2014.0, 2015.0, 2016.0])
+    names = draw(st.lists(st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=3, max_size=3),
+                          max_size=8, unique=True))
+    candidates = {}
+    for name in names:
+        years = sorted(draw(st.sets(year, max_size=4)))
+        candidates[name] = (np.array(years), np.array([draw(levels) for _ in years]))
+    pairs = draw(st.lists(st.tuples(levels, levels).map(sorted), min_size=1, max_size=150))
+    return candidates, pairs
+
+
+class TestDonorSets:
+    """Each row of ``donor_sets``, and ``select_donors``, equals the frozen
+    seed's ``select_donors`` under the same (floor, ceiling) pair."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=donor_cases())
+    @example(case=({}, [(5.0, 5.0)] * 150))
+    @example(case=({"AAA": (np.array([1990.0]), np.array([3.0])),
+                    "BBB": (np.array([2015.0]), np.array([3.0])),
+                    "CCC": (np.array([1989.0, 2016.0]), np.array([3.0, 3.0]))},
+                   [(2.0, 4.0), (3.0, 4.0), (2.0, 3.0), (3.0, 3.0)]))
+    def test_rows_equal_the_seed(self, case):
+        candidates, pairs = case
+        rows = donor_sets(candidates, *zip(*pairs))
+        assert len(rows) == len(pairs)
+        for row, (floor, ceiling) in zip(rows, pairs):
+            seed = seed_oracle.select_donors(floor, ceiling, candidates)
+            assert row == seed == select_donors(DonorRule(floor, ceiling), candidates)
 
 
 class TestAugmentedSeries:

@@ -24,6 +24,7 @@ from demotrend.cli import RunConfig, UsageError, _build_parser, _config_from_arg
 from demotrend.models import COEF_FIELDS, FORM_ORDER
 from demotrend.report import SCOPE_KINDS
 
+import seed_oracle
 from conftest import SYNTH, TINY, minimal_rows, run_cli, world_like, write_rows
 
 
@@ -442,6 +443,31 @@ class TestSeedProjection:
         for iso3, series in totals.items():
             assert series.shape == (3, 86) and np.array_equal(series, seed_totals[iso3]), iso3
         assert donors == seed_donors and donors
+
+
+class TestNoSelfDonor:
+    def test_target_inside_its_own_corridor_is_not_its_donor(self, tmp_path):
+        """With AAA's 1990-2015 GDP raised by half, its history lies inside its
+        own m1.0 and m2.0 corridors; it still borrows only from the others,
+        as in the seed."""
+        from demotrend.augmentation import DonorRule, select_donors
+        from demotrend.data_ingest import load_dataset
+        from demotrend.scenarios import build_baselines
+
+        data_dir = tmp_path / "tiny"
+        shutil.copytree(TINY, data_dir)
+        path = data_dir / "gdp_hist.csv"
+        path.write_text(re.sub(r"(?m)^AAA,(199\d|20(0\d|1[0-5])),(.*)$",
+                               lambda m: f"AAA,{m[1]},{float(m[3]) * 1.5!r}", path.read_text()))
+        dataset = load_dataset(data_dir)
+        pathway = build_baselines(dataset)["AAA"]
+        rule = DonorRule(pathway.gdp(2015), pathway.max_gdp())
+        assert select_donors(rule, {"AAA": dataset.gdp_hist_series("AAA")}) == ["AAA"]
+
+        written = sweep_outputs(data_dir, tmp_path / "out")
+        donors = written["donors.csv"].decode().splitlines()[1:]
+        assert all(line.split(",")[1] != line.split(",")[2] for line in donors)
+        assert donors == seed_oracle.project(data_dir, "sweep:0:2:1")[1]
 
 
 def sweep_outputs(data_dir, out, jobs=1):
